@@ -19,7 +19,7 @@ SERVE_BENCH_OUT ?= BENCH_PR5.json
 # prune_rate and cost_ratio reported per mode.
 INDEX_BENCH_OUT ?= BENCH_PR9.json
 
-.PHONY: all vet fmt-check build test test-race test-faults test-alloc-pins fuzz-arena fuzz-bound bench bench-parallel bench-json bench-serve bench-index examples check ci
+.PHONY: all vet fmt-check build test test-race test-faults test-alloc-pins fuzz-arena fuzz-bound bench bench-parallel bench-json bench-serve bench-index bench-smoke examples check ci
 
 all: check
 
@@ -48,13 +48,15 @@ test-faults:
 	$(GO) test -race -run 'Fault|Fire|Panic|Drain|Shutdown|Quarantine|TornWrite|CloseRegister|Breaker|Retry' \
 		./serve ./internal/faults ./client ./cmd/ukserver
 
-# test-alloc-pins is the nightly zero-cost-when-off gate: the nil tracer
-# and the disabled flight recorder must add ZERO allocations to the paths
-# they instrument. These tests run in `make test` too; the standalone
-# target fails the nightly loudly and in isolation if an instrumentation
-# change loses a nil guard.
+# test-alloc-pins is the nightly allocation gate: the nil tracer and the
+# disabled flight recorder must add ZERO allocations to the paths they
+# instrument, and the warmed exact E-cost kernels (Arena.ExpectedMax,
+# Arena.ExpectedMaxFlat, SwapEvaluator.PrepareBase) must allocate nothing.
+# These tests run in `make test` too; the standalone target fails the
+# nightly loudly and in isolation if a change loses a nil guard or a
+# reused buffer.
 test-alloc-pins:
-	$(GO) test -v -run 'Allocs' ./obs ./serve
+	$(GO) test -v -run 'Allocs' ./obs ./serve ./internal/emax ./internal/core
 
 # fuzz-arena runs the snapshot decoder fuzzer for $(FUZZTIME): arbitrary
 # bytes through the full .ukc validation pipeline (nightly CI).
@@ -113,6 +115,15 @@ bench-serve:
 # (bit-identical) while recording approx's quality trade.
 bench-index:
 	$(GO) test -json -run '^$$' -benchmem -benchtime 1x -bench 'BenchmarkCandIndexScan' . > $(INDEX_BENCH_OUT)
+
+# bench-smoke builds and self-tests the benchmark (ukbench/, a nested
+# module outside `go build ./...`): all three workloads at tiny sizes,
+# untraced and traced, then the module's own tests. It is the only build
+# that sees a signature change in the internal/core functions the
+# benchmark's replay calls.
+bench-smoke:
+	bash ukbench/run.sh --smoke
+	$(GO) -C ukbench test ./...
 
 examples:
 	$(GO) run ./examples/quickstart

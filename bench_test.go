@@ -421,7 +421,7 @@ func BenchmarkSolveParallel(b *testing.B) {
 }
 
 // BenchmarkUnassignedParallel — the local-search neighborhood scan is the
-// most expensive loop in the repository (one exact O(N log N) evaluation
+// most expensive loop in the repository (one exact sort-and-sweep evaluation
 // per candidate per swap); this measures the worker-pool speedup.
 func BenchmarkUnassignedParallel(b *testing.B) {
 	ctx := context.Background()
@@ -447,12 +447,11 @@ var benchSink float64
 // on the exact unassigned objective, from-scratch versus through the
 // incremental SwapEvaluator. n=200, m=200, k=8, z=4, single worker, so the
 // gap is algorithmic (no parallelism): the scratch path pays O(n·z·k)
-// metric calls + an O(nz log nz) event sort per candidate, the incremental
-// path a single O(nz) merge of presorted streams. The evaluator build is
-// outside the timed loop — it is paid once per solve and amortizes over
-// k·m·rounds evaluations. ReportAllocs pins the incremental path's O(1)
-// allocations per swap evaluation (the per-position PrepareBase sort is the
-// only allocator, amortized over the m-candidate scan).
+// metric calls + an event sort per candidate, the incremental path a single
+// O(nz) merge of presorted streams. The evaluator build is outside the
+// timed loop — it is paid once per solve and amortizes over k·m·rounds
+// evaluations. ReportAllocs pins the incremental scan at 0 allocs: EvalSwap
+// and the per-position PrepareBase sort both reuse their scratch.
 func BenchmarkSwapIncremental(b *testing.B) {
 	ctx := context.Background()
 	pts := benchEuclidean(b, 200, 4, 2)

@@ -43,14 +43,15 @@
 //	curl 'localhost:8080/v1/traces?min_ms=100'
 //	curl  localhost:8080/v1/requests
 //
-// Status mapping: 404 unknown instance, 409 duplicate registration, 422
-// invalid instance data, 429 shard queue full (ErrOverloaded — back off and
-// retry), 500 a request that panicked inside the solver (the worker
-// survived; see serve.ErrPanicked), 503 draining or closed, 504 deadline
-// exceeded. 429 and draining-503 responses carry a Retry-After header — on
-// 429 derived from the live queue depth and the shard's observed execution
-// latency, so well-behaved clients (package client honors it) back off
-// exactly as long as the backlog warrants.
+// Status mapping: 404 unknown instance, 409 duplicate registration, 413
+// request body over its cap (1 GiB for an instance document, 64 MiB for a
+// workload request), 422 invalid instance data, 429 shard queue full
+// (ErrOverloaded — back off and retry), 500 a request that panicked inside
+// the solver (the worker survived; see serve.ErrPanicked), 503 draining or
+// closed, 504 deadline exceeded. 429 and draining-503 responses carry a
+// Retry-After header — on 429 derived from the live queue depth and the
+// shard's observed execution latency, so well-behaved clients (package
+// client honors it) back off exactly as long as the backlog warrants.
 //
 // Shutdown: SIGINT/SIGTERM stops the listener, then drains the serving
 // layer — admitted requests finish, new ones are rejected 503 — bounded by
@@ -206,6 +207,15 @@ func run() error {
 	}
 }
 
+// Request body caps. An instance document carries the whole instance; a
+// workload request carries at most a center list and an n-length
+// assignment, so its cap is far smaller. A body over its cap is answered
+// 413 without being decoded further.
+const (
+	maxRegisterBody = 1 << 30
+	maxWorkloadBody = 64 << 20
+)
+
 // gateway owns one serve.Server per instance kind plus the name→kind
 // routing the HTTP layer needs (the generic serving layer is
 // per-location-type; the wire protocol is not). regMu serializes
@@ -220,6 +230,8 @@ type gateway struct {
 	fr      *obs.FlightRecorder // nil = flight recorder off (/v1/traces serves empty)
 	httpLat *httpLatency
 	snapDir string // "" = persistence off (no warm start, freeze returns 409)
+	// Body caps: maxRegisterBody and maxWorkloadBody; tests lower them.
+	registerLimit, workloadLimit int64
 }
 
 func newGateway(parallel int, tracer obs.Tracer, fr *obs.FlightRecorder, snapDir string, opts ...serve.Option) (*gateway, error) {
@@ -246,7 +258,10 @@ func newGateway(parallel int, tracer obs.Tracer, fr *obs.FlightRecorder, snapDir
 		eu.Close()
 		return nil, err
 	}
-	return &gateway{eu: eu, fin: fin, fr: fr, httpLat: newHTTPLatency(), snapDir: snapDir}, nil
+	return &gateway{
+		eu: eu, fin: fin, fr: fr, httpLat: newHTTPLatency(), snapDir: snapDir,
+		registerLimit: maxRegisterBody, workloadLimit: maxWorkloadBody,
+	}, nil
 }
 
 func (g *gateway) close() {
@@ -372,9 +387,9 @@ func (g *gateway) handler(pprofOn bool, logger *slog.Logger) http.Handler {
 
 func (g *gateway) handleRegister(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<30))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.registerLimit))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, bodyStatus(err), err)
 		return
 	}
 	// Names are unique across BOTH kinds — the workload router resolves a
@@ -608,8 +623,8 @@ func metricsOut(m serve.Metrics) []shardOut {
 func (g *gateway) workload(eu func(context.Context, workloadRequest) (any, error), fin func(context.Context, workloadRequest) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req workloadRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.workloadLimit)).Decode(&req); err != nil {
+			httpError(w, bodyStatus(err), err)
 			return
 		}
 		var (
@@ -640,6 +655,16 @@ func (g *gateway) workload(eu func(context.Context, workloadRequest) (any, error
 		}
 		writeJSON(w, http.StatusOK, out)
 	}
+}
+
+// bodyStatus maps a request-body read or decode error to its status: 413
+// when the body exceeded its cap, 400 for malformed input.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func statusFor(err error) int {

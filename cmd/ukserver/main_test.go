@@ -99,6 +99,66 @@ func TestHTTPStatusMapping(t *testing.T) {
 	}
 }
 
+// TestOversizedBody413 pins the body caps: a register or workload body over
+// its cap is answered 413 (not 400), and the server keeps serving. The caps
+// are lowered so the oversized bodies stay small.
+func TestOversizedBody413(t *testing.T) {
+	gw, err := newGateway(1, nil, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.close()
+	if gw.registerLimit != maxRegisterBody || gw.workloadLimit != maxWorkloadBody {
+		t.Fatalf("caps = %d/%d, want %d/%d", gw.registerLimit, gw.workloadLimit, maxRegisterBody, maxWorkloadBody)
+	}
+	ts := httptest.NewServer(gw.mux())
+	defer ts.Close()
+
+	pts, err := gen.GaussianClusters(rand.New(rand.NewSource(4)), 12, 2, 2, 2, 1, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := dataio.WriteEuclidean(&body, pts); err != nil {
+		t.Fatal(err)
+	}
+	doc := body.String()
+	solve := `{"instance":"a","k":2}`
+	gw.registerLimit = int64(len(doc))
+	gw.workloadLimit = 256
+
+	do := func(method, path, payload string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	if code := do(http.MethodPut, "/v1/instances/a", " "+doc); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized register: %d, want 413", code)
+	}
+	if code := do(http.MethodPut, "/v1/instances/a", doc); code != http.StatusCreated {
+		t.Fatalf("register at the cap: %d, want 201", code)
+	}
+	big := `{"instance":"a","centers":[` + strings.Repeat("[0,0],", 64) + `[0,0]]}`
+	if code := do(http.MethodPost, "/v1/ecost", big); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized workload: %d, want 413", code)
+	}
+	if code := do(http.MethodPost, "/v1/solve", `{nope`); code != http.StatusBadRequest {
+		t.Fatalf("malformed workload: %d, want 400", code)
+	}
+	if code := do(http.MethodPost, "/v1/solve", solve); code != http.StatusOK {
+		t.Fatalf("solve after the 413s: %d, want 200", code)
+	}
+}
+
 // TestFreezeNameSanitization pins that a percent-encoded path separator in
 // the instance name cannot direct the snapshot outside the directory.
 func TestFreezeNameSanitization(t *testing.T) {

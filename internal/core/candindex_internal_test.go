@@ -145,15 +145,15 @@ func TestSweepReusesPreparedState(t *testing.T) {
 		}
 	}
 
-	// Per position: the result row, the scan closure, and sort.Slice's two
-	// internal allocations inside PrepareBase; plus the outer result slice.
-	// No evaluator, base or scratch construction — that is the reuse.
+	// Per position: the result row and the scan closure (PrepareBase reuses
+	// the base's sort scratch); plus the outer result slice. No evaluator,
+	// base or scratch construction — that is the reuse.
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := ecostSweepRows(ctx, ev, base, scratches, chosen, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > float64(1+4*k) {
-		t.Fatalf("ecostSweepRows allocations = %v, want ≤ %d (result rows + per-position scan constants)", allocs, 1+4*k)
+	if allocs > float64(1+2*k) {
+		t.Fatalf("ecostSweepRows allocations = %v, want ≤ %d (result rows + per-position scan closures)", allocs, 1+2*k)
 	}
 }

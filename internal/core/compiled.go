@@ -581,8 +581,10 @@ func (c *Compiled[P]) SnapToCandidates(centers []P) []int {
 // EcostAssigned returns the exact assigned expected cost
 // Σ_R prob(R)·max_i d(P̂_i, centers[assign[i]]) of the compiled instance:
 // the flat per-atom distances are filled on `workers` goroutines (disjoint
-// per-point ranges, bit-identical to sequential), then one O(N log N) sweep.
-// No re-validation: the instance was validated at compile time.
+// per-point ranges, bit-identical to sequential), then one radix sort and
+// sweep (emax.Arena.ExpectedMaxFlat). No re-validation: the instance was
+// validated at compile time. The distance buffer and the sweep arena come
+// from a pool, so repeated calls reuse them instead of allocating O(N).
 func (c *Compiled[P]) EcostAssigned(ctx context.Context, centers []P, assign []int, workers int) (float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -590,7 +592,9 @@ func (c *Compiled[P]) EcostAssigned(ctx context.Context, centers []P, assign []i
 	if err := validateAssignment(c.pts, centers, assign); err != nil {
 		return 0, err
 	}
-	vals := make([]float64, len(c.locs))
+	s := getEcostScratch(len(c.locs))
+	defer ecostPool.Put(s)
+	vals := s.vals
 	if err := par.For(ctx, len(c.pts), workers, func(i int) {
 		ctr := centers[assign[i]]
 		for f := c.offsets[i]; f < c.offsets[i+1]; f++ {
@@ -599,8 +603,7 @@ func (c *Compiled[P]) EcostAssigned(ctx context.Context, centers []P, assign []i
 	}); err != nil {
 		return 0, err
 	}
-	var a emax.Arena
-	return a.ExpectedMaxFlat(vals, c.probs, c.ptIdx, len(c.pts)), nil
+	return s.arena.ExpectedMaxFlat(vals, c.probs, c.ptIdx, len(c.pts)), nil
 }
 
 // EcostUnassigned returns the exact unassigned expected cost
@@ -613,7 +616,9 @@ func (c *Compiled[P]) EcostUnassigned(ctx context.Context, centers []P, workers 
 	if len(centers) == 0 {
 		return 0, fmt.Errorf("core: no centers")
 	}
-	vals := make([]float64, len(c.locs))
+	s := getEcostScratch(len(c.locs))
+	defer ecostPool.Put(s)
+	vals := s.vals
 	if err := par.For(ctx, len(c.locs), workers, func(f int) {
 		best := math.Inf(1)
 		for _, ctr := range centers {
@@ -625,17 +630,37 @@ func (c *Compiled[P]) EcostUnassigned(ctx context.Context, centers []P, workers 
 	}); err != nil {
 		return 0, err
 	}
-	var a emax.Arena
-	return a.ExpectedMaxFlat(vals, c.probs, c.ptIdx, len(c.pts)), nil
+	return s.arena.ExpectedMaxFlat(vals, c.probs, c.ptIdx, len(c.pts)), nil
+}
+
+// ecostScratch is the reusable state of one exact E-cost evaluation: the
+// flat per-atom distance values and the sweep arena.
+type ecostScratch struct {
+	vals  []float64
+	arena emax.Arena
+}
+
+// ecostPool recycles the scratch of EcostAssigned and EcostUnassigned
+// across calls and instances.
+var ecostPool = sync.Pool{New: func() any { return new(ecostScratch) }}
+
+// getEcostScratch takes a pooled scratch with len(vals) == n; the caller
+// returns it with ecostPool.Put.
+func getEcostScratch(n int) *ecostScratch {
+	s := ecostPool.Get().(*ecostScratch)
+	if cap(s.vals) < n {
+		s.vals = make([]float64, n)
+	}
+	s.vals = s.vals[:n]
+	return s
 }
 
 // flatScratch is the per-worker reusable state of a from-scratch unassigned
-// evaluation: a center buffer, the flat distance values, and the sweep
-// arena. One scratch per worker; see newFlatScratches.
+// evaluation: a center buffer plus the E-cost scratch. One scratch per
+// worker; see newFlatScratches.
 type flatScratch[P any] struct {
 	centers []P
-	vals    []float64
-	arena   emax.Arena
+	ecostScratch
 }
 
 // newFlatScratches allocates one from-scratch evaluation scratch per worker
@@ -644,7 +669,7 @@ type flatScratch[P any] struct {
 func (c *Compiled[P]) newFlatScratches(k, workers int) []*flatScratch[P] {
 	scr := make([]*flatScratch[P], workers)
 	for w := range scr {
-		scr[w] = &flatScratch[P]{centers: make([]P, k), vals: make([]float64, c.NumAtoms())}
+		scr[w] = &flatScratch[P]{centers: make([]P, k), ecostScratch: ecostScratch{vals: make([]float64, c.NumAtoms())}}
 	}
 	return scr
 }

@@ -5,8 +5,9 @@
 // The package provides
 //
 //   - exact evaluators for the paper's expected-max cost Ecost (assigned and
-//     unassigned), built on the O(N log N) independent-max sweep in
-//     internal/emax rather than exponential realization enumeration, plus
+//     unassigned), built on the independent-max sweep in internal/emax (a
+//     stable radix sort plus one O(N) pass) rather than exponential
+//     realization enumeration, plus
 //     enumeration and Monte-Carlo cross-checking oracles;
 //   - the three assignment rules of the paper — expected distance (ED),
 //     expected point (EP) and 1-center (OC);
@@ -49,8 +50,9 @@ func validateAssignment[P any](pts []uncertain.Point[P], centers []P, assign []i
 //
 //	Σ_R prob(R) · max_i d(P̂_i, centers[assign[i]])
 //
-// computed exactly in O(N log N): for fixed centers and assignment the
-// per-point distances are independent discrete random variables.
+// computed exactly in O(N) (a radix sort and one sweep): for fixed centers
+// and assignment the per-point distances are independent discrete random
+// variables.
 func EcostAssigned[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P, assign []int) (float64, error) {
 	return EcostAssignedCtx(context.Background(), space, pts, centers, assign, 1)
 }
@@ -59,7 +61,7 @@ func EcostAssigned[P any](space metricspace.Space[P], pts []uncertain.Point[P], 
 // worker pool: the point set is compiled (validated, pruned, flattened)
 // per call and the flat per-atom distances are filled on `workers`
 // goroutines (disjoint point ranges, so the result is bit-identical to the
-// sequential evaluation) before the O(N log N) sweep. It returns ctx.Err()
+// sequential evaluation) before the sort and sweep. It returns ctx.Err()
 // if canceled mid-build. Callers evaluating one instance repeatedly should
 // Compile once and use Compiled.EcostAssigned.
 func EcostAssignedCtx[P any](ctx context.Context, space metricspace.Space[P], pts []uncertain.Point[P], centers []P, assign []int, workers int) (float64, error) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/emax"
 	"repro/internal/metricspace"
@@ -22,28 +21,31 @@ import (
 // pruned at compile time — and caches, for every candidate c, the column of
 // distances d(loc_f, candidate_c) over all atoms — the full n×m table of
 // per-point distance RVs — together with a permutation of the atoms sorted
-// by that distance. Both are computed once (parallelized over candidates)
-// and are immutable afterwards, so every later evaluation makes zero metric
-// calls.
+// by that distance in the canonical (distance, atom) order: ascending
+// distance, equal distances in ascending atom index. Both are computed once
+// (parallelized over candidates, each column sorted by emax's stable radix
+// sort in at most 8 O(N) passes on a per-worker Sorter) and are immutable
+// afterwards, so every later evaluation makes zero metric calls.
 //
 // A neighborhood scan then factors through PrepareBase: for one scan
 // position it precomputes each atom's min distance over the k−1 *unchanged*
-// centers (plus the sorted order of those mins) into a caller-owned
-// SwapBase, after which EvalSwap(c) is a linear merge of two presorted
-// streams — the base and candidate c's column — directly into the sorted
-// event stream of the swapped set's min-distance RVs, fed to the
-// allocation-free emax sweep. Per-candidate cost drops from O(N·k) metric
-// calls + an O(N log N) sort to a single O(N) merge + the sweep, with no
-// allocations in steady state.
+// centers (plus the (distance, atom) order of those mins, radix-sorted on
+// the base's own Sorter) into a caller-owned SwapBase, after which
+// EvalSwap(c) is a linear merge of two presorted streams — the base and
+// candidate c's column — directly into the sorted event stream of the
+// swapped set's min-distance RVs, fed to the allocation-free emax sweep. Per-candidate cost drops from O(N·k) metric
+// calls + a sort to a single O(N) merge + the sweep, with no allocations
+// in steady state.
 //
 // The evaluator itself is immutable after construction and therefore safe
 // to share across goroutines and across solves — Compiled.Evaluator
 // memoizes one per instance. All scan-mutable state lives in caller-owned
 // values: one SwapBase per neighborhood scan (PrepareBase overwrites it)
 // and one SwapScratch per worker. Costs are value-identical to
-// EcostUnassigned up to floating-point summation order (events with equal
-// distance may merge in a different order than the from-scratch sort),
-// which the tests pin at ≤ 1e-12 relative.
+// EcostUnassigned up to floating-point summation order (the merge puts a
+// base atom before a candidate atom at equal distance, where the
+// from-scratch sort puts the lower atom index first), which the tests pin
+// at ≤ 1e-12 relative.
 //
 // Memory: the table holds one float64 distance and one int32 sort index per
 // (candidate, atom) pair — 12·m·N bytes, e.g. ~96 MB for n = m = 1000,
@@ -58,14 +60,15 @@ type SwapEvaluator[P any] struct {
 }
 
 // SwapBase is the per-scan-position state of a neighborhood scan: every
-// atom's min distance over the k−1 unchanged centers, and the atoms sorted
-// by it. PrepareBase overwrites it; EvalSwap reads it. One base must not be
-// written (PrepareBase) concurrently with reads; a scan prepares the base
-// once, then fans EvalSwap out over candidates.
+// atom's min distance over the k−1 unchanged centers, the atoms sorted by
+// it, and the sort scratch. PrepareBase overwrites it; EvalSwap reads it.
+// One base must not be written (PrepareBase) concurrently with reads; a
+// scan prepares the base once, then fans EvalSwap out over candidates.
 type SwapBase struct {
-	vals  []float64 // atom f -> min distance over the unchanged centers
-	order []int32   // atoms sorted ascending by vals
-	n     int       // 0 when there are no unchanged centers (k = 1)
+	vals   []float64 // atom f -> min distance over the unchanged centers
+	order  []int32   // atoms in (vals, f) order
+	n      int       // 0 when there are no unchanged centers (k = 1)
+	sorter emax.Sorter
 }
 
 // SwapScratch is the per-worker mutable state of EvalSwap: the merged event
@@ -81,8 +84,8 @@ type SwapScratch struct {
 
 // NewSwapEvaluator builds the distance-RV cache for (pts, candidates):
 // m candidate columns over the N positive-probability support atoms, each
-// column sorted once. The build compiles the point set (validating it once)
-// and fans out over candidates on `workers` goroutines, honoring ctx.
+// column radix-sorted once. The build compiles the point set (validating it
+// once) and fans out over candidates on `workers` goroutines, honoring ctx.
 // Callers holding a Compiled should use Compiled.Evaluator, which memoizes
 // one evaluator per instance.
 func NewSwapEvaluator[P any](ctx context.Context, space metricspace.Space[P], pts []uncertain.Point[P], candidates []P, workers int) (*SwapEvaluator[P], error) {
@@ -113,16 +116,14 @@ func newSwapEvaluatorCompiled[P any](ctx context.Context, c *Compiled[P], candid
 		order: make([][]int32, len(candidates)),
 	}
 	locs, space := c.locs, c.space
-	err := par.For(ctx, len(candidates), workers, func(cd int) {
+	sorters := make([]emax.Sorter, max(workers, 1))
+	err := par.ForWorker(ctx, len(candidates), workers, func(w, cd int) {
 		col := make([]float64, len(locs))
 		for f, loc := range locs {
 			col[f] = space.Dist(loc, candidates[cd])
 		}
 		ord := make([]int32, len(col))
-		for f := range ord {
-			ord[f] = int32(f)
-		}
-		sort.Slice(ord, func(x, y int) bool { return col[ord[x]] < col[ord[y]] })
+		sorters[w].Argsort(col, ord)
 		e.cols[cd] = col
 		e.order[cd] = ord
 	})
@@ -153,11 +154,12 @@ func (e *SwapEvaluator[P]) NewScratch() *SwapScratch {
 }
 
 // PrepareBase fixes the scan position: it computes every atom's min
-// distance over chosen[j] for j ≠ pos and sorts the atoms by it, into the
-// caller-owned base — the shared read-only input of the EvalSwap calls that
-// follow. Cost: O(N·(k−1)) mins plus one O(N log N) sort, amortized over
-// the whole candidate scan. PrepareBase must not run concurrently with
-// EvalSwap on the same base.
+// distance over chosen[j] for j ≠ pos and sorts the atoms by it in
+// (distance, atom) order, into the caller-owned base — the shared read-only
+// input of the EvalSwap calls that follow. Cost: O(N·(k−1)) mins plus one
+// radix sort (at most 8 O(N) passes), amortized over the whole candidate
+// scan; allocation-free once the base has sorted once. PrepareBase must not
+// run concurrently with EvalSwap on the same base.
 func (e *SwapEvaluator[P]) PrepareBase(b *SwapBase, chosen []int, pos int) {
 	bv := b.vals
 	for f := range bv {
@@ -179,12 +181,8 @@ func (e *SwapEvaluator[P]) PrepareBase(b *SwapBase, chosen []int, pos int) {
 		b.n = 0
 		return
 	}
-	ord := b.order
-	for f := range ord {
-		ord[f] = int32(f)
-	}
-	sort.Slice(ord, func(x, y int) bool { return bv[ord[x]] < bv[ord[y]] })
-	b.n = len(ord)
+	b.sorter.Argsort(bv, b.order)
+	b.n = len(b.order)
 }
 
 // EvalSwap returns the exact unassigned E-cost of the center set formed by

@@ -92,7 +92,7 @@ func SolveUnassignedLS[P any](ctx context.Context, space metricspace.Space[P], p
 // relative 1e-9 or MaxIter rounds pass.
 //
 // The paper defines this version but provides no algorithm for it (it cites
-// the Huang–Li PTAS); this is the practical heuristic the exact O(N log N)
+// the Huang–Li PTAS); this is the practical heuristic the exact O(N)
 // evaluator makes affordable: each candidate swap is one exact evaluation,
 // never a Monte-Carlo estimate. The result is a local optimum with respect
 // to single swaps; on brute-forceable instances the tests compare it

@@ -12,17 +12,19 @@
 //	P(max_i D_i ≤ t) = Π_i F_i(t),   E[max] = Σ_k t_k · (G(t_k) − G(t_{k−1}))
 //
 // over the sorted union of support values t_k, with G = Π F_i. ExpectedMax
-// implements that sweep in O(N log N) for N = Σ z_i, which is what makes the
-// "exact empirical approximation ratio" experiments feasible. A brute-force
-// enumeration oracle and a Monte-Carlo estimator are provided for
-// cross-checking.
+// implements that sweep for N = Σ z_i atoms: a stable radix sort of the
+// atoms (at most 8 O(N) passes, see Sorter) followed by one O(N) sweep, which
+// is what makes the "exact empirical approximation ratio" experiments
+// feasible. Atoms are swept in the canonical order — ascending by value,
+// equal values in ascending atom order — so every sort of the same values
+// sums them in the same order. A brute-force enumeration oracle and a
+// Monte-Carlo estimator are provided for cross-checking.
 package emax
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // RV is a discrete random variable: P(X = Vals[j]) = Probs[j]. Values need
@@ -96,46 +98,58 @@ type Event struct {
 }
 
 // Arena carries the reusable scratch buffers of repeated expected-max
-// sweeps: the event stream and the per-RV CDF/log-CDF state. A zero Arena
-// is ready to use; buffers grow to the high-water mark of the evaluations
-// run through it and are reused afterwards, so steady-state evaluations of
+// sweeps: the flattened atoms of ExpectedMax, the radix sort scratch, the
+// sorted event stream, and the per-RV CDF/log-CDF state. A zero Arena is
+// ready to use; buffers grow to the high-water mark of the evaluations run
+// through it and are reused afterwards, so steady-state evaluations of
 // same-shaped inputs do not allocate. An Arena is not safe for concurrent
 // use; give each worker its own.
 type Arena struct {
+	vals   []float64
+	probs  []float64
+	rvIdx  []int32
+	sorter Sorter
 	events []Event
 	cdf    []float64
 	logCdf []float64
 }
 
 // ExpectedMax returns E[max_i X_i] for independent X_i, exactly (up to
-// floating point), via the merged-CDF sweep. It returns an error if any RV
-// fails Validate; an empty slice has expected max 0 by convention.
+// floating point), via the merged-CDF sweep: a stable radix sort of the
+// N = Σ z_i atoms (at most 8 O(N) passes) and one O(N) sweep. Equal values
+// are swept in the canonical (value, index) order, the index being the
+// atom's position when the RVs' positive-probability atoms are listed in
+// order. It returns an error if any RV fails Validate; an empty slice has
+// expected max 0 by convention.
 func ExpectedMax(rvs []RV) (float64, error) {
 	var a Arena
 	return a.ExpectedMax(rvs)
 }
 
 // ExpectedMax is the package-level ExpectedMax evaluated on the arena's
-// reusable buffers: identical validation, identical result, no steady-state
-// allocations beyond sort.Slice's closure.
+// reusable buffers: identical validation, identical result, the same
+// canonical (value, index) order and radix cost. It validates every RV,
+// flattens the positive-probability atoms in RV order, then runs
+// ExpectedMaxFlat; a warmed arena allocates nothing.
 func (a *Arena) ExpectedMax(rvs []RV) (float64, error) {
 	if len(rvs) == 0 {
 		return 0, nil
 	}
-	events := a.events[:0]
+	vals, probs, rvIdx := a.vals[:0], a.probs[:0], a.rvIdx[:0]
 	for i, r := range rvs {
 		if err := r.Validate(); err != nil {
 			return 0, fmt.Errorf("rv %d: %w", i, err)
 		}
 		for j, v := range r.Vals {
 			if r.Probs[j] > 0 {
-				events = append(events, Event{Val: v, Prob: r.Probs[j], RV: int32(i)})
+				vals = append(vals, v)
+				probs = append(probs, r.Probs[j])
+				rvIdx = append(rvIdx, int32(i))
 			}
 		}
 	}
-	a.events = events
-	sort.Slice(events, func(x, y int) bool { return events[x].Val < events[y].Val })
-	return a.SweepSorted(events, len(rvs)), nil
+	a.vals, a.probs, a.rvIdx = vals, probs, rvIdx
+	return a.ExpectedMaxFlat(vals, probs, rvIdx, len(rvs)), nil
 }
 
 // ExpectedMaxFlat computes E[max_i X_i] directly from a flat
@@ -147,17 +161,21 @@ func (a *Arena) ExpectedMax(rvs []RV) (float64, error) {
 // It is the validation-free fast path: the caller guarantees that values are
 // finite, probabilities are positive (zero-probability atoms pruned), and
 // each RV's total mass is 1 within ProbSumTol — the invariants a compiled
-// instance establishes once at compile time. Given a warmed arena the only
-// allocation is sort.Slice's closure. The result is bit-identical to
-// ExpectedMax over the equivalent per-RV slices: the pre-sort event order
-// (ascending f) matches the per-RV construction order.
+// instance establishes once at compile time. The atoms are swept in the
+// canonical (value, f) order: a stable radix sort of vals (Sorter, at most 8
+// O(N) passes) puts equal values in ascending f, so the result depends only
+// on the atoms, never on a sort's tie-breaking. Given a warmed arena it
+// allocates nothing.
 func (a *Arena) ExpectedMaxFlat(vals, probs []float64, rvIdx []int32, nRVs int) float64 {
-	events := a.events[:0]
-	for f, v := range vals {
-		events = append(events, Event{Val: v, Prob: probs[f], RV: rvIdx[f]})
+	sorted := a.sorter.sort(vals)
+	if cap(a.events) < len(sorted) {
+		a.events = make([]Event, len(sorted))
 	}
-	a.events = events
-	sort.Slice(events, func(x, y int) bool { return events[x].Val < events[y].Val })
+	events := a.events[:len(sorted)]
+	for i, it := range sorted {
+		f := it.idx
+		events[i] = Event{Val: vals[f], Prob: probs[f], RV: rvIdx[f]}
+	}
 	return a.SweepSorted(events, nRVs)
 }
 

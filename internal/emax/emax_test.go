@@ -435,7 +435,10 @@ func TestArenaExpectedMaxValidates(t *testing.T) {
 
 // TestSweepSortedMatchesExpectedMax feeds SweepSorted a hand-sorted event
 // stream and checks it against the full evaluator, including events that
-// share exact values across RVs (the apply-all-at-t batch path).
+// share exact values across RVs (the apply-all-at-t batch path). The
+// reference sort is stable, i.e. the canonical (value, atom) order
+// ExpectedMax sweeps in: equal values summed in another order may differ in
+// the last bits.
 func TestSweepSortedMatchesExpectedMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	var a Arena
@@ -449,7 +452,7 @@ func TestSweepSortedMatchesExpectedMax(t *testing.T) {
 				}
 			}
 		}
-		sort.Slice(events, func(x, y int) bool { return events[x].Val < events[y].Val })
+		sort.SliceStable(events, func(x, y int) bool { return events[x].Val < events[y].Val })
 		want, err := ExpectedMax(rvs)
 		if err != nil {
 			t.Fatal(err)
