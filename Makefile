@@ -19,7 +19,7 @@ SERVE_BENCH_OUT ?= BENCH_PR5.json
 # prune_rate and cost_ratio reported per mode.
 INDEX_BENCH_OUT ?= BENCH_PR9.json
 
-.PHONY: all vet fmt-check build test test-race test-faults test-alloc-pins fuzz-arena fuzz-bound bench bench-parallel bench-json bench-serve bench-index bench-smoke examples check ci
+.PHONY: all vet fmt-check build test test-race test-faults test-alloc-pins fuzz-arena fuzz-bound fuzz-emax bench bench-parallel bench-json bench-serve bench-index bench-smoke examples check ci
 
 all: check
 
@@ -51,7 +51,8 @@ test-faults:
 # test-alloc-pins is the nightly allocation gate: the nil tracer and the
 # disabled flight recorder must add ZERO allocations to the paths they
 # instrument, and the warmed exact E-cost kernels (Arena.ExpectedMax,
-# Arena.ExpectedMaxFlat, SwapEvaluator.PrepareBase) must allocate nothing.
+# Arena.ExpectedMaxFlat, SwapEvaluator.PrepareBase and EvalSwap) must
+# allocate nothing.
 # These tests run in `make test` too; the standalone target fails the
 # nightly loudly and in isolation if a change loses a nil guard or a
 # reused buffer.
@@ -70,6 +71,13 @@ fuzz-arena:
 # rests on (nightly CI).
 fuzz-bound:
 	$(GO) test -fuzz FuzzLowerBound -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
+
+# fuzz-emax runs the exact expected-max kernel fuzzer for $(FUZZTIME): small
+# random RVs with ties, duplicates and negative values through
+# Arena.ExpectedMaxFlat, checked against the enumeration oracle at 1e-12
+# relative (nightly CI).
+fuzz-emax:
+	$(GO) test -fuzz FuzzExpectedMaxFlat -fuzztime $(FUZZTIME) -run '^$$' ./internal/emax
 
 # Full benchmark sweep (slow); bench-parallel records just the
 # sequential-vs-worker-pool trajectory (BENCH_*.json inputs).

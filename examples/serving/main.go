@@ -112,8 +112,8 @@ func main() {
 	_, err = srv.SolveUnassigned(ctx, serve.UnassignedRequest{Instance: "grid-0", K: 3, Deadline: time.Nanosecond})
 	fmt.Printf("1ns-deadline request: %v\n", err)
 
-	// The unassigned local search builds the dominant cache: the 12·m·N
-	// distance-RV evaluator (~690 KB for grid-0) — well over the 256 KiB
+	// The unassigned local search builds the dominant cache: the 8·m·N
+	// distance-RV evaluator (~460 KB for grid-0) — well over the 256 KiB
 	// budget, so the byte-budget LRU drops caches right after the request
 	// completes. The answer is unaffected; a repeat rebuilds lazily.
 	un, err := srv.SolveUnassigned(ctx, serve.UnassignedRequest{Instance: "grid-0", K: 3})

@@ -48,13 +48,13 @@ func TestCacheBytesFormula(t *testing.T) {
 		t.Fatalf("after P̄ build: CacheBytes = %d, want %d", got, want)
 	}
 
-	// The evaluator adds exactly 12·m·N (8-byte distance + 4-byte sort index
-	// per candidate/atom pair) — the dominant term DESIGN.md §4a calls out.
+	// The evaluator adds exactly 8·m·N (one 8-byte distance per
+	// candidate/atom pair) — the dominant term DESIGN.md §4a calls out.
 	if _, err := c.Evaluator(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	m := int64(len(c.CandidatesOrLocations()))
-	want += 12 * m * int64(c.NumAtoms())
+	want += 8 * m * int64(c.NumAtoms())
 	if got := c.CacheBytes(); got != want {
 		t.Fatalf("after evaluator build: CacheBytes = %d, want %d", got, want)
 	}

@@ -151,7 +151,7 @@ func (ix *CandIndex[P]) LowerBound(b *SwapBase, st *PruneState, c int) float64 {
 			lb = v
 		}
 	}
-	if b != nil && b.n == 0 {
+	if b != nil && b.unchanged == 0 {
 		if v := ix.expDist[c]; v > lb {
 			lb = v
 		}

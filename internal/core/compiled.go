@@ -97,7 +97,7 @@ func (m *memo[T]) drop() {
 // and everything else is written once at compile time. Callers must not
 // mutate the slices it returns. Memory: the flat arena is
 // N·(sizeof(P) + 8 + 4) bytes plus 4·(n+1) offset bytes; the memoized swap
-// evaluator adds 12·m·N bytes when (and only when) a swap-cache path is
+// evaluator adds 8·m·N bytes when (and only when) a swap-cache path is
 // first exercised.
 type Compiled[P any] struct {
 	space metricspace.Space[P]
@@ -383,7 +383,7 @@ func (c *Compiled[P]) Surrogates(ctx context.Context, s Surrogate, candidates []
 // (parallelized over candidates on `workers` goroutines) and shared by every
 // later SolveUnassignedLSCompiled / EcostSweepCompiled call on this
 // instance. The evaluator is immutable and goroutine-safe; per-scan state
-// lives in caller-owned SwapBase/SwapScratch values. Memory: 12·m·N bytes,
+// lives in caller-owned SwapBase/SwapScratch values. Memory: 8·m·N bytes,
 // held for the lifetime of the Compiled — use the DisableSwapCache /
 // WithSwapCache(false) escape hatch to avoid building it.
 func (c *Compiled[P]) Evaluator(ctx context.Context, workers int) (*SwapEvaluator[P], error) {
@@ -395,7 +395,7 @@ func (c *Compiled[P]) Evaluator(ctx context.Context, workers int) (*SwapEvaluato
 		}
 		sp.Int("candidates", len(ev.cols))
 		sp.Int("atoms", ev.NumAtoms())
-		sp.Int64("bytes", 12*int64(len(ev.cols))*int64(ev.NumAtoms()))
+		sp.Int64("bytes", ev.Bytes())
 		sp.End()
 		return ev, nil
 	})
@@ -506,9 +506,9 @@ func (c *Compiled[P]) surrogateElemBytes() int64 {
 //   - each built surrogate slice (P̄, continuous P̃, candidate P̃) costs
 //     n·sizeof(P), plus the 8·d coordinate payload per element in Euclidean
 //     space;
-//   - the distance-RV swap evaluator costs 12·m·N bytes — one float64
-//     distance and one int32 sort index per (candidate, atom) pair — the
-//     dominant term for any nontrivial candidate set;
+//   - the distance-RV swap evaluator costs 8·m·N bytes — one float64
+//     distance per (candidate, atom) pair — the dominant term for any
+//     nontrivial candidate set;
 //   - the candidate-index pivot layer costs 8·P·m + 8·m + 4·P bytes and the
 //     neighborhood graph 4·K·m bytes (§11) — small next to the evaluator,
 //     but metered all the same so eviction accounting stays exact.
@@ -531,7 +531,7 @@ func (c *Compiled[P]) CacheBytes() int64 {
 		total += n * eb
 	}
 	if ev, ok := c.evCache.peek(); ok && ev != nil {
-		total += 12 * int64(len(ev.cols)) * int64(ev.NumAtoms())
+		total += ev.Bytes()
 	}
 	if ix, ok := c.ciCache.peek(); ok && ix != nil {
 		total += ix.Bytes()
@@ -581,7 +581,7 @@ func (c *Compiled[P]) SnapToCandidates(centers []P) []int {
 // EcostAssigned returns the exact assigned expected cost
 // Σ_R prob(R)·max_i d(P̂_i, centers[assign[i]]) of the compiled instance:
 // the flat per-atom distances are filled on `workers` goroutines (disjoint
-// per-point ranges, bit-identical to sequential), then one radix sort and
+// per-point ranges, bit-identical to sequential), then one threshold-split
 // sweep (emax.Arena.ExpectedMaxFlat). No re-validation: the instance was
 // validated at compile time. The distance buffer and the sweep arena come
 // from a pool, so repeated calls reuse them instead of allocating O(N).

@@ -153,8 +153,8 @@ func TestZeroProbAtomCostConsistency(t *testing.T) {
 		t.Fatalf("EcostUnassigned with zero atoms = %g, oracle = %g", gotU, wantU)
 	}
 
-	// Cached (distance-RV table) and from-scratch sweep paths must agree on
-	// the pruned support.
+	// Cached (distance-RV table) and from-scratch sweep paths must agree, bit
+	// for bit, on the pruned support.
 	cands := uncertain.AllLocations(pts)
 	chosen := []int{0, 4}
 	cached, err := core.EcostSweepCtx[geom.Vec](ctx, euclid, pts, cands, chosen, 2, false)
@@ -167,8 +167,8 @@ func TestZeroProbAtomCostConsistency(t *testing.T) {
 	}
 	for pos := range cached {
 		for cd := range cached[pos] {
-			if relDiff(cached[pos][cd], scratch[pos][cd]) > 1e-12 {
-				t.Fatalf("sweep[%d][%d]: cached %g vs scratch %g", pos, cd, cached[pos][cd], scratch[pos][cd])
+			if cached[pos][cd] != scratch[pos][cd] {
+				t.Fatalf("sweep[%d][%d]: cached %.17g vs scratch %.17g", pos, cd, cached[pos][cd], scratch[pos][cd])
 			}
 		}
 	}
@@ -184,8 +184,8 @@ func TestZeroProbAtomCostConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if relDiff(fastCost, oracleCost) > 1e-12 {
-			t.Fatalf("k=%d: cached cost %g vs oracle %g", k, fastCost, oracleCost)
+		if fastCost != oracleCost {
+			t.Fatalf("k=%d: cached cost %.17g vs oracle %.17g", k, fastCost, oracleCost)
 		}
 		for i := range fast {
 			if geom.Dist(fast[i], oracle[i]) != 0 {

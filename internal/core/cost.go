@@ -5,10 +5,10 @@
 // The package provides
 //
 //   - exact evaluators for the paper's expected-max cost Ecost (assigned and
-//     unassigned), built on the independent-max sweep in internal/emax (a
-//     stable radix sort plus one O(N) pass) rather than exponential
-//     realization enumeration, plus
-//     enumeration and Monte-Carlo cross-checking oracles;
+//     unassigned), built on the independent-max sweep in internal/emax (O(N)
+//     passes plus a sort of the few atoms above its threshold) rather than
+//     exponential realization enumeration, plus enumeration and Monte-Carlo
+//     cross-checking oracles;
 //   - the three assignment rules of the paper — expected distance (ED),
 //     expected point (EP) and 1-center (OC);
 //   - the surrogate pipelines of Theorems 2.1–2.7: replace each uncertain
@@ -50,7 +50,7 @@ func validateAssignment[P any](pts []uncertain.Point[P], centers []P, assign []i
 //
 //	Σ_R prob(R) · max_i d(P̂_i, centers[assign[i]])
 //
-// computed exactly in O(N) (a radix sort and one sweep): for fixed centers
+// computed exactly in O(N) (see emax.Arena.ExpectedMaxFlat): for fixed centers
 // and assignment the per-point distances are independent discrete random
 // variables.
 func EcostAssigned[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P, assign []int) (float64, error) {

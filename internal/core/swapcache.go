@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/emax"
 	"repro/internal/metricspace"
 	"repro/internal/par"
 	"repro/internal/uncertain"
@@ -19,75 +18,62 @@ import (
 // Construction reuses the compiled instance's flat atom layout — the
 // N = Σ_i |{j : p_ij > 0}| support atoms with zero-probability atoms already
 // pruned at compile time — and caches, for every candidate c, the column of
-// distances d(loc_f, candidate_c) over all atoms — the full n×m table of
-// per-point distance RVs — together with a permutation of the atoms sorted
-// by that distance in the canonical (distance, atom) order: ascending
-// distance, equal distances in ascending atom index. Both are computed once
-// (parallelized over candidates, each column sorted by emax's stable radix
-// sort in at most 8 O(N) passes on a per-worker Sorter) and are immutable
-// afterwards, so every later evaluation makes zero metric calls.
+// distances d(loc_f, candidate_c) over all atoms: the full n×m table of
+// per-point distance RVs. The columns are computed once (parallelized over
+// candidates) and are immutable afterwards, so every later evaluation makes
+// zero metric calls.
 //
 // A neighborhood scan then factors through PrepareBase: for one scan
 // position it precomputes each atom's min distance over the k−1 *unchanged*
-// centers (plus the (distance, atom) order of those mins, radix-sorted on
-// the base's own Sorter) into a caller-owned SwapBase, after which
-// EvalSwap(c) is a linear merge of two presorted streams — the base and
-// candidate c's column — directly into the sorted event stream of the
-// swapped set's min-distance RVs, fed to the allocation-free emax sweep. Per-candidate cost drops from O(N·k) metric
-// calls + a sort to a single O(N) merge + the sweep, with no allocations
-// in steady state.
+// centers into a caller-owned SwapBase, after which EvalSwap(c) is one O(N)
+// pass of min(base, column c) followed by the threshold-split emax sweep
+// (emax.Arena.ExpectedMaxFlat), which orders only the few atoms above
+// t* = max_i min D_i. Per-candidate cost drops from O(N·k) metric calls to
+// that O(N) pass plus the sweep, with no allocations in steady state.
 //
 // The evaluator itself is immutable after construction and therefore safe
 // to share across goroutines and across solves — Compiled.Evaluator
 // memoizes one per instance. All scan-mutable state lives in caller-owned
 // values: one SwapBase per neighborhood scan (PrepareBase overwrites it)
-// and one SwapScratch per worker. Costs are value-identical to
-// EcostUnassigned up to floating-point summation order (the merge puts a
-// base atom before a candidate atom at equal distance, where the
-// from-scratch sort puts the lower atom index first), which the tests pin
-// at ≤ 1e-12 relative.
+// and one SwapScratch per worker. EvalSwap hands ExpectedMaxFlat the same
+// per-atom distances EcostUnassigned computes from scratch, so cached and
+// from-scratch costs are bit-identical.
 //
-// Memory: the table holds one float64 distance and one int32 sort index per
-// (candidate, atom) pair — 12·m·N bytes, e.g. ~96 MB for n = m = 1000,
-// z = 8. LocalSearchOptions.DisableSwapCache (ukc.WithSwapCache(false))
-// falls back to the from-scratch scan when that is too much.
+// Memory: the table holds one float64 distance per (candidate, atom) pair —
+// 8·m·N bytes, e.g. ~64 MB for n = m = 1000, z = 8.
+// LocalSearchOptions.DisableSwapCache (ukc.WithSwapCache(false)) falls
+// back to the from-scratch scan when that is too much.
 type SwapEvaluator[P any] struct {
 	nPts  int       // number of uncertain points
 	ptIdx []int32   // atom f -> index of the point it belongs to
 	probs []float64 // atom f -> its (positive) probability mass
 	cols  [][]float64
-	order [][]int32
 }
 
 // SwapBase is the per-scan-position state of a neighborhood scan: every
-// atom's min distance over the k−1 unchanged centers, the atoms sorted by
-// it, and the sort scratch. PrepareBase overwrites it; EvalSwap reads it.
-// One base must not be written (PrepareBase) concurrently with reads; a
-// scan prepares the base once, then fans EvalSwap out over candidates.
+// atom's min distance over the k−1 unchanged centers. PrepareBase
+// overwrites it; EvalSwap reads it. One base must not be written
+// (PrepareBase) concurrently with reads; a scan prepares the base once,
+// then fans EvalSwap out over candidates.
 type SwapBase struct {
-	vals   []float64 // atom f -> min distance over the unchanged centers
-	order  []int32   // atoms in (vals, f) order
-	n      int       // 0 when there are no unchanged centers (k = 1)
-	sorter emax.Sorter
+	vals      []float64 // atom f -> min distance over the unchanged centers
+	unchanged int       // number of unchanged centers; 0 when k = 1
 }
 
-// SwapScratch is the per-worker mutable state of EvalSwap: the merged event
-// stream, the first-occurrence stamps of the merge, and the sweep arena.
-// One scratch must not be used by two goroutines concurrently; a
-// neighborhood scan hands each worker slot its own via NewScratch.
+// SwapScratch is the per-worker mutable state of EvalSwap: the swapped
+// set's per-atom min distances and the sweep arena. One scratch must not be
+// used by two goroutines concurrently; a neighborhood scan hands each
+// worker slot its own via NewScratch.
 type SwapScratch struct {
-	events []emax.Event
-	seen   []int32
-	epoch  int32
-	arena  emax.Arena
+	ecostScratch
 }
 
 // NewSwapEvaluator builds the distance-RV cache for (pts, candidates):
-// m candidate columns over the N positive-probability support atoms, each
-// column radix-sorted once. The build compiles the point set (validating it
-// once) and fans out over candidates on `workers` goroutines, honoring ctx.
-// Callers holding a Compiled should use Compiled.Evaluator, which memoizes
-// one evaluator per instance.
+// m candidate columns over the N positive-probability support atoms. The
+// build compiles the point set (validating it once) and fans out over
+// candidates on `workers` goroutines, honoring ctx. Callers holding a
+// Compiled should use Compiled.Evaluator, which memoizes one evaluator per
+// instance.
 func NewSwapEvaluator[P any](ctx context.Context, space metricspace.Space[P], pts []uncertain.Point[P], candidates []P, workers int) (*SwapEvaluator[P], error) {
 	if space == nil {
 		return nil, fmt.Errorf("core: SwapEvaluator with nil space")
@@ -113,19 +99,14 @@ func newSwapEvaluatorCompiled[P any](ctx context.Context, c *Compiled[P], candid
 		ptIdx: c.ptIdx,
 		probs: c.probs,
 		cols:  make([][]float64, len(candidates)),
-		order: make([][]int32, len(candidates)),
 	}
 	locs, space := c.locs, c.space
-	sorters := make([]emax.Sorter, max(workers, 1))
-	err := par.ForWorker(ctx, len(candidates), workers, func(w, cd int) {
+	err := par.For(ctx, len(candidates), workers, func(cd int) {
 		col := make([]float64, len(locs))
 		for f, loc := range locs {
 			col[f] = space.Dist(loc, candidates[cd])
 		}
-		ord := make([]int32, len(col))
-		sorters[w].Argsort(col, ord)
 		e.cols[cd] = col
-		e.order[cd] = ord
 	})
 	if err != nil {
 		return nil, err
@@ -137,94 +118,62 @@ func newSwapEvaluatorCompiled[P any](ctx context.Context, c *Compiled[P], candid
 // the per-candidate column length of the cache.
 func (e *SwapEvaluator[P]) NumAtoms() int { return len(e.probs) }
 
+// Bytes returns the size of the distance table, 8·m·N bytes.
+func (e *SwapEvaluator[P]) Bytes() int64 { return 8 * int64(len(e.cols)) * int64(len(e.probs)) }
+
 // NewBase returns a fresh per-scan base sized for this evaluator.
 func (e *SwapEvaluator[P]) NewBase() *SwapBase {
-	return &SwapBase{
-		vals:  make([]float64, len(e.probs)),
-		order: make([]int32, len(e.probs)),
-	}
+	return &SwapBase{vals: make([]float64, len(e.probs))}
 }
 
 // NewScratch returns a fresh per-worker scratch sized for this evaluator.
 func (e *SwapEvaluator[P]) NewScratch() *SwapScratch {
-	return &SwapScratch{
-		events: make([]emax.Event, 0, len(e.probs)),
-		seen:   make([]int32, len(e.probs)),
-	}
+	return &SwapScratch{ecostScratch{vals: make([]float64, len(e.probs))}}
 }
 
 // PrepareBase fixes the scan position: it computes every atom's min
-// distance over chosen[j] for j ≠ pos and sorts the atoms by it in
-// (distance, atom) order, into the caller-owned base — the shared read-only
-// input of the EvalSwap calls that follow. Cost: O(N·(k−1)) mins plus one
-// radix sort (at most 8 O(N) passes), amortized over the whole candidate
-// scan; allocation-free once the base has sorted once. PrepareBase must not
-// run concurrently with EvalSwap on the same base.
+// distance over chosen[j] for j ≠ pos (+Inf when k = 1) into the
+// caller-owned base — the shared read-only input of the EvalSwap calls that
+// follow. Cost: O(N·(k−1)) mins, amortized over the whole candidate scan;
+// allocation-free. PrepareBase must not run concurrently with EvalSwap on
+// the same base.
 func (e *SwapEvaluator[P]) PrepareBase(b *SwapBase, chosen []int, pos int) {
 	bv := b.vals
 	for f := range bv {
 		bv[f] = math.Inf(1)
 	}
-	unchanged := 0
+	b.unchanged = 0
 	for j, c := range chosen {
 		if j == pos {
 			continue
 		}
-		unchanged++
+		b.unchanged++
 		for f, v := range e.cols[c] {
 			if v < bv[f] {
 				bv[f] = v
 			}
 		}
 	}
-	if unchanged == 0 { // k = 1: the candidate column alone is the whole set
-		b.n = 0
-		return
-	}
-	b.sorter.Argsort(bv, b.order)
-	b.n = len(b.order)
 }
 
 // EvalSwap returns the exact unassigned E-cost of the center set formed by
 // the prepared base plus candidates[c] — i.e. chosen with chosen[pos]
 // replaced by c, for the (chosen, pos) of the last PrepareBase on b. It
-// merges the two presorted streams, keeping each atom's first (smaller)
-// occurrence, which is exactly the sorted event stream of min(base_f, col_f)
-// over all atoms, then runs the emax sweep. O(N) plus the sweep;
-// allocation-free in steady state. Safe to call concurrently with itself
-// given distinct scratches (the base is read-only during a scan).
+// writes min(base_f, col_f) for every atom, then runs the emax sweep on
+// them: O(N) plus the sweep, allocation-free in steady state, and
+// bit-identical to Compiled.EcostUnassigned of the same center set. Safe to
+// call concurrently with itself given distinct scratches (the base is
+// read-only during a scan).
 func (e *SwapEvaluator[P]) EvalSwap(b *SwapBase, s *SwapScratch, c int) float64 {
-	s.epoch++
-	if s.epoch <= 0 { // stamp wrap: reset and start over
-		for f := range s.seen {
-			s.seen[f] = 0
+	vals, col := s.vals, e.cols[c]
+	col = col[:len(vals)]
+	for f, v := range b.vals[:len(vals)] {
+		if cv := col[f]; cv < v {
+			v = cv
 		}
-		s.epoch = 1
+		vals[f] = v
 	}
-	bo := b.order[:b.n]
-	co := e.order[c]
-	bv, cv := b.vals, e.cols[c]
-	events := s.events[:0]
-	bi, ci := 0, 0
-	for bi < len(bo) || ci < len(co) {
-		var f int32
-		var v float64
-		if ci >= len(co) || (bi < len(bo) && bv[bo[bi]] <= cv[co[ci]]) {
-			f = bo[bi]
-			v = bv[f]
-			bi++
-		} else {
-			f = co[ci]
-			v = cv[f]
-			ci++
-		}
-		if s.seen[f] == s.epoch {
-			continue // the larger of the atom's two occurrences
-		}
-		s.seen[f] = s.epoch
-		events = append(events, emax.Event{Val: v, Prob: e.probs[f], RV: e.ptIdx[f]})
-	}
-	return s.arena.SweepSorted(events, e.nPts)
+	return s.arena.ExpectedMaxFlat(vals, e.probs, e.ptIdx, e.nPts)
 }
 
 // Cost returns the exact unassigned E-cost of the chosen candidate set
@@ -264,10 +213,10 @@ func EcostSweepCtx[P any](ctx context.Context, space metricspace.Space[P], pts [
 // don't change a min). The instance's memoized evaluator (one O(m·N)
 // metric-call build per instance LIFETIME, not per sweep) serves all k·m
 // entries; the per-position scans fan out over `workers` goroutines with
-// bit-identical results and honor ctx. disableCache skips the 12·m·N-byte
+// bit-identical results and honor ctx. disableCache skips the 8·m·N-byte
 // distance-RV table and evaluates every entry from scratch (the memory
-// escape hatch, ≤ 1e-12 relative from the cached values) without touching
-// the instance's cache.
+// escape hatch, bit-identical to the cached values) without touching the
+// instance's cache.
 func EcostSweepCompiled[P any](ctx context.Context, c *Compiled[P], chosen []int, workers int, disableCache bool) ([][]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()

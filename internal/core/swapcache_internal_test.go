@@ -10,10 +10,10 @@ import (
 	"repro/internal/metricspace"
 )
 
-// lineEvaluator builds the evaluator of a random instance on a 24-vertex
-// path metric, d(a, b) = |a − b|: integer distances, so many atoms tie in
-// every column and every base.
-func lineEvaluator(t testing.TB, rng *rand.Rand, workers int) *SwapEvaluator[int] {
+// lineEvaluator compiles a random instance on a 24-vertex path metric,
+// d(a, b) = |a − b| — integer distances, so many atoms tie in every column
+// and every base — and builds its evaluator over every vertex.
+func lineEvaluator(t testing.TB, rng *rand.Rand, workers int) (*Compiled[int], *SwapEvaluator[int]) {
 	t.Helper()
 	vecs := make([]geom.Vec, 24)
 	for i := range vecs {
@@ -24,69 +24,57 @@ func lineEvaluator(t testing.TB, rng *rand.Rand, workers int) *SwapEvaluator[int
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewSwapEvaluator[int](context.Background(), space, pts, space.Points(), workers)
+	c, err := Compile(context.Background(), space, pts, space.Points())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ev
+	ev, err := c.Evaluator(context.Background(), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, ev
 }
 
-// checkCanonical fails unless ord is a permutation of vals' indices in
-// ascending (value, index) order, and returns how many neighbors tie.
-func checkCanonical(t *testing.T, what string, vals []float64, ord []int32) int {
-	t.Helper()
-	if len(ord) != len(vals) {
-		t.Fatalf("%s: %d indices for %d values", what, len(ord), len(vals))
-	}
-	seen := make([]bool, len(vals))
-	ties := 0
-	for i, f := range ord {
-		if seen[f] {
-			t.Fatalf("%s: atom %d listed twice", what, f)
-		}
-		seen[f] = true
-		if i == 0 {
-			continue
-		}
-		p := ord[i-1]
-		if vals[p] > vals[f] || (vals[p] == vals[f] && p > f) {
-			t.Fatalf("%s: (%g, %d) before (%g, %d)", what, vals[p], p, vals[f], f)
-		}
-		if vals[p] == vals[f] {
-			ties++
-		}
-	}
-	return ties
-}
-
-// TestSwapEvaluatorCanonicalOrder pins every evaluator column and every
-// prepared base to the canonical ascending (distance, atom) order, on a
-// tie-heavy metric, for sequential and parallel builds.
-func TestSwapEvaluatorCanonicalOrder(t *testing.T) {
+// TestSwapEvaluatorMatchesEcostUnassignedBitExact pins every cached swap
+// cost to the from-scratch Compiled.EcostUnassigned of the same center set,
+// bit for bit, on a tie-heavy metric, for k ∈ {1, 3} and sequential and
+// parallel builds: both hand the sweep the same per-atom distances.
+func TestSwapEvaluatorMatchesEcostUnassignedBitExact(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(141))
 	for _, workers := range []int{1, 4} {
-		ev := lineEvaluator(t, rng, workers)
-		ties := 0
-		for cd := range ev.cols {
-			ties += checkCanonical(t, "column", ev.cols[cd], ev.order[cd])
-		}
-		base := ev.NewBase()
-		chosen := rng.Perm(len(ev.cols))[:3]
-		for pos := range chosen {
-			ev.PrepareBase(base, chosen, pos)
-			ties += checkCanonical(t, "base", base.vals, base.order[:base.n])
-		}
-		if ties == 0 {
-			t.Fatalf("workers=%d: no ties on the path metric; the order check is vacuous", workers)
+		for _, k := range []int{1, 3} {
+			c, ev := lineEvaluator(t, rng, workers)
+			cands := c.CandidatesOrLocations()
+			base, s := ev.NewBase(), ev.NewScratch()
+			chosen := rng.Perm(len(cands))[:k]
+			centers := make([]int, k)
+			for i, ch := range chosen {
+				centers[i] = cands[ch]
+			}
+			for pos := range chosen {
+				ev.PrepareBase(base, chosen, pos)
+				for cd := range cands {
+					centers[pos] = cands[cd]
+					want, err := c.EcostUnassigned(ctx, centers, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := ev.EvalSwap(base, s, cd); got != want {
+						t.Fatalf("workers=%d k=%d pos %d cand %d: EvalSwap %.17g != EcostUnassigned %.17g",
+							workers, k, pos, cd, got, want)
+					}
+				}
+				centers[pos] = cands[chosen[pos]]
+			}
 		}
 	}
 }
 
-// TestPrepareBaseAllocs pins a steady-state PrepareBase allocation-free:
-// once the base has sorted once, its radix scratch is reused.
+// TestPrepareBaseAllocs pins a steady-state PrepareBase allocation-free.
 func TestPrepareBaseAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(142))
-	ev := lineEvaluator(t, rng, 1)
+	_, ev := lineEvaluator(t, rng, 1)
 	base := ev.NewBase()
 	chosen := rng.Perm(len(ev.cols))[:4]
 	ev.PrepareBase(base, chosen, 0)
@@ -97,5 +85,26 @@ func TestPrepareBaseAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state PrepareBase allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestEvalSwapAllocs pins a warmed EvalSwap allocation-free across a whole
+// candidate scan: the scratch's distances, sweep arena and sort scratch
+// are reused.
+func TestEvalSwapAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(143))
+	_, ev := lineEvaluator(t, rng, 1)
+	base, s := ev.NewBase(), ev.NewScratch()
+	ev.PrepareBase(base, rng.Perm(len(ev.cols))[:4], 0)
+	for cd := range ev.cols {
+		ev.EvalSwap(base, s, cd)
+	}
+	cd := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		cd = (cd + 1) % len(ev.cols)
+		ev.EvalSwap(base, s, cd)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm EvalSwap allocates %v times per call, want 0", allocs)
 	}
 }

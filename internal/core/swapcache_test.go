@@ -49,8 +49,8 @@ func randomSwapInstance(t *testing.T, rng *rand.Rand) ([]uncertain.Point[geom.Ve
 
 // TestSwapEvaluatorMatchesRaw is the property test pinning the incremental
 // evaluator against the from-scratch exact evaluator: on random instances,
-// Cost and every (position, candidate) EvalSwap agree with EcostUnassigned
-// of the correspondingly modified center set to ≤ 1e-12 relative.
+// Cost and every (position, candidate) EvalSwap equal EcostUnassigned of
+// the correspondingly modified center set bit for bit.
 func TestSwapEvaluatorMatchesRaw(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(91))
@@ -70,8 +70,8 @@ func TestSwapEvaluatorMatchesRaw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ev.Cost(base, s, chosen); relDiff(got, want) > 1e-12 {
-			t.Fatalf("trial %d: Cost = %g, raw = %g (rel %g)", trial, got, want, relDiff(got, want))
+		if got := ev.Cost(base, s, chosen); got != want {
+			t.Fatalf("trial %d: Cost = %.17g, raw = %.17g", trial, got, want)
 		}
 
 		for pos := range chosen {
@@ -83,9 +83,9 @@ func TestSwapEvaluatorMatchesRaw(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if relDiff(got, want) > 1e-12 {
-					t.Fatalf("trial %d pos %d cand %d: EvalSwap = %g, raw = %g (rel %g)",
-						trial, pos, c, got, want, relDiff(got, want))
+				if got != want {
+					t.Fatalf("trial %d pos %d cand %d: EvalSwap = %.17g, raw = %.17g",
+						trial, pos, c, got, want)
 				}
 			}
 			centers[pos] = cands[chosen[pos]]
@@ -120,8 +120,8 @@ func TestSwapEvaluatorFiniteMetric(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if relDiff(got, want) > 1e-12 {
-					t.Fatalf("trial %d pos %d cand %d: EvalSwap = %g, raw = %g", trial, pos, c, got, want)
+				if got != want {
+					t.Fatalf("trial %d pos %d cand %d: EvalSwap = %.17g, raw = %.17g", trial, pos, c, got, want)
 				}
 			}
 			centers[pos] = cands[chosen[pos]]
@@ -155,8 +155,8 @@ func TestEcostSweepMatchesRaw(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if relDiff(sweep[pos][c], want) > 1e-12 {
-						t.Fatalf("pos %d cand %d: sweep = %g, raw = %g", pos, c, sweep[pos][c], want)
+					if sweep[pos][c] != want {
+						t.Fatalf("pos %d cand %d: sweep = %.17g, raw = %.17g", pos, c, sweep[pos][c], want)
 					}
 				}
 				centers[pos] = cands[chosen[pos]]
@@ -172,15 +172,15 @@ func TestEcostSweepMatchesRaw(t *testing.T) {
 			}
 		}
 	}
-	// The cache-disabled escape hatch agrees with the cached sweep.
+	// The cache-disabled escape hatch equals the cached sweep.
 	scratch, err := core.EcostSweepCtx[geom.Vec](ctx, euclid, pts, cands, chosen, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for pos := range first {
 		for c := range first[pos] {
-			if relDiff(scratch[pos][c], first[pos][c]) > 1e-12 {
-				t.Fatalf("scratch sweep[%d][%d] = %g vs cached %g", pos, c, scratch[pos][c], first[pos][c])
+			if scratch[pos][c] != first[pos][c] {
+				t.Fatalf("scratch sweep[%d][%d] = %.17g vs cached %.17g", pos, c, scratch[pos][c], first[pos][c])
 			}
 		}
 	}
@@ -220,8 +220,8 @@ func TestUnassignedTrajectoryEquality(t *testing.T) {
 					ref = &run{centers, cost}
 					continue
 				}
-				if relDiff(cost, ref.cost) > 1e-12 {
-					t.Fatalf("seed %d workers %d cache=%v: cost %g != ref %g",
+				if cost != ref.cost {
+					t.Fatalf("seed %d workers %d cache=%v: cost %.17g != ref %.17g",
 						seed, workers, !disable, cost, ref.cost)
 				}
 				if len(centers) != len(ref.centers) {

@@ -11,14 +11,17 @@
 //
 //	P(max_i D_i ≤ t) = Π_i F_i(t),   E[max] = Σ_k t_k · (G(t_k) − G(t_{k−1}))
 //
-// over the sorted union of support values t_k, with G = Π F_i. ExpectedMax
-// implements that sweep for N = Σ z_i atoms: a stable radix sort of the
-// atoms (at most 8 O(N) passes, see Sorter) followed by one O(N) sweep, which
-// is what makes the "exact empirical approximation ratio" experiments
-// feasible. Atoms are swept in the canonical order — ascending by value,
-// equal values in ascending atom order — so every sort of the same values
-// sums them in the same order. A brute-force enumeration oracle and a
-// Monte-Carlo estimator are provided for cross-checking.
+// over the sorted union of support values t_k, with G = Π F_i. G is 0
+// below t* = max_i min D_i, so ExpectedMax splits the sum there: every atom
+// at or below t* only feeds its RV's CDF F_i(t*) (summed in atom order, no
+// log, no sort), and only the atoms above t* — typically a few percent of
+// the N = Σ z_i atoms when the D_i are distances to nearby centers — are
+// sorted into the canonical (value, atom) order and swept, one Log per live
+// atom. The whole evaluation is O(N) plus the sort of the live set (an
+// insertion sort when it is short, a stable radix sort otherwise; see
+// Sorter), which is what makes the "exact empirical approximation ratio"
+// experiments feasible. A brute-force enumeration oracle and a Monte-Carlo
+// estimator are provided for cross-checking.
 package emax
 
 import (
@@ -85,51 +88,36 @@ func (r RV) Sample(rng *rand.Rand) float64 {
 	return r.Vals[len(r.Vals)-1] // guard against rounding of the prefix sums
 }
 
-// Event is one support atom in an expected-max sweep: value Val carrying
-// probability mass Prob, belonging to the random variable with index RV.
-// A stream of Events sorted ascending by Val is the input contract of
-// Arena.SweepSorted — the allocation-free core of ExpectedMax that callers
-// with presorted supports (the incremental swap evaluator in internal/core)
-// drive directly, skipping the per-call event build and sort.
-type Event struct {
-	Val  float64
-	Prob float64
-	RV   int32
-}
-
 // Arena carries the reusable scratch buffers of repeated expected-max
-// sweeps: the flattened atoms of ExpectedMax, the radix sort scratch, the
-// sorted event stream, and the per-RV CDF/log-CDF state. A zero Arena is
-// ready to use; buffers grow to the high-water mark of the evaluations run
-// through it and are reused afterwards, so steady-state evaluations of
-// same-shaped inputs do not allocate. An Arena is not safe for concurrent
-// use; give each worker its own.
+// evaluations: the flattened atoms of ExpectedMax, the per-RV CDF and
+// log-CDF state, the live set of ExpectedMaxFlat and its sort scratch. A
+// zero Arena is ready to use; buffers grow to the high-water mark of the
+// evaluations run through it and are reused afterwards, so steady-state
+// evaluations of same-shaped inputs do not allocate. An Arena is not safe
+// for concurrent use; give each worker its own.
 type Arena struct {
-	vals   []float64
-	probs  []float64
-	rvIdx  []int32
-	sorter Sorter
-	events []Event
-	cdf    []float64
-	logCdf []float64
+	vals     []float64
+	probs    []float64
+	rvIdx    []int32
+	cdf      []float64
+	logCdf   []float64
+	liveVals []float64
+	liveIdx  []int32
+	sorter   Sorter
 }
 
 // ExpectedMax returns E[max_i X_i] for independent X_i, exactly (up to
-// floating point), via the merged-CDF sweep: a stable radix sort of the
-// N = Σ z_i atoms (at most 8 O(N) passes) and one O(N) sweep. Equal values
-// are swept in the canonical (value, index) order, the index being the
-// atom's position when the RVs' positive-probability atoms are listed in
-// order. It returns an error if any RV fails Validate; an empty slice has
-// expected max 0 by convention.
+// floating point), via the threshold-split sweep of ExpectedMaxFlat over the
+// RVs' positive-probability atoms listed in order. It returns an error if
+// any RV fails Validate; an empty slice has expected max 0 by convention.
 func ExpectedMax(rvs []RV) (float64, error) {
 	var a Arena
 	return a.ExpectedMax(rvs)
 }
 
 // ExpectedMax is the package-level ExpectedMax evaluated on the arena's
-// reusable buffers: identical validation, identical result, the same
-// canonical (value, index) order and radix cost. It validates every RV,
-// flattens the positive-probability atoms in RV order, then runs
+// reusable buffers: identical validation, identical result. It validates
+// every RV, flattens the positive-probability atoms in RV order, then runs
 // ExpectedMaxFlat; a warmed arena allocates nothing.
 func (a *Arena) ExpectedMax(rvs []RV) (float64, error) {
 	if len(rvs) == 0 {
@@ -161,88 +149,113 @@ func (a *Arena) ExpectedMax(rvs []RV) (float64, error) {
 // It is the validation-free fast path: the caller guarantees that values are
 // finite, probabilities are positive (zero-probability atoms pruned), and
 // each RV's total mass is 1 within ProbSumTol — the invariants a compiled
-// instance establishes once at compile time. The atoms are swept in the
-// canonical (value, f) order: a stable radix sort of vals (Sorter, at most 8
-// O(N) passes) puts equal values in ascending f, so the result depends only
-// on the atoms, never on a sort's tie-breaking. Given a warmed arena it
+// instance establishes once at compile time. Given a warmed arena it
 // allocates nothing.
+//
+// The sweep is split at t* = max_i min X_i, below which G = Π_i F_i is 0:
+//
+//	E[max] = t*·G(t*) + Σ_{t > t*} t·(G(t) − G(t⁻))
+//
+// One pass takes every RV's minimum and t*. A second adds each atom ≤ t*
+// into its RV's CDF (clamped at 1; no log, no ordering) and gathers the
+// atoms above t* — the live set. log G(t*) is summed once, over the RVs
+// with F_i(t*) ≠ 1, into a compensated sum. Only the live set is sorted
+// (Sorter) into the canonical (value, f) order — ascending by value, equal
+// values in ascending f — and swept, at one Log per live atom and one Exp
+// per distinct live value. The result therefore depends only on the atoms
+// in f order, never on a sort's tie-breaking.
 func (a *Arena) ExpectedMaxFlat(vals, probs []float64, rvIdx []int32, nRVs int) float64 {
-	sorted := a.sorter.sort(vals)
-	if cap(a.events) < len(sorted) {
-		a.events = make([]Event, len(sorted))
-	}
-	events := a.events[:len(sorted)]
-	for i, it := range sorted {
-		f := it.idx
-		events[i] = Event{Val: vals[f], Prob: probs[f], RV: rvIdx[f]}
-	}
-	return a.SweepSorted(events, nRVs)
-}
-
-// SweepSorted computes E[max] from an event stream already sorted ascending
-// by Val, for nRVs random variables indexed 0..nRVs-1. It is the sweep of
-// ExpectedMax with the validation and the sort stripped; the caller
-// guarantees the order, that every Prob is positive, and that each RV's
-// total mass is 1 within ProbSumTol. Given a warmed arena it performs no
-// allocations — the contract the incremental swap evaluator's benchmarks
-// pin with ReportAllocs.
-func (a *Arena) SweepSorted(events []Event, nRVs int) float64 {
-	if len(events) == 0 {
+	if len(vals) == 0 {
 		return 0
 	}
+	probs, rvIdx = probs[:len(vals)], rvIdx[:len(vals)]
 	if cap(a.cdf) < nRVs {
 		a.cdf = make([]float64, nRVs)
 		a.logCdf = make([]float64, nRVs)
 	}
 	cdf, logCdf := a.cdf[:nRVs], a.logCdf[:nRVs]
+
+	// Pass 1: per-RV minima (in cdf), then t* and a zeroed cdf.
 	for i := range cdf {
+		cdf[i] = math.Inf(1)
+	}
+	for f, v := range vals {
+		if r := rvIdx[f]; v < cdf[r] {
+			cdf[r] = v
+		}
+	}
+	tStar := math.Inf(-1)
+	for i, m := range cdf {
+		if m > tStar {
+			tStar = m
+		}
 		cdf[i] = 0
 	}
 
-	// Sweep values in ascending order maintaining G(t) = Π_i F_i(t).
-	// F_i starts at 0, so track the count of zero factors separately and keep
-	// Σ log F_i over the non-zero factors for drift-free updates; G is zero
-	// until zeros == 0. logCdf caches log F_i so each event costs one Log.
-	zeros := nRVs
-	logProd := 0.0
+	// Pass 2: F_i(t*) from the atoms at or below t*; the rest are live.
+	liveVals, liveIdx := a.liveVals[:0], a.liveIdx[:0]
+	for f, v := range vals {
+		if v <= tStar {
+			cdf[rvIdx[f]] += probs[f]
+		} else {
+			liveVals = append(liveVals, v)
+			liveIdx = append(liveIdx, int32(f))
+		}
+	}
+	a.liveVals, a.liveIdx = liveVals, liveIdx
 
-	var expected float64
-	prevG := 0.0
-	i := 0
-	for i < len(events) {
-		t := events[i].Val
-		// Apply every event at this exact value before reading G(t).
-		for i < len(events) && events[i].Val == t {
-			e := events[i]
-			old := cdf[e.RV]
-			nw := old + e.Prob
+	// log G(t*) = Σ_i log F_i(t*), every F_i(t*) > 0 since each RV's
+	// minimum is ≤ t*. F_i is clamped at 1 here: its partial sums only grow,
+	// so this equals clamping every step. The sum is compensated (s + c):
+	// once every F_i has reached 1 its terms cancel exactly, so G returns to
+	// 1 however negative log G(t*) was.
+	s, c := 0.0, 0.0
+	for i, p := range cdf {
+		lg := 0.0
+		if p < 1 {
+			lg = math.Log(p)
+			s, c = twoSum(s, c, lg)
+		} else {
+			cdf[i] = 1
+		}
+		logCdf[i] = lg
+	}
+	prevG := min(math.Exp(s+c), 1)
+	expected := tStar * prevG
+
+	// Sweep the live set in canonical order, applying every atom at a value
+	// before reading G there. logCdf caches log F_i, so each atom costs one
+	// Log: its RV's old term leaves the sum and the new one enters.
+	sorted := a.sorter.sort(liveVals)
+	for i := 0; i < len(sorted); {
+		t := liveVals[sorted[i].idx]
+		for ; i < len(sorted) && liveVals[sorted[i].idx] == t; i++ {
+			f := liveIdx[sorted[i].idx]
+			r := rvIdx[f]
+			nw := cdf[r] + probs[f]
 			if nw > 1 {
-				nw = 1 // clamp prefix-sum rounding
+				nw = 1
 			}
-			cdf[e.RV] = nw
+			cdf[r] = nw
 			lg := math.Log(nw)
-			if old == 0 {
-				zeros--
-				logProd += lg
-			} else {
-				logProd += lg - logCdf[e.RV]
-			}
-			logCdf[e.RV] = lg
-			i++
+			s, c = twoSum(s, c, -logCdf[r])
+			s, c = twoSum(s, c, lg)
+			logCdf[r] = lg
 		}
-		var g float64
-		if zeros == 0 {
-			g = math.Exp(logProd)
-			if g > 1 {
-				g = 1
-			}
-		}
-		if g > prevG {
+		if g := min(math.Exp(s+c), 1); g > prevG {
 			expected += t * (g - prevG)
 			prevG = g
 		}
 	}
 	return expected
+}
+
+// twoSum adds x to the compensated sum s + c: s is the rounded running sum
+// and c collects each addition's exact rounding error (Knuth's TwoSum).
+func twoSum(s, c, x float64) (float64, float64) {
+	t := s + x
+	z := t - s
+	return t, c + ((s - (t - z)) + (x - z))
 }
 
 // ExpectedMaxNaive enumerates all Π z_i joint realizations. It is the test

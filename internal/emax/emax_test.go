@@ -3,7 +3,6 @@ package emax
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -430,38 +429,5 @@ func TestArenaExpectedMaxValidates(t *testing.T) {
 	}
 	if got, err := a.ExpectedMax(nil); err != nil || got != 0 {
 		t.Fatalf("empty input: got %g, %v", got, err)
-	}
-}
-
-// TestSweepSortedMatchesExpectedMax feeds SweepSorted a hand-sorted event
-// stream and checks it against the full evaluator, including events that
-// share exact values across RVs (the apply-all-at-t batch path). The
-// reference sort is stable, i.e. the canonical (value, atom) order
-// ExpectedMax sweeps in: equal values summed in another order may differ in
-// the last bits.
-func TestSweepSortedMatchesExpectedMax(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	var a Arena
-	for trial := 0; trial < 200; trial++ {
-		rvs := randomRVs(rng, 1+rng.Intn(8))
-		var events []Event
-		for i, r := range rvs {
-			for j, v := range r.Vals {
-				if r.Probs[j] > 0 {
-					events = append(events, Event{Val: v, Prob: r.Probs[j], RV: int32(i)})
-				}
-			}
-		}
-		sort.SliceStable(events, func(x, y int) bool { return events[x].Val < events[y].Val })
-		want, err := ExpectedMax(rvs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := a.SweepSorted(events, len(rvs)); got != want {
-			t.Fatalf("trial %d: SweepSorted %g != ExpectedMax %g", trial, got, want)
-		}
-	}
-	if got := a.SweepSorted(nil, 0); got != 0 {
-		t.Fatalf("empty sweep: %g", got)
 	}
 }

@@ -48,15 +48,16 @@ var radixInputs = []struct {
 	{"all-equal-negative", func(*rand.Rand) float64 { return -7 }},
 }
 
-// TestArgsortMatchesSliceStable pins the radix order to the canonical
-// (value, index) order that sort.SliceStable yields, index for index, on
-// every value family and on lengths around the 8-bit digit width. One
-// sorter serves every case, so stale scratch from a longer earlier input
-// would show.
+// TestArgsortMatchesSliceStable pins both of Sorter's paths to the
+// canonical (value, index) order that sort.SliceStable yields, index for
+// index, on every value family: the insertion sort below insertionCutoff
+// and the radix sort from it on, with lengths around the cutoff and around
+// the 8-bit digit width. One sorter serves every case, so stale scratch
+// from a longer earlier input would show.
 func TestArgsortMatchesSliceStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	var s Sorter
-	for _, n := range []int{10000, 0, 1, 2, 255, 256, 257} {
+	for _, n := range []int{10000, 0, 1, 2, 3, 17, insertionCutoff - 1, insertionCutoff, insertionCutoff + 1, 255, 256, 257} {
 		for _, in := range radixInputs {
 			vals := make([]float64, n)
 			for i := range vals {
@@ -67,12 +68,10 @@ func TestArgsortMatchesSliceStable(t *testing.T) {
 				want[i] = int32(i)
 			}
 			sort.SliceStable(want, func(x, y int) bool { return vals[want[x]] < vals[want[y]] })
-			got := make([]int32, n)
-			s.Argsort(vals, got)
-			for i := range want {
-				if got[i] != want[i] {
+			for i, it := range s.sort(vals) {
+				if it.idx != want[i] {
 					t.Fatalf("%s n=%d: ord[%d] = %d (%g), want %d (%g)",
-						in.name, n, i, got[i], vals[got[i]], want[i], vals[want[i]])
+						in.name, n, i, it.idx, vals[it.idx], want[i], vals[want[i]])
 				}
 			}
 		}
@@ -80,29 +79,22 @@ func TestArgsortMatchesSliceStable(t *testing.T) {
 }
 
 // TestExpectedMaxFlatAllocs pins the flat fast path allocation-free on a
-// warmed arena: the radix scratch, the event stream and the CDF state are
-// all reused.
+// warmed arena, with live sets on both sides of insertionCutoff: the CDF
+// state, the live set and its sort scratch are all reused.
 func TestExpectedMaxFlatAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(132))
-	rvs := randomRVs(rng, 50)
-	var vals, probs []float64
-	var rvIdx []int32
-	for i, r := range rvs {
-		vals = append(vals, r.Vals...)
-		probs = append(probs, r.Probs...)
-		for range r.Vals {
-			rvIdx = append(rvIdx, int32(i))
+	for _, rvs := range [][]RV{randomRVs(rng, 50), wideRVs(rng, 50, 5)} {
+		vals, probs, rvIdx := flatten(rvs)
+		var a Arena
+		want := a.ExpectedMaxFlat(vals, probs, rvIdx, len(rvs))
+		allocs := testing.AllocsPerRun(100, func() {
+			if got := a.ExpectedMaxFlat(vals, probs, rvIdx, len(rvs)); got != want {
+				t.Fatalf("warm ExpectedMaxFlat = %g, first call %g", got, want)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("live set of %d: warm ExpectedMaxFlat allocates %v times per call, want 0", len(a.liveVals), allocs)
 		}
-	}
-	var a Arena
-	want := a.ExpectedMaxFlat(vals, probs, rvIdx, len(rvs))
-	allocs := testing.AllocsPerRun(100, func() {
-		if got := a.ExpectedMaxFlat(vals, probs, rvIdx, len(rvs)); got != want {
-			t.Fatalf("warm ExpectedMaxFlat = %g, first call %g", got, want)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm ExpectedMaxFlat allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -124,21 +116,20 @@ func TestArenaExpectedMaxAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkArgsort times one radix argsort of distance-like values at the
-// column lengths of the evaluator build and the E-cost sweep.
+// BenchmarkArgsort times one argsort of distance-like values on both sides
+// of insertionCutoff.
 func BenchmarkArgsort(b *testing.B) {
 	rng := rand.New(rand.NewSource(134))
-	for _, n := range []int{240, 800, 10000} {
+	for _, n := range []int{16, 240, 800, 10000} {
 		vals := make([]float64, n)
 		for i := range vals {
 			vals[i] = rng.Float64() * 100
 		}
-		ord := make([]int32, n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var s Sorter
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s.Argsort(vals, ord)
+				s.sort(vals)
 			}
 		})
 	}

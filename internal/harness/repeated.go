@@ -91,7 +91,7 @@ func RunR3(cfg Config) (*Report, error) {
 	}
 	rep.Tables = append(rep.Tables, kcTab)
 
-	// The unassigned objective: the 12·m·N distance-RV evaluator is the
+	// The unassigned objective: the 8·m·N distance-RV evaluator is the
 	// dominant build, paid per solve cold and once per instance amortized.
 	unTab := &Table{
 		Title:  "unassigned local search (smaller n): per-solve ms over R repeated solves",

@@ -48,7 +48,7 @@ func For(ctx context.Context, n, workers int, fn func(i int)) error {
 // ForWorker is For with the worker slot exposed: fn(w, i) runs with
 // w ∈ [0, min(workers, n)) identifying the goroutine that claimed index i,
 // so callers can hand each worker its own scratch buffers (the incremental
-// swap evaluator's per-worker merge arenas) without synchronization. The
+// swap evaluator's per-worker sweep arenas) without synchronization. The
 // slot is stable for the lifetime of one ForWorker call and never shared by
 // two concurrent fn invocations; the sequential path always passes w = 0.
 // The determinism contract is For's: which worker claims an index affects

@@ -137,18 +137,18 @@ func WithMaxIter(n int) Option {
 // of per-point, per-candidate distance RVs is built once per INSTANCE —
 // memoized in the instance's compiled representation and shared by every
 // later SolveUnassigned/EcostSweep call on it — making each candidate-swap
-// evaluation a two-way merge of presorted streams with zero metric calls
-// and zero steady-state allocations.
+// evaluation one O(Σz_i) min pass plus the exact sweep, with zero metric
+// calls and zero steady-state allocations.
 //
-// The cache costs ~12 bytes per (candidate, support atom) pair — n·m·z
+// The cache costs 8 bytes per (candidate, support atom) pair — n·m·z
 // entries for n points of z locations and m candidates — and lives as long
 // as the instance's compiled representation (drop the Instance to release
 // it). WithSwapCache(false) falls back to from-scratch evaluation of every
 // swap without building or touching the instance cache: the right call when
 // m·Σz_i is too large to hold in memory (e.g. n = m = 10⁴, z = 8 is already
-// ~10 GB; n = m = 10⁵, z = 8 would need ~1 TB), or when pinning down a
+// ~6.4 GB; n = m = 10⁵, z = 8 would need ~640 GB), or when pinning down a
 // discrepancy against the oracle path.
-// Results agree to ≤ 1e-12 relative with identical swap trajectories.
+// Costs and swap trajectories are bit-identical either way.
 func WithSwapCache(enabled bool) Option {
 	return func(c *solverConfig) { c.noSwapCache = !enabled }
 }

@@ -142,7 +142,7 @@ func BenchmarkServeOverhead(b *testing.B) {
 
 // BenchmarkServeUnassignedWarm — the heaviest cacheable workload through
 // the server: unassigned local search, where the warm path reuses the
-// memoized 12·m·N distance-RV evaluator across every request.
+// memoized 8·m·N distance-RV evaluator across every request.
 func BenchmarkServeUnassignedWarm(b *testing.B) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(23))

@@ -8,7 +8,7 @@
 // eagerly, so registration is also validation), then many concurrent
 // callers issue typed requests — Solve, Assign, Ecost, EcostSweep,
 // SolveUnassigned — against them by name. The expensive per-instance state
-// (the flat arena, both surrogate kinds, the 12·m·N-byte distance-RV swap
+// (the flat arena, both surrogate kinds, the 8·m·N-byte distance-RV swap
 // evaluator) is built once and shared by every request, which is what makes
 // serving heavy repeated traffic cheap (DESIGN.md §4a, §7).
 //
