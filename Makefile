@@ -5,21 +5,7 @@
 
 GO ?= go
 
-# Perf-trajectory output of bench-json. Bump per PR so the repository
-# accumulates a benchmark history (BENCH_PR3.json, BENCH_PR4.json, ...).
-BENCH_OUT ?= BENCH_PR10.json
-
-# Serving-layer trajectory output of bench-serve (the PR-5 tentpole):
-# request throughput with warm-cache hit rate, serve-vs-direct overhead,
-# and the warm unassigned workload.
-SERVE_BENCH_OUT ?= BENCH_PR5.json
-
-# Candidate-index trajectory output of bench-index (the PR-9 tentpole):
-# the off/prune/approx scan sweep on the n=m=1000 instance, with ns/scan,
-# prune_rate and cost_ratio reported per mode.
-INDEX_BENCH_OUT ?= BENCH_PR9.json
-
-.PHONY: all vet fmt-check build test test-race test-faults test-alloc-pins fuzz-arena fuzz-bound fuzz-emax bench bench-parallel bench-json bench-serve bench-index bench-smoke examples check ci
+.PHONY: all vet fmt-check build test test-race test-faults test-alloc-pins fuzz-arena fuzz-bound fuzz-emax bench bench-index bench-smoke examples check ci
 
 all: check
 
@@ -79,50 +65,23 @@ fuzz-bound:
 fuzz-emax:
 	$(GO) test -fuzz FuzzExpectedMaxFlat -fuzztime $(FUZZTIME) -run '^$$' ./internal/emax
 
-# Full benchmark sweep (slow); bench-parallel records just the
-# sequential-vs-worker-pool trajectory (BENCH_*.json inputs).
+# bench runs every microbenchmark of the library, the serving layer, the
+# snapshot store and the observability package (slow) and prints the
+# results. ukbench/ (bench-smoke below, or ukbench/run.sh) is the
+# end-to-end benchmark of record; the committed BENCH_*.json files are
+# history and no target writes them.
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' .
+	$(GO) test -run '^$$' -benchmem -bench . . ./serve ./store ./obs
 
-bench-parallel:
-	$(GO) test -bench 'Parallel|Batch' -benchmem -run '^$$' .
-
-# bench-json records the perf trajectory as a test2json stream into
-# $(BENCH_OUT): the parallel E-cost and unassigned-scan benches, the
-# incremental-vs-scratch swap evaluator pair (the PR-3 tentpole's ≥5×
-# claim), the compiled-vs-fresh repeated-solve pair (the PR-4 tentpole's
-# amortization claim), the instrumentation-off-vs-on overhead pair (the
-# PR-6 tentpole's zero-cost-default claim), the cold-JSON-load vs
-# snapshot-open vs warm-solve curves (the PR-7 tentpole's
-# restart-without-recompiling claim), and the flight-recorder triple —
-# disabled / enabled-unsampled / enabled-retained (the PR-10 tentpole's
-# tail-sampling cost curve; disabled must report 0 B/op, 0 allocs/op).
-bench-json:
-	$(GO) test -json -run '^$$' -benchmem \
-		-bench 'BenchmarkUnassignedParallel$$|BenchmarkEcostParallel$$|BenchmarkSwapIncremental$$|BenchmarkRepeatedSolve$$|BenchmarkObsOverhead' \
-		. > $(BENCH_OUT)
-	$(GO) test -json -run '^$$' -benchmem -bench 'BenchmarkSnapshot' ./store >> $(BENCH_OUT)
-	$(GO) test -json -run '^$$' -benchmem -bench 'BenchmarkFlightRecorder' ./obs >> $(BENCH_OUT)
-
-# bench-serve records the serving-layer trajectory as a test2json stream
-# into $(SERVE_BENCH_OUT): throughput through the sharded server in the
-# warm-cache and forced-eviction regimes (hit-rate and evictions/op are
-# reported from the server's own metrics), the per-request overhead over a
-# direct Solver call, and the warm unassigned workload.
-bench-serve:
-	$(GO) test -json -run '^$$' -benchmem -bench 'BenchmarkServe' ./serve > $(SERVE_BENCH_OUT)
-
-# bench-index records the candidate-index quality/speed curve into
-# $(INDEX_BENCH_OUT): BenchmarkCandIndexScan/{off,prune,approx} on the
-# n=m=1000 acceptance instance. The off row is the PR-3 oracle scan (the
-# "old" side), prune/approx are the indexed scans (the "new" side); compare
-# their ns/scan like a benchstat old-vs-new pair — same instance, same
-# seeds, so the ratio is the per-scan speedup, prune_rate is the fraction
-# of candidate evaluations the pivot bound skipped (acceptance floor 0.50,
-# enforced inside the bench), and cost_ratio pins prune at exactly 1.0
-# (bit-identical) while recording approx's quality trade.
+# bench-index runs BenchmarkCandIndexScan/{off,prune,approx} once on the
+# n=m=1000 acceptance instance and prints ns/scan, prune_rate and
+# cost_ratio per mode. The off row is the unindexed oracle scan; prune and
+# approx are the indexed scans, so the ns/scan ratio is the per-scan
+# speedup on the same instance and seeds. The bench itself fails when the
+# prune rate drops below the 0.50 acceptance floor or a pruned trajectory
+# diverges from the oracle (cost_ratio must be exactly 1.0).
 bench-index:
-	$(GO) test -json -run '^$$' -benchmem -benchtime 1x -bench 'BenchmarkCandIndexScan' . > $(INDEX_BENCH_OUT)
+	$(GO) test -run '^$$' -benchmem -benchtime 1x -bench 'BenchmarkCandIndexScan' .
 
 # bench-smoke builds and self-tests the benchmark (ukbench/, a nested
 # module outside `go build ./...`): all three workloads at tiny sizes,

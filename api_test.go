@@ -1,8 +1,7 @@
 package ukc_test
 
-// Tests for the generic Instance/Solver/Batch API: equivalence with the
-// deprecated flat functions, bit-identical parallelism, and context
-// cancellation semantics.
+// Tests for the generic Instance/Solver API: per-space defaults,
+// bit-identical parallelism, and context cancellation semantics.
 
 import (
 	"context"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	ukc "repro"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graphmetric"
 	"repro/obs"
@@ -45,76 +45,6 @@ func finiteInstance(t testing.TB, seed int64, vertices, n, z int) ukc.Instance[i
 		t.Fatal(err)
 	}
 	return ukc.NewFiniteInstance(space, pts, nil)
-}
-
-// TestSolverMatchesDeprecatedEuclidean pins the redesign's compatibility
-// contract: the flat SolveEuclidean is a wrapper over Solver.Solve, so both
-// surfaces must return the same result bit for bit.
-func TestSolverMatchesDeprecatedEuclidean(t *testing.T) {
-	inst := euclideanInstance(t, 7, 40, 3)
-	ctx := context.Background()
-	cases := []struct {
-		name string
-		opts ukc.EuclideanOptions
-		sopt []ukc.Option
-	}{
-		{"default-ep", ukc.EuclideanOptions{Rule: ukc.RuleEP},
-			[]ukc.Option{ukc.WithRule(ukc.RuleEP)}},
-		{"ed-rule", ukc.EuclideanOptions{Rule: ukc.RuleED},
-			[]ukc.Option{ukc.WithRule(ukc.RuleED)}},
-		{"oc-surrogate", ukc.EuclideanOptions{Surrogate: ukc.SurrogateOneCenter, Rule: ukc.RuleOC},
-			[]ukc.Option{ukc.WithSurrogate(ukc.SurrogateOneCenter), ukc.WithRule(ukc.RuleOC)}},
-		{"exact-discrete", ukc.EuclideanOptions{Rule: ukc.RuleEP, Solver: ukc.SolverExactDiscrete},
-			[]ukc.Option{ukc.WithRule(ukc.RuleEP), ukc.WithCertainSolver(ukc.SolverExactDiscrete)}},
-		{"coreset", ukc.EuclideanOptions{Rule: ukc.RuleEP, CoresetEps: 0.3, CoresetMaxSize: 20},
-			[]ukc.Option{ukc.WithRule(ukc.RuleEP), ukc.WithCoreset(0.3, 20)}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			old, err := ukc.SolveEuclidean(inst.Points, 3, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := ukc.NewSolver[ukc.Vec](tc.sopt...).Solve(ctx, inst, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(old, res) {
-				t.Fatalf("flat and Solver results differ:\nflat:   %+v\nsolver: %+v", old, res)
-			}
-		})
-	}
-}
-
-// TestSolverMatchesDeprecatedMetric is the finite-metric counterpart.
-func TestSolverMatchesDeprecatedMetric(t *testing.T) {
-	inst := finiteInstance(t, 9, 30, 20, 3)
-	space := inst.Space.(*ukc.FiniteSpace)
-	ctx := context.Background()
-	for _, tc := range []struct {
-		name string
-		opts ukc.MetricOptions
-		sopt []ukc.Option
-	}{
-		{"ed", ukc.MetricOptions{Rule: ukc.RuleED}, []ukc.Option{ukc.WithRule(ukc.RuleED)}},
-		{"oc", ukc.MetricOptions{Rule: ukc.RuleOC}, []ukc.Option{ukc.WithRule(ukc.RuleOC)}},
-		{"exact", ukc.MetricOptions{Rule: ukc.RuleOC, Solver: ukc.SolverExactDiscrete},
-			[]ukc.Option{ukc.WithRule(ukc.RuleOC), ukc.WithCertainSolver(ukc.SolverExactDiscrete)}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			old, err := ukc.SolveMetric(space, inst.Points, space.Points(), 3, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := ukc.NewSolver[int](tc.sopt...).Solve(ctx, inst, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(old, res) {
-				t.Fatalf("flat and Solver results differ:\nflat:   %+v\nsolver: %+v", old, res)
-			}
-		})
-	}
 }
 
 // TestParallelismBitIdentical is the WithParallelism contract: for n ∈
@@ -255,64 +185,6 @@ func TestContextCancellationMidSolve(t *testing.T) {
 	}
 }
 
-// TestBatch: the batch layer must reproduce solo solves in order, isolate
-// per-item failures, and drain on cancellation.
-func TestBatch(t *testing.T) {
-	ctx := context.Background()
-	solver := ukc.NewSolver[ukc.Vec](ukc.WithRule(ukc.RuleEP))
-	batch, err := ukc.NewBatch(solver, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	insts := make([]ukc.Instance[ukc.Vec], 6)
-	for i := range insts {
-		insts[i] = euclideanInstance(t, int64(100+i), 20+3*i, 3)
-	}
-	results := batch.SolveAll(ctx, insts, 3)
-	if len(results) != len(insts) {
-		t.Fatalf("got %d results for %d instances", len(results), len(insts))
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("item %d: %v", i, r.Err)
-		}
-		solo, err := solver.Solve(ctx, insts[i], 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(solo, r.Result) {
-			t.Fatalf("item %d: batch result differs from solo solve", i)
-		}
-	}
-
-	t.Run("error-isolation", func(t *testing.T) {
-		items := []ukc.BatchItem[ukc.Vec]{
-			{Instance: insts[0], K: 3},
-			{Instance: insts[1], K: 0}, // invalid k: must fail alone
-			{Instance: insts[2], K: 3},
-		}
-		res := batch.Solve(ctx, items)
-		if res[0].Err != nil || res[2].Err != nil {
-			t.Fatalf("healthy items failed: %v, %v", res[0].Err, res[2].Err)
-		}
-		if res[1].Err == nil {
-			t.Fatal("k=0 item did not fail")
-		}
-	})
-
-	t.Run("canceled", func(t *testing.T) {
-		canceled, cancel := context.WithCancel(ctx)
-		cancel()
-		res := batch.SolveAll(canceled, insts, 3)
-		for i, r := range res {
-			if !errors.Is(r.Err, context.Canceled) {
-				t.Fatalf("item %d: got %v, want context.Canceled", i, r.Err)
-			}
-		}
-	})
-}
-
 // TestSolverSpaceDefaults: the zero-option solver must pick the paper's
 // recommended pipeline per space — EP/expected-point on Euclidean
 // instances, ED/1-center on finite ones — and both must go through the one
@@ -325,8 +197,8 @@ func TestSolverSpaceDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eWant, err := ukc.SolveEuclidean(eInst.Points, 3, ukc.EuclideanOptions{
-		Surrogate: ukc.SurrogateExpectedPoint, Rule: ukc.RuleEP,
+	eWant, err := core.Solve[ukc.Vec](ctx, ukc.Euclidean{}, eInst.Points, nil, 3, core.Options{
+		Surrogate: core.SurrogateExpectedPoint, Rule: core.RuleEP,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -341,12 +213,44 @@ func TestSolverSpaceDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	fSpace := fInst.Space.(*ukc.FiniteSpace)
-	fWant, err := ukc.SolveMetric(fSpace, fInst.Points, fSpace.Points(), 3, ukc.MetricOptions{Rule: ukc.RuleED})
+	fWant, err := core.Solve[int](ctx, fSpace, fInst.Points, fSpace.Points(), 3, core.Options{
+		Surrogate: core.SurrogateOneCenter, Rule: core.RuleED,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fWant, fRes) {
 		t.Fatal("finite default is not the ED/1-center pipeline")
+	}
+}
+
+// TestSolverRejectsMalformedCenters: every method that takes centers
+// returns an error for centers the instance's space cannot measure — a
+// Euclidean center of the wrong dimension, a vertex outside the finite
+// space — instead of panicking inside a distance loop.
+func TestSolverRejectsMalformedCenters(t *testing.T) {
+	checkMalformedCenters(t, ukc.NewSolver[ukc.Vec](), euclideanInstance(t, 61, 12, 2),
+		[][]ukc.Vec{{{0, 0, 0}}, {{0, 0}, {1}}})
+	checkMalformedCenters(t, ukc.NewSolver[int](), finiteInstance(t, 67, 20, 10, 2),
+		[][]int{{999}, {0, -1}})
+}
+
+func checkMalformedCenters[P any](t *testing.T, solver *ukc.Solver[P], inst ukc.Instance[P], bad [][]P) {
+	t.Helper()
+	ctx := context.Background()
+	for _, centers := range bad {
+		if _, err := solver.Assign(ctx, inst, centers); err == nil {
+			t.Errorf("Assign(%v): no error", centers)
+		}
+		if _, err := solver.Ecost(ctx, inst, centers, make([]int, inst.N())); err == nil {
+			t.Errorf("Ecost(%v): no error", centers)
+		}
+		if _, err := solver.EcostUnassigned(ctx, inst, centers); err == nil {
+			t.Errorf("EcostUnassigned(%v): no error", centers)
+		}
+		if _, _, err := solver.EcostSweep(ctx, inst, centers); err == nil {
+			t.Errorf("EcostSweep(%v): no error", centers)
+		}
 	}
 }
 

@@ -20,6 +20,12 @@ import (
 	"repro/internal/uncertain"
 )
 
+// solveEuclidean runs the unified pipeline on a Euclidean point set,
+// compiling it per call as a one-shot caller does.
+func solveEuclidean(pts []ukc.Point, k int, opts core.Options) (ukc.Result, error) {
+	return core.Solve[geom.Vec](context.Background(), metricspace.Euclidean{}, pts, nil, k, opts)
+}
+
 func benchEuclidean(b *testing.B, n, z, dim int) []ukc.Point {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -49,7 +55,7 @@ func BenchmarkTable1Row2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ukc.SolveEuclidean(pts, 5, ukc.EuclideanOptions{
+		if _, err := solveEuclidean(pts, 5, core.Options{
 			Rule: ukc.RuleED, Solver: ukc.SolverGonzalez,
 		}); err != nil {
 			b.Fatal(err)
@@ -64,7 +70,7 @@ func BenchmarkTable1Row3(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ukc.SolveEuclidean(pts, 2, ukc.EuclideanOptions{
+		if _, err := solveEuclidean(pts, 2, core.Options{
 			Rule: ukc.RuleED, Solver: ukc.SolverEps, Eps: 0.5,
 		}); err != nil {
 			b.Fatal(err)
@@ -79,7 +85,7 @@ func BenchmarkTable1Row4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ukc.SolveEuclidean(pts, 5, ukc.EuclideanOptions{
+		if _, err := solveEuclidean(pts, 5, core.Options{
 			Rule: ukc.RuleEP, Solver: ukc.SolverGonzalez,
 		}); err != nil {
 			b.Fatal(err)
@@ -94,7 +100,7 @@ func BenchmarkTable1Row5(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ukc.SolveEuclidean(pts, 2, ukc.EuclideanOptions{
+		if _, err := solveEuclidean(pts, 2, core.Options{
 			Rule: ukc.RuleEP, Solver: ukc.SolverEps, Eps: 0.5,
 		}); err != nil {
 			b.Fatal(err)
@@ -104,8 +110,8 @@ func BenchmarkTable1Row5(b *testing.B) {
 
 // BenchmarkTable1Row6 — unassigned/unrestricted objective: multi-start
 // single-swap local search over a snapped candidate set (all point
-// locations) on the exact evaluator, via SolveUnassignedLS behind
-// Solver.SolveUnassigned. The paper defines this version but gives no
+// locations) on the exact evaluator, via core.SolveUnassignedLSCompiled
+// behind Solver.SolveUnassigned. The paper defines this version but gives no
 // algorithm; sizes are modest because each swap round scans the whole
 // candidate neighborhood.
 func BenchmarkTable1Row6(b *testing.B) {
@@ -128,7 +134,7 @@ func BenchmarkTable1Row7(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ukc.SolveEuclidean(pts, 2, ukc.EuclideanOptions{
+		if _, err := solveEuclidean(pts, 2, core.Options{
 			Rule: ukc.RuleEP, Solver: ukc.SolverEps, Eps: 0.5,
 		}); err != nil {
 			b.Fatal(err)
@@ -156,6 +162,7 @@ func BenchmarkTable1Row8(b *testing.B) {
 // BenchmarkTable1Row9 — general metric space, 1-center surrogate pipeline
 // (factor 5+2ε with OC).
 func BenchmarkTable1Row9(b *testing.B) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
 	g, _, err := graphmetric.RandomGeometric(100, 0.2, rng)
 	if err != nil {
@@ -172,7 +179,9 @@ func BenchmarkTable1Row9(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ukc.SolveMetric(space, pts, space.Points(), 4, ukc.MetricOptions{Rule: ukc.RuleOC}); err != nil {
+		if _, err := core.Solve[int](ctx, space, pts, space.Points(), 4, core.Options{
+			Surrogate: ukc.SurrogateOneCenter, Rule: ukc.RuleOC,
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,7 +217,7 @@ func BenchmarkPipelineScalingN(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ukc.SolveEuclidean(pts, 8, ukc.EuclideanOptions{Rule: ukc.RuleEP}); err != nil {
+				if _, err := solveEuclidean(pts, 8, core.Options{Rule: ukc.RuleEP}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -223,7 +232,7 @@ func BenchmarkPipelineScalingZ(b *testing.B) {
 		b.Run(fmt.Sprintf("z=%d", z), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ukc.SolveEuclidean(pts, 8, ukc.EuclideanOptions{Rule: ukc.RuleEP}); err != nil {
+				if _, err := solveEuclidean(pts, 8, core.Options{Rule: ukc.RuleEP}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -238,7 +247,7 @@ func BenchmarkPipelineScalingK(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ukc.SolveEuclidean(pts, k, ukc.EuclideanOptions{Rule: ukc.RuleEP}); err != nil {
+				if _, err := solveEuclidean(pts, k, core.Options{Rule: ukc.RuleEP}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -249,7 +258,7 @@ func BenchmarkPipelineScalingK(b *testing.B) {
 // BenchmarkEcostEvaluators — A3: exact sweep vs Monte-Carlo estimation.
 func BenchmarkEcostEvaluators(b *testing.B) {
 	pts := benchEuclidean(b, 200, 5, 2)
-	res, err := ukc.SolveEuclidean(pts, 4, ukc.EuclideanOptions{Rule: ukc.RuleEP})
+	res, err := solveEuclidean(pts, 4, core.Options{Rule: ukc.RuleEP})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -280,7 +289,7 @@ func BenchmarkEpsSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ukc.SolveEuclidean(pts, 2, ukc.EuclideanOptions{
+				if _, err := solveEuclidean(pts, 2, core.Options{
 					Rule: ukc.RuleEP, Solver: ukc.SolverEps, Eps: eps,
 				}); err != nil {
 					b.Fatal(err)
@@ -296,7 +305,7 @@ func BenchmarkSurrogateAblation(b *testing.B) {
 	pts := benchEuclidean(b, 500, 8, 2)
 	b.Run("expected-point", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ukc.SolveEuclidean(pts, 4, ukc.EuclideanOptions{
+			if _, err := solveEuclidean(pts, 4, core.Options{
 				Surrogate: ukc.SurrogateExpectedPoint, Rule: ukc.RuleEP,
 			}); err != nil {
 				b.Fatal(err)
@@ -305,7 +314,7 @@ func BenchmarkSurrogateAblation(b *testing.B) {
 	})
 	b.Run("one-center", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ukc.SolveEuclidean(pts, 4, ukc.EuclideanOptions{
+			if _, err := solveEuclidean(pts, 4, core.Options{
 				Surrogate: ukc.SurrogateOneCenter, Rule: ukc.RuleOC,
 			}); err != nil {
 				b.Fatal(err)
@@ -317,13 +326,13 @@ func BenchmarkSurrogateAblation(b *testing.B) {
 // BenchmarkCoresetPipeline — the coreset pre-step pays off when the certain
 // solver is super-linear: here the (1+ε) grid solver sees 40 coreset points
 // instead of 300 surrogates. (With Gonzalez the coreset is pure overhead —
-// the solver is already O(nk); see internal/core.EuclideanOptions docs.)
+// the solver is already O(nk); see core.Options.CoresetEps.)
 func BenchmarkCoresetPipeline(b *testing.B) {
 	pts := benchEuclidean(b, 300, 4, 2)
-	opts := ukc.EuclideanOptions{Rule: ukc.RuleEP, Solver: ukc.SolverEps, Eps: 0.5}
+	opts := core.Options{Rule: ukc.RuleEP, Solver: ukc.SolverEps, Eps: 0.5}
 	b.Run("direct-eps", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ukc.SolveEuclidean(pts, 3, opts); err != nil {
+			if _, err := solveEuclidean(pts, 3, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -333,7 +342,7 @@ func BenchmarkCoresetPipeline(b *testing.B) {
 	withCS.CoresetMaxSize = 40
 	b.Run("coreset-eps", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ukc.SolveEuclidean(pts, 3, withCS); err != nil {
+			if _, err := solveEuclidean(pts, 3, withCS); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -342,12 +351,13 @@ func BenchmarkCoresetPipeline(b *testing.B) {
 
 // BenchmarkUncertainKMeans — X1 extension: the exact k-means reduction.
 func BenchmarkUncertainKMeans(b *testing.B) {
-	pts := benchEuclidean(b, 1000, 4, 2)
-	rng := rand.New(rand.NewSource(8))
+	ctx := context.Background()
+	inst := ukc.NewEuclideanInstance(benchEuclidean(b, 1000, 4, 2))
+	solver := ukc.NewSolver[ukc.Vec](ukc.WithSeed(8), ukc.WithMaxIter(50))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, _, err := ukc.SolveKMeans(pts, 8, rng, 50); err != nil {
+		if _, _, _, _, err := solver.SolveKMeans(ctx, inst, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -486,7 +496,11 @@ func BenchmarkSwapIncremental(b *testing.B) {
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {
-		ev, err := core.NewSwapEvaluator[geom.Vec](ctx, space, pts, cands, 1)
+		c, err := core.Compile[geom.Vec](ctx, space, pts, cands)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ev, err := c.Evaluator(ctx, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -566,37 +580,6 @@ func BenchmarkRepeatedSolve(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchThroughput — the serving primitive: many instances through
-// one shared bounded pool vs a sequential drain of the same work.
-func BenchmarkBatchThroughput(b *testing.B) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(42))
-	insts := make([]ukc.Instance[ukc.Vec], 16)
-	for i := range insts {
-		pts, err := gen.GaussianClusters(rng, 200, 4, 2, 4, 1, 0.4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts[i] = ukc.NewEuclideanInstance(pts)
-	}
-	solver := ukc.NewSolver[ukc.Vec](ukc.WithRule(ukc.RuleEP))
-	for _, workers := range []int{1, 4, 8} {
-		batch, err := ukc.NewBatch(solver, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, r := range batch.SolveAll(ctx, insts, 4) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkBaselineComparison — C1: paper pipeline vs baselines, same
 // instance.
 func BenchmarkBaselineComparison(b *testing.B) {
@@ -607,14 +590,14 @@ func BenchmarkBaselineComparison(b *testing.B) {
 	}
 	b.Run("paper-EP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ukc.SolveEuclidean(pts, 4, ukc.EuclideanOptions{Rule: ukc.RuleEP}); err != nil {
+			if _, err := solveEuclidean(pts, 4, core.Options{Rule: ukc.RuleEP}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("paper-OC", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ukc.SolveEuclidean(pts, 4, ukc.EuclideanOptions{
+			if _, err := solveEuclidean(pts, 4, core.Options{
 				Surrogate: ukc.SurrogateOneCenter, Rule: ukc.RuleOC,
 			}); err != nil {
 				b.Fatal(err)

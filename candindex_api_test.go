@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	ukc "repro"
+	"repro/internal/core"
 	"repro/internal/gen"
 )
 
@@ -57,7 +58,7 @@ func TestWithCandidateIndexPlumbing(t *testing.T) {
 	const k = 3
 
 	// Reference: explicit off (the PR-3 oracle trajectory).
-	off := ukc.NewSolver[ukc.Vec](ukc.WithCandidateIndex(ukc.CandIndexOff))
+	off := ukc.NewSolver[ukc.Vec](ukc.WithCandidateIndex(core.CandIndexOff))
 	refCenters, refCost, err := off.SolveUnassigned(ctx, inst, k)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +88,7 @@ func TestWithCandidateIndexPlumbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameUnassigned(t, "off-solver forced prune", c3, refCenters, cost3, refCost)
-	c4, cost4, err := prune.SolveUnassignedMode(ctx, inst, k, ukc.CandIndexOff)
+	c4, cost4, err := prune.SolveUnassignedMode(ctx, inst, k, core.CandIndexOff)
 	if err != nil {
 		t.Fatal(err)
 	}

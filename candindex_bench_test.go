@@ -3,8 +3,8 @@ package ukc_test
 // The PR-9 acceptance benchmark: the n = m = 1000 swap-scan wall, measured
 // with the candidate index off (the PR-3 oracle), pruning (bit-identical,
 // must skip ≥ 50% of candidate evaluations here), and approximate
-// (neighborhood-restricted, cost ratio reported). `make bench-index` records
-// this into BENCH_PR9.json; the reported metrics are
+// (neighborhood-restricted, cost ratio reported). `make bench-index` runs it
+// once and prints the reported metrics:
 //
 //	ns/scan     — wall time per scan position (the per-scan old-vs-new axis)
 //	prune_rate  — pruned / scanned candidate evaluations
@@ -20,6 +20,7 @@ import (
 	"time"
 
 	ukc "repro"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/obs"
 )
@@ -90,7 +91,7 @@ func BenchmarkCandIndexScan(b *testing.B) {
 
 	// Exact-trajectory cost, computed once, anchors every cost_ratio.
 	exactSolver := ukc.NewSolver[ukc.Vec](ukc.WithParallelism(1))
-	_, exactCost, err := exactSolver.SolveUnassignedMode(ctx, inst, k, ukc.CandIndexOff)
+	_, exactCost, err := exactSolver.SolveUnassignedMode(ctx, inst, k, core.CandIndexOff)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func BenchmarkCandIndexScan(b *testing.B) {
 		name string
 		mode ukc.CandidateIndexMode
 	}{
-		{"off", ukc.CandIndexOff},
+		{"off", core.CandIndexOff},
 		{"prune", ukc.CandIndexPrune},
 		{"approx", ukc.CandIndexApprox},
 	} {

@@ -7,7 +7,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -101,20 +100,8 @@ func TestGatewayPanicMaps500(t *testing.T) {
 		t.Fatalf("post-panic solve: status %d err %v: %s", status, err, out)
 	}
 
-	// The panic is accounted in the metrics JSON.
-	var m map[string]struct {
-		Shards []shardOut `json:"shards"`
-	}
-	mresp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	eu := m["euclidean"].Shards
-	if n := eu[len(eu)-1].Panicked; n != 1 {
+	// The panic is accounted in the serving metrics.
+	if n := gw.eu.Metrics().Totals().Panicked; n != 1 {
 		t.Fatalf("panicked total = %d, want 1", n)
 	}
 }
@@ -146,19 +133,7 @@ func TestGatewayRetryAfterAndDrain(t *testing.T) {
 	defer faults.Disable()
 
 	admitted := func() (int, int) {
-		var m map[string]struct {
-			Shards []shardOut `json:"shards"`
-		}
-		resp, err := http.Get(ts.URL + "/v1/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			t.Fatal(err)
-		}
-		sh := m["euclidean"].Shards
-		tot := sh[len(sh)-1]
+		tot := gw.eu.Metrics().Totals()
 		return int(tot.Admitted), tot.QueueDepth
 	}
 

@@ -1,7 +1,7 @@
 // Command ukserver serves registered uncertain k-center instances over
 // JSON-on-HTTP: a thin shell around serve.Server that exposes the registry
 // (register/unregister/list), the typed workloads (solve, assign, ecost,
-// sweep, unassigned) and the serving metrics snapshot.
+// sweep, unassigned) and the serving metrics exposition.
 //
 // Instances are registered by uploading the cmd/datagen JSON document (the
 // internal/dataio schema); the document's "kind" field selects the
@@ -13,7 +13,6 @@
 //
 //	curl -X PUT  localhost:8080/v1/instances/fleet --data-binary @fleet.json
 //	curl -X POST localhost:8080/v1/solve -d '{"instance":"fleet","k":3}'
-//	curl        localhost:8080/v1/metrics
 //	curl        localhost:8080/metrics
 //
 // Observability: every request is logged as one structured (log/slog) line
@@ -26,9 +25,9 @@
 // histograms, all labeled by instance kind) in the Prometheus text
 // exposition format, hand-rolled with no client dependency, plus Go runtime
 // gauges (goroutines, heap, GC pauses) and the gateway request-duration
-// histogram whose buckets carry trace-ID exemplars; GET /v1/metrics is the
-// same snapshot as JSON. -pprof mounts net/http/pprof under /debug/pprof/,
-// and -trace logs every solver span (see ukc.WithTracer) at debug level.
+// histogram whose buckets carry trace-ID exemplars. -pprof mounts
+// net/http/pprof under /debug/pprof/, and -trace logs every solver span
+// (see ukc.WithTracer) at debug level.
 //
 // Flight recorder: unless -trace-retain 0, every request assembles a trace
 // (admission → queue wait → execution → solver spans) in a fixed-capacity
@@ -45,13 +44,15 @@
 //
 // Status mapping: 404 unknown instance, 409 duplicate registration, 413
 // request body over its cap (1 GiB for an instance document, 64 MiB for a
-// workload request), 422 invalid instance data, 429 shard queue full
-// (ErrOverloaded — back off and retry), 500 a request that panicked inside
-// the solver (the worker survived; see serve.ErrPanicked), 503 draining or
-// closed, 504 deadline exceeded. 429 and draining-503 responses carry a
-// Retry-After header — on 429 derived from the live queue depth and the
-// shard's observed execution latency, so well-behaved clients (package
-// client honors it) back off exactly as long as the backlog warrants.
+// workload request), 422 invalid instance data or workload input (an
+// unknown index mode, centers the instance's space cannot measure), 429
+// shard queue full (ErrOverloaded — back off and retry), 500 a request
+// that panicked inside the solver (the worker survived; see
+// serve.ErrPanicked), 503 draining or closed, 504 deadline exceeded. 429
+// and draining-503 responses carry a Retry-After header — on 429 derived
+// from the live queue depth and the shard's observed execution latency, so
+// well-behaved clients (package client honors it) back off exactly as long
+// as the backlog warrants.
 //
 // Shutdown: SIGINT/SIGTERM stops the listener, then drains the serving
 // layer — admitted requests finish, new ones are rejected 503 — bounded by
@@ -330,14 +331,12 @@ func (r workloadRequest) indexMode() (ukc.CandidateIndexMode, error) {
 	switch r.Index {
 	case "":
 		return ukc.CandIndexDefault, nil
-	case "off":
-		return ukc.CandIndexOff, nil
 	case "prune":
 		return ukc.CandIndexPrune, nil
 	case "approx":
 		return ukc.CandIndexApprox, nil
 	}
-	return 0, fmt.Errorf("unknown index mode %q (want off, prune or approx)", r.Index)
+	return 0, fmt.Errorf("unknown index mode %q (want prune or approx)", r.Index)
 }
 
 // statsOut is the telemetry block attached to every workload response.
@@ -368,7 +367,6 @@ func (g *gateway) mux() *http.ServeMux {
 	mux.HandleFunc("POST /v1/ecost", g.workload(bind(g.eu, doEcost[ukc.Vec]), bind(g.fin, doEcost[int])))
 	mux.HandleFunc("POST /v1/sweep", g.workload(bind(g.eu, doSweep[ukc.Vec]), bind(g.fin, doSweep[int])))
 	mux.HandleFunc("POST /v1/unassigned", g.workload(bind(g.eu, doUnassigned[ukc.Vec]), bind(g.fin, doUnassigned[int])))
-	mux.HandleFunc("GET /v1/metrics", g.handleMetrics)
 	mux.HandleFunc("GET /v1/traces", g.handleTraces)
 	mux.HandleFunc("GET /v1/requests", g.handleRequests)
 	mux.HandleFunc("GET /metrics", g.handlePromMetrics)
@@ -514,20 +512,6 @@ func (g *gateway) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"instances": out})
 }
 
-func (g *gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	kindOut := func(m serve.Metrics) map[string]any {
-		return map[string]any{
-			"shards":                metricsOut(m),
-			"snapshots_quarantined": m.SnapshotsQuarantined,
-			"tmp_files_swept":       m.TempFilesSwept,
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"euclidean": kindOut(g.eu.Metrics()),
-		"finite":    kindOut(g.fin.Metrics()),
-	})
-}
-
 // handlePromMetrics serves both kind servers' Collect walks as one
 // Prometheus text exposition document, each sample labeled with its kind,
 // plus the process-wide series that span both kinds and so carry no kind
@@ -548,73 +532,6 @@ func (g *gateway) handlePromMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.Bytes())
-}
-
-// shardOut is the wire shape of one shard's metrics snapshot.
-type shardOut struct {
-	Shard        int     `json:"shard"`
-	Instances    int     `json:"instances"`
-	QueueDepth   int     `json:"queue_depth"`
-	QueueCap     int     `json:"queue_cap"`
-	CacheBytes   int64   `json:"cache_bytes"`
-	CacheBudget  int64   `json:"cache_budget"`
-	Admitted     uint64  `json:"admitted"`
-	Rejected     uint64  `json:"rejected"`
-	Completed    uint64  `json:"completed"`
-	Failed       uint64  `json:"failed"`
-	Canceled     uint64  `json:"canceled"`
-	Expired      uint64  `json:"expired"`
-	Panicked     uint64  `json:"panicked"`
-	CacheHits    uint64  `json:"cache_hits"`
-	CacheMisses  uint64  `json:"cache_misses"`
-	Evictions    uint64  `json:"evictions"`
-	HitRate      float64 `json:"hit_rate"`
-	PruneScanned uint64  `json:"prune_scanned"`
-	PrunePruned  uint64  `json:"prune_pruned"`
-	PruneRate    float64 `json:"prune_rate"`
-	P50MS        float64 `json:"latency_p50_ms"`
-	P99MS        float64 `json:"latency_p99_ms"`
-	QueueP50MS   float64 `json:"queue_p50_ms"`
-	QueueP99MS   float64 `json:"queue_p99_ms"`
-	ExecP50MS    float64 `json:"exec_p50_ms"`
-	ExecP99MS    float64 `json:"exec_p99_ms"`
-}
-
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-func metricsOut(m serve.Metrics) []shardOut {
-	out := make([]shardOut, 0, len(m.Shards)+1)
-	for _, s := range append(m.Shards, m.Totals()) {
-		out = append(out, shardOut{
-			Shard:        s.Shard,
-			Instances:    s.Instances,
-			QueueDepth:   s.QueueDepth,
-			QueueCap:     s.QueueCap,
-			CacheBytes:   s.CacheBytes,
-			CacheBudget:  s.CacheBudget,
-			Admitted:     s.Admitted,
-			Rejected:     s.Rejected,
-			Completed:    s.Completed,
-			Failed:       s.Failed,
-			Canceled:     s.Canceled,
-			Expired:      s.Expired,
-			Panicked:     s.Panicked,
-			CacheHits:    s.CacheHits,
-			CacheMisses:  s.CacheMisses,
-			Evictions:    s.Evictions,
-			HitRate:      s.HitRate(),
-			PruneScanned: s.PruneScanned,
-			PrunePruned:  s.PrunePruned,
-			PruneRate:    s.PruneRate(),
-			P50MS:        ms(s.LatencyP50),
-			P99MS:        ms(s.LatencyP99),
-			QueueP50MS:   ms(s.QueueP50),
-			QueueP99MS:   ms(s.QueueP99),
-			ExecP50MS:    ms(s.ExecP50),
-			ExecP99MS:    ms(s.ExecP99),
-		})
-	}
-	return out
 }
 
 // workload decodes the shared request shape, routes it to the per-kind
@@ -843,7 +760,7 @@ func (g *gateway) selfcheck(logger *slog.Logger) error {
 		{"assign-finite", http.MethodPost, "/v1/assign", jsonBody(`{"instance":"smoke-fin","centers":[0,3]}`), http.StatusOK},
 		{"unassigned-euclidean", http.MethodPost, "/v1/unassigned", jsonBody(`{"instance":"smoke-eu","k":2}`), http.StatusOK},
 		{"unassigned-finite", http.MethodPost, "/v1/unassigned", jsonBody(`{"instance":"smoke-fin","k":2}`), http.StatusOK},
-		{"unassigned-exact", http.MethodPost, "/v1/unassigned", jsonBody(`{"instance":"smoke-eu","k":2,"index":"off"}`), http.StatusOK},
+		{"unassigned-index-off", http.MethodPost, "/v1/unassigned", jsonBody(`{"instance":"smoke-eu","k":2,"index":"off"}`), http.StatusUnprocessableEntity},
 		{"unassigned-approx", http.MethodPost, "/v1/unassigned", jsonBody(`{"instance":"smoke-eu","k":2,"index":"approx"}`), http.StatusOK},
 		{"unassigned-bad-index", http.MethodPost, "/v1/unassigned", jsonBody(`{"instance":"smoke-eu","k":2,"index":"bogus"}`), http.StatusUnprocessableEntity},
 		{"ecost-euclidean", http.MethodPost, "/v1/ecost", jsonBody(`{"instance":"smoke-eu","centers":[[0,0],[4,4]]}`), http.StatusOK},
@@ -854,7 +771,6 @@ func (g *gateway) selfcheck(logger *slog.Logger) error {
 		{"freeze-euclidean", http.MethodPost, "/v1/instances/smoke-eu/freeze", nil, http.StatusOK},
 		{"freeze-finite", http.MethodPost, "/v1/instances/smoke-fin/freeze", nil, http.StatusOK},
 		{"freeze-unknown", http.MethodPost, "/v1/instances/ghost/freeze", nil, http.StatusNotFound},
-		{"metrics", http.MethodGet, "/v1/metrics", nil, http.StatusOK},
 		{"traces", http.MethodGet, "/v1/traces", nil, http.StatusOK},
 		{"requests", http.MethodGet, "/v1/requests", nil, http.StatusOK},
 		{"pprof-cmdline", http.MethodGet, "/debug/pprof/cmdline", nil, http.StatusOK},

@@ -89,6 +89,19 @@ func TestHTTPStatusMapping(t *testing.T) {
 	if resp := do(http.MethodPost, "/v1/ecost", `{"instance":"a"}`); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("ecost without centers: %d, want 422", resp.StatusCode)
 	}
+	// A center of the wrong dimension is bad input (422), not a solver
+	// panic (500) counted against the panicked outcome.
+	for _, path := range []string{"/v1/ecost", "/v1/assign", "/v1/sweep"} {
+		if resp := do(http.MethodPost, path, `{"instance":"a","centers":[[0,0,0]]}`); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s with a 3-d center: %d, want 422", path, resp.StatusCode)
+		}
+	}
+	if n := gw.eu.Metrics().Totals().Panicked; n != 0 {
+		t.Fatalf("panicked = %d after malformed centers, want 0", n)
+	}
+	if resp := do(http.MethodGet, "/v1/metrics", ""); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/metrics: %d, want 404", resp.StatusCode)
+	}
 	if resp := do(http.MethodDelete, "/v1/instances/zzz", ""); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unregister unknown: %d, want 404", resp.StatusCode)
 	}

@@ -95,6 +95,19 @@ func TestCompileRejectsInvalidInstance(t *testing.T) {
 	if _, err := empty.Compile(context.Background()); err == nil {
 		t.Error("empty instance compiled")
 	}
+	// A nil finite space is rejected everywhere, not stored as a typed nil
+	// pointer that passes validation and panics on first use.
+	p, err := ukc.NewFinitePoint([]int{0}, []float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nilSpace := ukc.NewFiniteInstance(nil, []ukc.FinitePoint{p}, []int{0})
+	if err := nilSpace.Validate(); err == nil {
+		t.Error("nil finite space validated")
+	}
+	if _, err := ukc.NewSolver[int]().Solve(context.Background(), nilSpace, 1); err == nil {
+		t.Error("nil finite space solved")
+	}
 }
 
 // TestSolverCachedVsFreshBitIdentical is the public-surface version of the

@@ -3,16 +3,18 @@ package ukc_test
 // Godoc examples: runnable documentation with verified output.
 
 import (
+	"context"
 	"fmt"
 
 	ukc "repro"
 )
 
-func ExampleSolveEuclidean() {
+func ExampleSolver_Solve() {
 	// Two well-separated uncertain points and one center each.
 	a, _ := ukc.NewPoint([]ukc.Vec{{0, 0}, {0, 2}}, []float64{0.5, 0.5})
 	b, _ := ukc.NewPoint([]ukc.Vec{{10, 0}, {10, 2}}, []float64{0.5, 0.5})
-	res, _ := ukc.SolveEuclidean([]ukc.Point{a, b}, 2, ukc.EuclideanOptions{})
+	inst := ukc.NewEuclideanInstance([]ukc.Point{a, b})
+	res, _ := ukc.NewSolver[ukc.Vec]().Solve(context.Background(), inst, 2)
 	fmt.Printf("k=%d centers, assignment %v, Ecost %.0f\n",
 		len(res.Centers), res.Assign, res.Ecost)
 	// Output: k=2 centers, assignment [0 1], Ecost 1
@@ -43,10 +45,10 @@ func ExampleSolve1D() {
 	// Output: cost 5 with 2 centers
 }
 
-func ExampleEcostUnassigned() {
+func ExampleSolver_EcostUnassigned() {
 	// A certain point at distance 3 from the only center.
-	p := ukc.NewDeterministicPoint(ukc.Vec{3, 0})
-	cost, _ := ukc.EcostUnassigned([]ukc.Point{p}, []ukc.Vec{{0, 0}})
+	inst := ukc.NewEuclideanInstance([]ukc.Point{ukc.NewDeterministicPoint(ukc.Vec{3, 0})})
+	cost, _ := ukc.NewSolver[ukc.Vec]().EcostUnassigned(context.Background(), inst, []ukc.Vec{{0, 0}})
 	fmt.Printf("%.0f\n", cost)
 	// Output: 3
 }

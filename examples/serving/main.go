@@ -1,5 +1,5 @@
 // Serving: run a sharded serve.Server over several compiled instances —
-// the production-shaped layer above Instance/Solver/Batch. Registration
+// the production-shaped layer above Instance/Solver. Registration
 // compiles (and therefore validates) each instance once; concurrent
 // requests then share the compiled arena and the memoized caches, with
 // admission control, per-request deadlines and a byte-budget LRU keeping

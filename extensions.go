@@ -2,44 +2,15 @@ package ukc
 
 // Extensions beyond the paper's Table 1: the future-work directions its
 // conclusion announces (uncertain k-median and k-means via the same
-// surrogate reduction) and one-pass streaming variants of the pipelines.
-//
-// The flat functions here are deprecated wrappers over the Solver API; see
-// DESIGN.md for the migration table.
+// surrogate reduction, solved by Solver.SolveKMedian and Solver.SolveKMeans)
+// and one-pass streaming variants of the pipelines.
 
 import (
-	"context"
-	"math/rand"
-
 	"repro/internal/clusterx"
 	"repro/internal/geom"
 	"repro/internal/metricspace"
 	"repro/internal/stream"
 )
-
-// SolveKMedian solves the uncertain k-median (expected sum of distances)
-// with the surrogate reduction: 1-center surrogates, discrete local-search
-// k-median over the candidate set, expected-distance assignment. Returns
-// centers, assignment and the exact expected cost. A nil candidates
-// defaults to all point locations (the seed version rejected it).
-//
-// Deprecated: use NewSolver[Vec]().SolveKMedian with an Instance, which adds
-// context cancellation and worker-pool parallelism.
-func SolveKMedian(pts []Point, candidates []Vec, k int) ([]Vec, []int, float64, error) {
-	return NewSolver[Vec]().SolveKMedian(context.Background(),
-		NewInstance[Vec](metricspace.Euclidean{}, pts, candidates), k)
-}
-
-// SolveKMeans solves the uncertain k-means (expected sum of squared
-// distances). The reduction to Lloyd's algorithm on the expected points is
-// EXACT up to the additive variance floor Σ Var(P_i), which is also
-// returned: cost = clusteringCost(P̄) + floor.
-//
-// Deprecated: use NewSolver[Vec](WithSeed(...), WithMaxIter(...)).SolveKMeans,
-// which adds context cancellation.
-func SolveKMeans(pts []Point, k int, rng *rand.Rand, maxIter int) (centers []Vec, assign []int, cost, varianceFloor float64, err error) {
-	return clusterx.SolveUncertainKMeansCtx(context.Background(), pts, k, rng, maxIter)
-}
 
 // EMedianCost returns the exact uncertain k-median cost of an assignment.
 func EMedianCost(pts []Point, centers []Vec, assign []int) (float64, error) {
@@ -67,27 +38,4 @@ type StreamKCenter = stream.UncertainKCenter
 // NewStreamKCenter returns a streaming uncertain k-center sketch.
 func NewStreamKCenter(k int) (*StreamKCenter, error) {
 	return stream.NewUncertainKCenter(k)
-}
-
-// SolveUnassigned optimizes the paper's unassigned objective
-// E[max_i min_j d(X_i, c_j)] directly, by multi-start single-swap local
-// search over the candidate set on the exact cost evaluator. The paper
-// defines this version but gives no algorithm for it; on brute-forceable
-// instances the search matches the global optimum (see tests).
-//
-// Deprecated: use NewSolver[Vec]().SolveUnassigned with an Instance, which
-// adds context cancellation and a parallel neighborhood scan.
-func SolveUnassigned(pts []Point, candidates []Vec, k, maxIter int) ([]Vec, float64, error) {
-	s := NewSolver[Vec](WithMaxIter(maxIter))
-	return s.SolveUnassigned(context.Background(),
-		NewInstance[Vec](metricspace.Euclidean{}, pts, candidates), k)
-}
-
-// SolveUnassignedMetric is SolveUnassigned over a finite metric space.
-//
-// Deprecated: use NewSolver[int]().SolveUnassigned with NewFiniteInstance.
-func SolveUnassignedMetric(space *FiniteSpace, pts []FinitePoint, candidates []int, k, maxIter int) ([]int, float64, error) {
-	s := NewSolver[int](WithMaxIter(maxIter))
-	return s.SolveUnassigned(context.Background(),
-		NewFiniteInstance(space, pts, candidates), k)
 }

@@ -1,6 +1,7 @@
 package ukc_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,7 +14,8 @@ import (
 func TestFacadeKMedian(t *testing.T) {
 	pts := demoPoints(t)
 	cands := uncertain.AllLocations(pts)
-	centers, assign, cost, err := ukc.SolveKMedian(pts, cands, 3)
+	inst := ukc.NewInstance[ukc.Vec](ukc.Euclidean{}, pts, cands)
+	centers, assign, cost, err := ukc.NewSolver[ukc.Vec]().SolveKMedian(context.Background(), inst, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,9 +32,9 @@ func TestFacadeKMedian(t *testing.T) {
 }
 
 func TestFacadeKMeans(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
 	pts := demoPoints(t)
-	centers, assign, cost, floor, err := ukc.SolveKMeans(pts, 3, rng, 100)
+	solver := ukc.NewSolver[ukc.Vec](ukc.WithSeed(5), ukc.WithMaxIter(100))
+	centers, assign, cost, floor, err := solver.SolveKMeans(context.Background(), ukc.NewEuclideanInstance(pts), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +92,14 @@ func TestFacadeStreaming(t *testing.T) {
 	}
 	// The streaming result is a usable center set: exact cost is finite and
 	// within a constant of the batch pipeline.
-	streamCost, err := ukc.EcostUnassigned(pts, centers)
+	ctx := context.Background()
+	inst := ukc.NewEuclideanInstance(pts)
+	solver := ukc.NewSolver[ukc.Vec]()
+	streamCost, err := solver.EcostUnassigned(ctx, inst, centers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := ukc.SolveEuclidean(pts, 2, ukc.EuclideanOptions{})
+	batch, err := solver.Solve(ctx, inst, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,8 @@ type UncertainPoint[P any] = uncertain.Point[P]
 type Compiled[P any] = core.Compiled[P]
 
 // compileCell is the shared once-per-instance compilation cache. Every copy
-// of an Instance made after construction aliases the same cell, so a batch
-// pool, a solver and a direct Compile call all observe one compiled model.
+// of an Instance made after construction aliases the same cell, so every
+// solver and a direct Compile call all observe one compiled model.
 type compileCell[P any] struct {
 	mu sync.Mutex
 	c  *core.Compiled[P]
@@ -55,8 +55,8 @@ type compileCell[P any] struct {
 //
 // An instance built by a constructor carries a shared compilation cache:
 // the first solve (or explicit Compile call) validates, prunes and flattens
-// the points once, and every later solve — from any goroutine, any Solver,
-// or a Batch pool — reuses that compiled model and its memoized caches.
+// the points once, and every later solve — from any goroutine or any
+// Solver — reuses that compiled model and its memoized caches.
 // Consequently the Space, Points and Candidates fields must be treated as
 // immutable after the first solve; mutating them afterwards leaves the
 // cache describing data that no longer exists. Instances assembled as bare
@@ -88,12 +88,18 @@ func NewEuclideanInstance(pts []Point) Instance[Vec] {
 }
 
 // NewFiniteInstance wraps points over a finite metric space; a nil
-// candidates defaults to all space points, the natural candidate set.
+// candidates defaults to all space points, the natural candidate set. A nil
+// space leaves Space a nil interface rather than a typed nil pointer, so
+// Validate and every Solver method reject the instance with an error.
 func NewFiniteInstance(space *FiniteSpace, pts []FinitePoint, candidates []int) Instance[int] {
-	if candidates == nil && space != nil {
-		candidates = space.Points()
+	in := Instance[int]{Points: pts, Candidates: candidates, cc: &compileCell[int]{}}
+	if space != nil {
+		in.Space = space
+		if candidates == nil {
+			in.Candidates = space.Points()
+		}
 	}
-	return Instance[int]{Space: space, Points: pts, Candidates: candidates, cc: &compileCell[int]{}}
+	return in
 }
 
 // NewGraphInstance derives the shortest-path metric of g and wraps points

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -122,7 +123,7 @@ func TestPaperPipelineCompetitiveWithBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		paper, err := core.SolveEuclidean(pts, 2, core.EuclideanOptions{
+		paper, err := core.Solve[geom.Vec](context.Background(), euclid, pts, nil, 2, core.Options{
 			Surrogate: core.SurrogateOneCenter,
 			Rule:      core.RuleOC,
 		})

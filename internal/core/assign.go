@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/kcenter"
 	"repro/internal/metricspace"
 	"repro/internal/uncertain"
 )
@@ -44,16 +43,6 @@ func (r Rule) String() string {
 // point, the index of the center with minimal expected distance. O(n·z·k).
 func AssignED[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P) ([]int, error) {
 	return AssignCtx(context.Background(), space, pts, centers, RuleED, nil, 1)
-}
-
-// AssignBySurrogate assigns each point to the center nearest its surrogate
-// (surrogates[i] stands in for point i). With surrogates = expected points
-// this is the EP rule; with surrogates = 1-centers it is the OC rule.
-func AssignBySurrogate[P any](space metricspace.Space[P], surrogates, centers []P) ([]int, error) {
-	if len(centers) == 0 {
-		return nil, fmt.Errorf("core: AssignBySurrogate with no centers")
-	}
-	return kcenter.AssignNearest(space, surrogates, centers), nil
 }
 
 // AssignEuclidean dispatches the named rule for Euclidean instances,

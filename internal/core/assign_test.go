@@ -122,9 +122,6 @@ func TestAssignValidation(t *testing.T) {
 	if _, err := AssignED[geom.Vec](euclid, pts, nil); err == nil {
 		t.Error("no centers accepted")
 	}
-	if _, err := AssignBySurrogate[geom.Vec](euclid, []geom.Vec{{0}}, nil); err == nil {
-		t.Error("no centers accepted")
-	}
 	if _, err := AssignEuclidean(pts, []geom.Vec{{0}}, Rule(42)); err == nil {
 		t.Error("unknown rule accepted")
 	}

@@ -157,11 +157,11 @@ func TestZeroProbAtomCostConsistency(t *testing.T) {
 	// for bit, on the pruned support.
 	cands := uncertain.AllLocations(pts)
 	chosen := []int{0, 4}
-	cached, err := core.EcostSweepCtx[geom.Vec](ctx, euclid, pts, cands, chosen, 2, false)
+	cached, err := core.EcostSweepCompiled(ctx, compile(t, euclid, pts, cands), chosen, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := core.EcostSweepCtx[geom.Vec](ctx, euclid, pts, cands, chosen, 2, true)
+	scratch, err := core.EcostSweepCompiled(ctx, compile(t, euclid, pts, cands), chosen, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +176,11 @@ func TestZeroProbAtomCostConsistency(t *testing.T) {
 	// Local search: identical trajectories with and without the cache on the
 	// zero-atom instance.
 	for _, k := range []int{1, 2} {
-		fast, fastCost, err := core.SolveUnassignedLS[geom.Vec](ctx, euclid, pts, cands, k, core.LocalSearchOptions{})
+		fast, fastCost, err := core.SolveUnassignedLSCompiled(ctx, compile(t, euclid, pts, cands), k, core.LocalSearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, oracleCost, err := core.SolveUnassignedLS[geom.Vec](ctx, euclid, pts, cands, k, core.LocalSearchOptions{DisableSwapCache: true})
+		oracle, oracleCost, err := core.SolveUnassignedLSCompiled(ctx, compile(t, euclid, pts, cands), k, core.LocalSearchOptions{DisableSwapCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,11 +15,11 @@ func TestSolveEuclideanWithCoreset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := SolveEuclidean(pts, 4, EuclideanOptions{Rule: RuleEP})
+	direct, err := solveEuclidean(pts, 4, Options{Rule: RuleEP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := SolveEuclidean(pts, 4, EuclideanOptions{Rule: RuleEP, CoresetEps: 0.2})
+	cs, err := solveEuclidean(pts, 4, Options{Rule: RuleEP, CoresetEps: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSolveEuclideanCoresetCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveEuclidean(pts, 3, EuclideanOptions{
+	res, err := solveEuclidean(pts, 3, Options{
 		Rule: RuleEP, CoresetEps: 0.01, CoresetMaxSize: 25,
 	})
 	if err != nil {

@@ -52,24 +52,16 @@ func validateAssignment[P any](pts []uncertain.Point[P], centers []P, assign []i
 //
 // computed exactly in O(N) (see emax.Arena.ExpectedMaxFlat): for fixed centers
 // and assignment the per-point distances are independent discrete random
-// variables.
+// variables. The point set is compiled (validated, pruned, flattened) per
+// call; callers evaluating one instance repeatedly should Compile once and
+// use Compiled.EcostAssigned.
 func EcostAssigned[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P, assign []int) (float64, error) {
-	return EcostAssignedCtx(context.Background(), space, pts, centers, assign, 1)
-}
-
-// EcostAssignedCtx is EcostAssigned with cooperative cancellation and a
-// worker pool: the point set is compiled (validated, pruned, flattened)
-// per call and the flat per-atom distances are filled on `workers`
-// goroutines (disjoint point ranges, so the result is bit-identical to the
-// sequential evaluation) before the sort and sweep. It returns ctx.Err()
-// if canceled mid-build. Callers evaluating one instance repeatedly should
-// Compile once and use Compiled.EcostAssigned.
-func EcostAssignedCtx[P any](ctx context.Context, space metricspace.Space[P], pts []uncertain.Point[P], centers []P, assign []int, workers int) (float64, error) {
+	ctx := context.Background()
 	c, err := Compile(ctx, space, pts, nil)
 	if err != nil {
 		return 0, err
 	}
-	return c.EcostAssigned(ctx, centers, assign, workers)
+	return c.EcostAssigned(ctx, centers, assign, 1)
 }
 
 // EcostUnassigned returns the paper's unassigned expected cost
@@ -77,21 +69,15 @@ func EcostAssignedCtx[P any](ctx context.Context, space metricspace.Space[P], pt
 //	Σ_R prob(R) · max_i min_j d(P̂_i, c_j)
 //
 // exactly: each realization of each point independently snaps to its nearest
-// center, so the per-point min-distances are again independent RVs.
+// center, so the per-point min-distances are again independent RVs. Like
+// EcostAssigned it compiles per call; see Compiled.EcostUnassigned.
 func EcostUnassigned[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P) (float64, error) {
-	return EcostUnassignedCtx(context.Background(), space, pts, centers, 1)
-}
-
-// EcostUnassignedCtx is EcostUnassigned with cooperative cancellation and a
-// worker pool; see EcostAssignedCtx for the determinism contract. Callers
-// evaluating one instance repeatedly should Compile once and use
-// Compiled.EcostUnassigned.
-func EcostUnassignedCtx[P any](ctx context.Context, space metricspace.Space[P], pts []uncertain.Point[P], centers []P, workers int) (float64, error) {
+	ctx := context.Background()
 	c, err := Compile(ctx, space, pts, nil)
 	if err != nil {
 		return 0, err
 	}
-	return c.EcostUnassigned(ctx, centers, workers)
+	return c.EcostUnassigned(ctx, centers, 1)
 }
 
 // EcostAssignedNaive is the exponential enumeration oracle for EcostAssigned,

@@ -28,7 +28,7 @@ func TestTheorem22HeterogeneousZ(t *testing.T) {
 			{core.RuleED, 6},
 			{core.RuleEP, 4},
 		} {
-			res, err := core.SolveEuclidean(pts, k, core.EuclideanOptions{
+			res, err := solveEuclidean(pts, k, core.Options{
 				Rule: tc.rule, Solver: core.SolverGonzalez,
 			})
 			if err != nil {

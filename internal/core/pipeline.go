@@ -12,9 +12,8 @@ import (
 	"repro/obs"
 )
 
-// Options configures the unified Solve pipeline. It is the superset of the
-// legacy EuclideanOptions and MetricOptions. The zero value is the paper's
-// fast Euclidean pipeline (expected-point surrogates, Gonzalez, ED
+// Options configures the unified Solve pipeline. The zero value is the
+// paper's fast Euclidean pipeline (expected-point surrogates, Gonzalez, ED
 // assignment); non-Euclidean spaces must set Surrogate to
 // SurrogateOneCenter explicitly (the public ukc.Solver does this per-space
 // defaulting for its callers).
@@ -38,8 +37,11 @@ type Options struct {
 	// MaxNodes bounds SolverExactDiscrete's branch-and-bound (0 = default).
 	MaxNodes int
 	// CoresetEps, when positive, shrinks the surrogate set with an
-	// additive-error k-center coreset before the certain solver runs; see
-	// EuclideanOptions.CoresetEps.
+	// additive-error k-center coreset (kcenter.Coreset) before the certain
+	// solver runs. The deterministic radius degrades by at most
+	// CoresetEps·r_k, i.e. O(CoresetEps)·OPT. Worth it only when the solver
+	// is super-linear (SolverEps, SolverExactDiscrete) — Gonzalez is already
+	// O(nk) and the coreset construction costs as much as running it.
 	CoresetEps float64
 	// CoresetMaxSize caps the coreset size (0 = no cap).
 	CoresetMaxSize int

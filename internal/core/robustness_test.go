@@ -4,12 +4,17 @@ package core
 // panics deep inside the geometry code.
 
 import (
+	"context"
 	"testing"
 
-	"repro/internal/uncertain"
-
 	"repro/internal/geom"
+	"repro/internal/uncertain"
 )
+
+// solveEuclidean runs the unified pipeline on a Euclidean point set.
+func solveEuclidean(pts []uncertain.Point[geom.Vec], k int, opts Options) (Result[geom.Vec], error) {
+	return Solve[geom.Vec](context.Background(), euclid, pts, nil, k, opts)
+}
 
 func mixedDimSet() []uncertain.Point[geom.Vec] {
 	return []uncertain.Point[geom.Vec]{
@@ -19,7 +24,7 @@ func mixedDimSet() []uncertain.Point[geom.Vec] {
 }
 
 func TestSolveEuclideanRejectsMixedDimensions(t *testing.T) {
-	if _, err := SolveEuclidean(mixedDimSet(), 1, EuclideanOptions{}); err == nil {
+	if _, err := solveEuclidean(mixedDimSet(), 1, Options{}); err == nil {
 		t.Error("mixed-dimension set accepted")
 	}
 }
@@ -60,7 +65,7 @@ func TestSolveEuclideanHugeCoordinates(t *testing.T) {
 		uncertain.NewDeterministic(geom.Vec{1e150, 0}),
 		uncertain.NewDeterministic(geom.Vec{-1e150, 0}),
 	}
-	res, err := SolveEuclidean(pts, 1, EuclideanOptions{})
+	res, err := solveEuclidean(pts, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +84,7 @@ func TestSolveEuclideanDuplicateLocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveEuclidean([]uncertain.Point[geom.Vec]{p}, 1, EuclideanOptions{})
+	res, err := solveEuclidean([]uncertain.Point[geom.Vec]{p}, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +100,7 @@ func TestSolveEuclideanKLargerThanN(t *testing.T) {
 		uncertain.NewDeterministic(geom.Vec{0, 0}),
 		uncertain.NewDeterministic(geom.Vec{5, 5}),
 	}
-	res, err := SolveEuclidean(pts, 10, EuclideanOptions{})
+	res, err := solveEuclidean(pts, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +122,7 @@ func TestSolveEuclideanZeroProbabilityLocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := []uncertain.Point[geom.Vec]{p}
-	res, err := SolveEuclidean(pts, 1, EuclideanOptions{
+	res, err := solveEuclidean(pts, 1, Options{
 		Surrogate: SurrogateOneCenter, Rule: RuleOC,
 	})
 	if err != nil {

@@ -1,14 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/geom"
-	"repro/internal/kcenter"
-	"repro/internal/metricspace"
-	"repro/internal/uncertain"
-)
+import "fmt"
 
 // Surrogate selects which certain stand-in replaces each uncertain point
 // before the deterministic k-center step.
@@ -83,107 +75,4 @@ type Result[P any] struct {
 	// EffectiveEps is the ε certified by the certain solver (1 for
 	// Gonzalez, 0 for exact discrete, the grid value for SolverEps).
 	EffectiveEps float64
-}
-
-// EuclideanOptions configures SolveEuclidean. The zero value is the paper's
-// recommended fast pipeline: expected-point surrogates, Gonzalez, EP rule
-// (Table 1 row "k-center, Euclidean, O(nz + n log k), expected point, 4").
-type EuclideanOptions struct {
-	Surrogate Surrogate
-	Rule      Rule
-	Solver    Solver
-	// Eps is the ε for SolverEps (default 0.5).
-	Eps float64
-	// EpsOptions tunes the grid solver.
-	EpsOptions kcenter.EpsOptions
-	// Start is the Gonzalez start index (default 0).
-	Start int
-	// CoresetEps, when positive, shrinks the surrogate set with an
-	// additive-error k-center coreset (kcenter.Coreset) before the certain
-	// solver runs. The deterministic radius degrades by at most
-	// CoresetEps·r_k, i.e. O(CoresetEps)·OPT. Worth it only when the solver
-	// is super-linear (SolverEps, SolverExactDiscrete) — Gonzalez is already
-	// O(nk) and the coreset construction costs as much as running it.
-	CoresetEps float64
-	// CoresetMaxSize caps the coreset size (0 = no cap).
-	CoresetMaxSize int
-}
-
-// SolveEuclidean runs the paper's Euclidean surrogate pipeline:
-//
-//  1. replace each uncertain point by its surrogate (P̄ in O(nz), or P̃ by
-//     Weiszfeld);
-//  2. run the chosen deterministic k-center solver on the surrogates;
-//  3. assign points to centers by the chosen rule;
-//  4. report the exact expected cost.
-//
-// Approximation guarantees (vs the optimum of the corresponding problem
-// version) with expected-point surrogates: Gonzalez+ED 6, Gonzalez+EP 4,
-// (1+ε)+ED 5+ε, (1+ε)+EP 3+ε (Theorems 2.2, 2.4, 2.5).
-//
-// Deprecated: SolveEuclidean is the legacy flat entry point, kept for
-// compatibility. It is a thin wrapper over the unified generic Solve with a
-// background context; new code should call Solve (or the public
-// Instance/Solver API in the root package) to get context cancellation and
-// worker-pool parallelism.
-func SolveEuclidean(pts []uncertain.Point[geom.Vec], k int, opts EuclideanOptions) (Result[geom.Vec], error) {
-	return Solve[geom.Vec](context.Background(), metricspace.Euclidean{}, pts, nil, k, OptionsFromEuclidean(opts))
-}
-
-// OptionsFromEuclidean translates a legacy Euclidean option bundle to the
-// unified Options — the single owner of this field mapping (the harness
-// reuses it to add ctx/parallelism on top of legacy bundles).
-func OptionsFromEuclidean(opts EuclideanOptions) Options {
-	return Options{
-		Surrogate:      opts.Surrogate,
-		Rule:           opts.Rule,
-		Solver:         opts.Solver,
-		Eps:            opts.Eps,
-		EpsOptions:     opts.EpsOptions,
-		Start:          opts.Start,
-		MaxNodes:       opts.EpsOptions.MaxNodes,
-		CoresetEps:     opts.CoresetEps,
-		CoresetMaxSize: opts.CoresetMaxSize,
-	}
-}
-
-// MetricOptions configures SolveMetric. The zero value is Gonzalez with the
-// ED rule (Theorem 2.6: factor 7+2ε for the unrestricted optimum).
-type MetricOptions struct {
-	Rule   Rule
-	Solver Solver
-	// MaxNodes bounds SolverExactDiscrete's branch-and-bound.
-	MaxNodes int
-	// Start is the Gonzalez start index (default 0).
-	Start int
-}
-
-// SolveMetric runs the paper's general-metric pipeline (Theorems 2.6, 2.7):
-// surrogates are the 1-centers P̃_i computed over the candidate set (usually
-// all space points, or all locations), the deterministic k-center runs on
-// the surrogates, and points are assigned by RuleED (factor 7+2ε) or RuleOC
-// (factor 5+2ε). RuleEP is rejected outside Euclidean space.
-//
-// Deprecated: SolveMetric is the legacy flat entry point, kept for
-// compatibility. It is a thin wrapper over the unified generic Solve with a
-// background context; new code should call Solve (or the public
-// Instance/Solver API in the root package) to get context cancellation and
-// worker-pool parallelism.
-func SolveMetric[P any](space metricspace.Space[P], pts []uncertain.Point[P], candidates []P, k int, opts MetricOptions) (Result[P], error) {
-	if len(candidates) == 0 {
-		return Result[P]{}, fmt.Errorf("core: SolveMetric needs a candidate set")
-	}
-	return Solve(context.Background(), space, pts, candidates, k, OptionsFromMetric(opts))
-}
-
-// OptionsFromMetric translates a legacy finite-metric option bundle to the
-// unified Options; see OptionsFromEuclidean.
-func OptionsFromMetric(opts MetricOptions) Options {
-	return Options{
-		Surrogate: SurrogateOneCenter,
-		Rule:      opts.Rule,
-		Solver:    opts.Solver,
-		Start:     opts.Start,
-		MaxNodes:  opts.MaxNodes,
-	}
 }

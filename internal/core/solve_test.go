@@ -9,6 +9,7 @@ package core_test
 // space and the checks are exact.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,6 +25,29 @@ import (
 var euclid = metricspace.Euclidean{}
 
 const slack = 1e-9
+
+// solveEuclidean runs the unified pipeline on a Euclidean point set.
+func solveEuclidean(pts []uncertain.Point[geom.Vec], k int, opts core.Options) (core.Result[geom.Vec], error) {
+	return core.Solve[geom.Vec](context.Background(), euclid, pts, nil, k, opts)
+}
+
+// solveMetric runs the unified pipeline on a finite metric with 1-center
+// surrogates, the only kind that exists outside Euclidean space.
+func solveMetric(space *metricspace.Finite, pts []uncertain.Point[int], cands []int, k int, opts core.Options) (core.Result[int], error) {
+	opts.Surrogate = core.SurrogateOneCenter
+	return core.Solve[int](context.Background(), space, pts, cands, k, opts)
+}
+
+// compile is core.Compile with a background context, failing the test on
+// error.
+func compile[P any](t testing.TB, space metricspace.Space[P], pts []uncertain.Point[P], cands []P) *core.Compiled[P] {
+	t.Helper()
+	c, err := core.Compile(context.Background(), space, pts, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 // euclideanCandidates returns the discrete candidate set used by the
 // brute-force reference: every location plus every expected point.
@@ -73,7 +97,7 @@ func TestTheorem22(t *testing.T) {
 			{core.RuleED, core.SolverGonzalez, func(float64) float64 { return 6 }},
 			{core.RuleEP, core.SolverGonzalez, func(float64) float64 { return 4 }},
 		} {
-			res, err := core.SolveEuclidean(pts, k, core.EuclideanOptions{
+			res, err := solveEuclidean(pts, k, core.Options{
 				Surrogate: core.SurrogateExpectedPoint,
 				Rule:      tc.rule,
 				Solver:    tc.solver,
@@ -134,7 +158,7 @@ func TestTheorem24And25(t *testing.T) {
 			{core.RuleED, core.SolverGonzalez, func(float64) float64 { return 6 }},
 			{core.RuleEP, core.SolverGonzalez, func(float64) float64 { return 4 }},
 		} {
-			res, err := core.SolveEuclidean(pts, k, core.EuclideanOptions{
+			res, err := solveEuclidean(pts, k, core.Options{
 				Surrogate: core.SurrogateExpectedPoint,
 				Rule:      tc.rule,
 				Solver:    tc.solver,
@@ -197,7 +221,7 @@ func TestTheorem26And27(t *testing.T) {
 			{core.RuleED, core.SolverExactDiscrete, func(e float64) float64 { return 7 + 2*e }},
 			{core.RuleOC, core.SolverExactDiscrete, func(e float64) float64 { return 5 + 2*e }},
 		} {
-			res, err := core.SolveMetric[int](space, pts, cands, k, core.MetricOptions{
+			res, err := solveMetric(space, pts, cands, k, core.Options{
 				Rule:   tc.rule,
 				Solver: tc.solver,
 			})
@@ -241,19 +265,19 @@ func TestTheorem23(t *testing.T) {
 // TestSolveEuclideanValidation exercises the error paths.
 func TestSolveEuclideanValidation(t *testing.T) {
 	pts := []uncertain.Point[geom.Vec]{uncertain.NewDeterministic(geom.Vec{0, 0})}
-	if _, err := core.SolveEuclidean(nil, 1, core.EuclideanOptions{}); err == nil {
+	if _, err := solveEuclidean(nil, 1, core.Options{}); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, err := core.SolveEuclidean(pts, 0, core.EuclideanOptions{}); err == nil {
+	if _, err := solveEuclidean(pts, 0, core.Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := core.SolveEuclidean(pts, 1, core.EuclideanOptions{Surrogate: 99}); err == nil {
+	if _, err := solveEuclidean(pts, 1, core.Options{Surrogate: 99}); err == nil {
 		t.Error("unknown surrogate accepted")
 	}
-	if _, err := core.SolveEuclidean(pts, 1, core.EuclideanOptions{Solver: 99}); err == nil {
+	if _, err := solveEuclidean(pts, 1, core.Options{Solver: 99}); err == nil {
 		t.Error("unknown solver accepted")
 	}
-	if _, err := core.SolveEuclidean(pts, 1, core.EuclideanOptions{Rule: 99}); err == nil {
+	if _, err := solveEuclidean(pts, 1, core.Options{Rule: 99}); err == nil {
 		t.Error("unknown rule accepted")
 	}
 }
@@ -262,19 +286,19 @@ func TestSolveMetricValidation(t *testing.T) {
 	space, _ := metricspace.NewFinite([][]float64{{0, 1}, {1, 0}})
 	pts := []uncertain.Point[int]{uncertain.NewDeterministic(0)}
 	cands := space.Points()
-	if _, err := core.SolveMetric[int](space, nil, cands, 1, core.MetricOptions{}); err == nil {
+	if _, err := solveMetric(space, nil, cands, 1, core.Options{}); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, err := core.SolveMetric[int](space, pts, nil, 1, core.MetricOptions{}); err == nil {
+	if _, err := solveMetric(space, pts, nil, 1, core.Options{}); err == nil {
 		t.Error("no candidates accepted")
 	}
-	if _, err := core.SolveMetric[int](space, pts, cands, 0, core.MetricOptions{}); err == nil {
+	if _, err := solveMetric(space, pts, cands, 0, core.Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := core.SolveMetric[int](space, pts, cands, 1, core.MetricOptions{Solver: core.SolverEps}); err == nil {
+	if _, err := solveMetric(space, pts, cands, 1, core.Options{Solver: core.SolverEps}); err == nil {
 		t.Error("SolverEps accepted in metric space")
 	}
-	if _, err := core.SolveMetric[int](space, pts, cands, 1, core.MetricOptions{Rule: core.RuleEP}); err == nil {
+	if _, err := solveMetric(space, pts, cands, 1, core.Options{Rule: core.RuleEP}); err == nil {
 		t.Error("RuleEP accepted in metric space")
 	}
 }
@@ -287,7 +311,7 @@ func TestSolveEuclideanResultConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.SolveEuclidean(pts, 3, core.EuclideanOptions{Rule: core.RuleEP})
+	res, err := solveEuclidean(pts, 3, core.Options{Rule: core.RuleEP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +339,7 @@ func TestSolveEuclideanResultConsistency(t *testing.T) {
 func TestSolveMetricCentersAreSpacePoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	space, pts, k := finiteInstance(t, rng)
-	res, err := core.SolveMetric[int](space, pts, space.Points(), k, core.MetricOptions{Rule: core.RuleOC})
+	res, err := solveMetric(space, pts, space.Points(), k, core.Options{Rule: core.RuleOC})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/metricspace"
 	"repro/internal/par"
-	"repro/internal/uncertain"
 	"repro/obs"
 )
 
@@ -66,23 +64,6 @@ type SwapBase struct {
 // worker slot its own via NewScratch.
 type SwapScratch struct {
 	ecostScratch
-}
-
-// NewSwapEvaluator builds the distance-RV cache for (pts, candidates):
-// m candidate columns over the N positive-probability support atoms. The
-// build compiles the point set (validating it once) and fans out over
-// candidates on `workers` goroutines, honoring ctx. Callers holding a
-// Compiled should use Compiled.Evaluator, which memoizes one evaluator per
-// instance.
-func NewSwapEvaluator[P any](ctx context.Context, space metricspace.Space[P], pts []uncertain.Point[P], candidates []P, workers int) (*SwapEvaluator[P], error) {
-	if space == nil {
-		return nil, fmt.Errorf("core: SwapEvaluator with nil space")
-	}
-	c, err := Compile(ctx, space, pts, candidates)
-	if err != nil {
-		return nil, err
-	}
-	return newSwapEvaluatorCompiled(ctx, c, candidates, workers)
 }
 
 // newSwapEvaluatorCompiled builds the candidate columns over a compiled
@@ -188,22 +169,6 @@ func (e *SwapEvaluator[P]) Cost(b *SwapBase, s *SwapScratch, chosen []int) float
 	return e.EvalSwap(b, s, chosen[0])
 }
 
-// EcostSweepCtx evaluates the full single-swap neighborhood of a center set
-// on the exact unassigned objective over a raw point set, compiling it per
-// call; see EcostSweepCompiled for the semantics. Callers solving one
-// instance repeatedly should Compile once and use EcostSweepCompiled, which
-// reuses the instance's memoized evaluator across calls.
-func EcostSweepCtx[P any](ctx context.Context, space metricspace.Space[P], pts []uncertain.Point[P], candidates []P, chosen []int, workers int, disableCache bool) ([][]float64, error) {
-	if len(candidates) == 0 {
-		return nil, fmt.Errorf("core: EcostSweep needs candidates")
-	}
-	c, err := Compile(ctx, space, pts, candidates)
-	if err != nil {
-		return nil, err
-	}
-	return EcostSweepCompiled(ctx, c, chosen, workers, disableCache)
-}
-
 // EcostSweepCompiled evaluates the full single-swap neighborhood of a
 // center set on the exact unassigned objective of a compiled instance:
 // out[pos][c] is the E-cost of chosen with chosen[pos] replaced by
@@ -262,10 +227,9 @@ func EcostSweepCompiled[P any](ctx context.Context, c *Compiled[P], chosen []int
 	return out, nil
 }
 
-// ecostSweepRows fills the k×m sweep matrix on caller-owned scan state —
-// the shared inner loop of EcostSweepCompiled (fresh state per call) and
-// SolveUnassignedLSSweepCompiled (the descent's state, reused: satellite of
-// the candidate-index PR — the sweep then allocates only its result rows).
+// ecostSweepRows fills the k×m sweep matrix of EcostSweepCompiled on
+// caller-owned scan state, so the sweep itself allocates only its result
+// rows.
 func ecostSweepRows[P any](ctx context.Context, ev *SwapEvaluator[P], base *SwapBase, scratches []*SwapScratch, chosen []int, workers int) ([][]float64, error) {
 	m := len(ev.cols)
 	out := make([][]float64, len(chosen))
@@ -285,8 +249,7 @@ func ecostSweepRows[P any](ctx context.Context, ev *SwapEvaluator[P], base *Swap
 // ecostSweepFlatRows is the sweep without the distance-RV table: every
 // (position, candidate) entry is a from-scratch exact evaluation on the
 // caller's per-worker scratches (center buffer, flat distance values, sweep
-// arena), which may be sized for more centers than len(chosen) — the
-// oracle descent shares its k-sized scratches here.
+// arena).
 func ecostSweepFlatRows[P any](ctx context.Context, c *Compiled[P], candidates []P, scr []*flatScratch[P], chosen []int, workers int) ([][]float64, error) {
 	base := make([]P, len(chosen))
 	for i, ch := range chosen {

@@ -56,7 +56,7 @@ func TestSwapEvaluatorMatchesRaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 40; trial++ {
 		pts, cands, chosen := randomSwapInstance(t, rng)
-		ev, err := core.NewSwapEvaluator[geom.Vec](ctx, euclid, pts, cands, 1)
+		ev, err := compile(t, euclid, pts, cands).Evaluator(ctx, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestSwapEvaluatorFiniteMetric(t *testing.T) {
 		space, pts, k := finiteInstance(t, rng)
 		cands := space.Points()
 		chosen := rng.Perm(len(cands))[:k]
-		ev, err := core.NewSwapEvaluator[int](ctx, space, pts, cands, 1)
+		ev, err := compile(t, space, pts, cands).Evaluator(ctx, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestEcostSweepMatchesRaw(t *testing.T) {
 	pts, cands, chosen := randomSwapInstance(t, rng)
 	var first [][]float64
 	for _, workers := range []int{1, 4, 8} {
-		sweep, err := core.EcostSweepCtx[geom.Vec](ctx, euclid, pts, cands, chosen, workers, false)
+		sweep, err := core.EcostSweepCompiled(ctx, compile(t, euclid, pts, cands), chosen, workers, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestEcostSweepMatchesRaw(t *testing.T) {
 		}
 	}
 	// The cache-disabled escape hatch equals the cached sweep.
-	scratch, err := core.EcostSweepCtx[geom.Vec](ctx, euclid, pts, cands, chosen, 4, true)
+	scratch, err := core.EcostSweepCompiled(ctx, compile(t, euclid, pts, cands), chosen, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestUnassignedTrajectoryEquality(t *testing.T) {
 		var ref *run
 		for _, workers := range []int{1, 4, 8} {
 			for _, disable := range []bool{false, true} {
-				centers, cost, err := core.SolveUnassignedLS[geom.Vec](ctx, euclid, pts, cands, k, core.LocalSearchOptions{
+				centers, cost, err := core.SolveUnassignedLSCompiled(ctx, compile(t, euclid, pts, cands), k, core.LocalSearchOptions{
 					MaxIter:          50,
 					Parallelism:      workers,
 					DisableSwapCache: disable,

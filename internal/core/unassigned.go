@@ -7,11 +7,10 @@ import (
 
 	"repro/internal/metricspace"
 	"repro/internal/par"
-	"repro/internal/uncertain"
 	"repro/obs"
 )
 
-// LocalSearchOptions configures SolveUnassignedLS.
+// LocalSearchOptions configures SolveUnassignedLSCompiled.
 type LocalSearchOptions struct {
 	// MaxIter bounds the swap rounds (default 100).
 	MaxIter int
@@ -54,32 +53,6 @@ func (o LocalSearchOptions) Workers() int {
 	return Options{Parallelism: o.Parallelism}.Workers()
 }
 
-// SolveUnassignedLocalSearch optimizes the paper's UNASSIGNED objective
-// over centers drawn from a candidate set; see SolveUnassignedLS.
-//
-// Deprecated: SolveUnassignedLocalSearch is the legacy flat entry point,
-// kept for compatibility. New code should call SolveUnassignedLS, which
-// adds context cancellation and a parallel neighborhood scan.
-func SolveUnassignedLocalSearch[P any](space metricspace.Space[P], pts []uncertain.Point[P], candidates []P, k, maxIter int) ([]P, float64, error) {
-	return SolveUnassignedLS(context.Background(), space, pts, candidates, k, LocalSearchOptions{MaxIter: maxIter})
-}
-
-// SolveUnassignedLS optimizes the paper's unassigned objective over a raw
-// point set, compiling it per call; see SolveUnassignedLSCompiled for the
-// algorithm. Callers that solve one instance repeatedly should Compile once
-// and use SolveUnassignedLSCompiled, which reuses the instance's memoized
-// 1-center surrogates and distance-RV evaluator across solves.
-func SolveUnassignedLS[P any](ctx context.Context, space metricspace.Space[P], pts []uncertain.Point[P], candidates []P, k int, opts LocalSearchOptions) ([]P, float64, error) {
-	if len(candidates) == 0 {
-		return nil, 0, fmt.Errorf("core: SolveUnassignedLS needs candidates")
-	}
-	c, err := Compile(ctx, space, pts, candidates)
-	if err != nil {
-		return nil, 0, err
-	}
-	return SolveUnassignedLSCompiled(ctx, c, k, opts)
-}
-
 // SolveUnassignedLSCompiled optimizes the paper's UNASSIGNED objective
 //
 //	Ecost(C) = E[max_i min_j d(X_i, c_j)]
@@ -109,45 +82,11 @@ func SolveUnassignedLS[P any](ctx context.Context, space metricspace.Space[P], p
 // with ctx.Err(); Parallelism > 1 fans the scan out over a worker pool with
 // bit-identical results.
 func SolveUnassignedLSCompiled[P any](ctx context.Context, c *Compiled[P], k int, opts LocalSearchOptions) ([]P, float64, error) {
-	chosen, cost, _, err := solveUnassignedLS(ctx, c, k, opts)
+	chosen, cost, err := solveUnassignedLS(ctx, c, k, opts)
 	if err != nil {
 		return nil, 0, err
 	}
 	return selectCandidates(c.CandidatesOrLocations(), chosen), cost, nil
-}
-
-// SolveUnassignedLSSweepCompiled runs the local-search descent and then
-// evaluates the full single-swap neighborhood of the winning centers — the
-// EcostSweepCompiled matrix — reusing the descent's prepared scan state
-// (the memoized evaluator plus the per-scan base and per-worker scratches
-// the final round already has in hand) instead of allocating a fresh set.
-// The combined call allocates only the k result rows beyond the solve
-// itself (alloc-pinned by tests); the matrix is exact — the full sweep
-// never prunes, whatever the solve's CandidateIndex mode. Returns the
-// centers, their cost, the sweep matrix and the chosen candidate indices
-// (sweep[pos][c] = cost of centers with position pos replaced by candidate
-// c; chosen indexes CandidatesOrLocations()).
-func SolveUnassignedLSSweepCompiled[P any](ctx context.Context, c *Compiled[P], k int, opts LocalSearchOptions) ([]P, float64, [][]float64, []int, error) {
-	chosen, cost, ds, err := solveUnassignedLS(ctx, c, k, opts)
-	if err != nil {
-		return nil, 0, nil, nil, err
-	}
-	candidates := c.CandidatesOrLocations()
-	sp := obs.StartSpan(obs.FromContext(ctx), "sweep")
-	sp.Int("k", len(chosen))
-	sp.Int("candidates", len(candidates))
-	sp.Int("reused", 1)
-	var sweep [][]float64
-	if ds.ev != nil {
-		sweep, err = ecostSweepRows(ctx, ds.ev, ds.base, ds.scratches, chosen, ds.workers)
-	} else {
-		sweep, err = ecostSweepFlatRows(ctx, c, candidates, ds.flat, chosen, ds.workers)
-	}
-	if err != nil {
-		return nil, 0, nil, nil, err
-	}
-	sp.End()
-	return selectCandidates(candidates, chosen), cost, sweep, chosen, nil
 }
 
 // selectCandidates materializes candidate indices as points.
@@ -159,12 +98,11 @@ func selectCandidates[P any](candidates []P, idx []int) []P {
 	return out
 }
 
-// descentState is the scan state shared by every descent of one solve (and
-// by a trailing sweep on the SolveUnassignedLSSweepCompiled path): the
+// descentState is the scan state shared by every descent of one solve: the
 // evaluator with its per-scan base and per-worker scratches, the candidate
 // index's pivot/graph layers with their per-position prune state, and — on
 // the oracle path — the per-worker from-scratch scratches. Allocated once
-// per solve; both seed descents and the final-round sweep reuse it.
+// per solve; both seed descents reuse it.
 type descentState[P any] struct {
 	workers int
 
@@ -193,21 +131,19 @@ type pruneStats struct {
 	scanned, pruned, boundFail int
 }
 
-// solveUnassignedLS is the shared engine behind SolveUnassignedLSCompiled
-// and SolveUnassignedLSSweepCompiled: resolve the index mode, build the
-// shared descent state, run the two seed descents, return the winner's
-// candidate indices plus the state for a caller that wants to keep
-// scanning with it.
-func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts LocalSearchOptions) ([]int, float64, *descentState[P], error) {
+// solveUnassignedLS is the engine behind SolveUnassignedLSCompiled: resolve
+// the index mode, build the shared descent state, run the two seed descents
+// and return the winner's candidate indices.
+func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts LocalSearchOptions) ([]int, float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if c == nil {
-		return nil, 0, nil, fmt.Errorf("core: nil compiled instance")
+		return nil, 0, fmt.Errorf("core: nil compiled instance")
 	}
 	candidates := c.CandidatesOrLocations()
 	if k <= 0 {
-		return nil, 0, nil, fmt.Errorf("core: k = %d", k)
+		return nil, 0, fmt.Errorf("core: k = %d", k)
 	}
 	if k > len(candidates) {
 		k = len(candidates)
@@ -224,7 +160,7 @@ func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts L
 	// instance's memoized cache.
 	surr, err := c.Surrogates(ctx, SurrogateOneCenter, candidates, opts.Workers())
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, err
 	}
 	space := c.Space()
 	seeds := [][]int{
@@ -245,7 +181,7 @@ func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts L
 		// every later solve of the same instance.
 		ds.ev, err = c.Evaluator(ctx, ds.workers)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, err
 		}
 		ds.base = ds.ev.NewBase()
 		ds.scratches = make([]*SwapScratch, ds.workers)
@@ -255,7 +191,7 @@ func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts L
 		if mode != CandIndexOff {
 			ds.ix, err = c.CandIndex(ctx, opts.IndexPivots, ds.workers)
 			if err != nil {
-				return nil, 0, nil, err
+				return nil, 0, err
 			}
 			ds.st = ds.ix.NewPruneState()
 			ds.pivotOrd = make([]int32, len(candidates))
@@ -268,7 +204,7 @@ func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts L
 			if mode == CandIndexApprox {
 				ds.gr, err = c.CandGraph(ctx, opts.GraphDegree, ds.workers)
 				if err != nil {
-					return nil, 0, nil, err
+					return nil, 0, err
 				}
 				ds.mark = make([]bool, len(candidates))
 			}
@@ -282,13 +218,13 @@ func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts L
 	for _, seed := range seeds {
 		chosen, cost, err := swapDescent(ctx, c, candidates, seed, maxIter, ds)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, err
 		}
 		if bestChosen == nil || cost < bestCost*(1-1e-9) {
 			bestChosen, bestCost = chosen, cost
 		}
 	}
-	return bestChosen, bestCost, ds, nil
+	return bestChosen, bestCost, nil
 }
 
 // swapDescent runs best-improvement single-swap local search on the exact

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,16 +12,20 @@ import (
 	"repro/internal/uncertain"
 )
 
+// lsOpts caps the local search at 50 swap rounds.
+var lsOpts = core.LocalSearchOptions{MaxIter: 50}
+
 func TestUnassignedLocalSearchValidation(t *testing.T) {
+	ctx := context.Background()
 	pts := []uncertain.Point[geom.Vec]{uncertain.NewDeterministic(geom.Vec{0})}
 	cands := []geom.Vec{{0}}
-	if _, _, err := core.SolveUnassignedLocalSearch[geom.Vec](euclid, nil, cands, 1, 0); err == nil {
+	if _, err := core.Compile[geom.Vec](ctx, euclid, nil, cands); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, _, err := core.SolveUnassignedLocalSearch[geom.Vec](euclid, pts, nil, 1, 0); err == nil {
-		t.Error("no candidates accepted")
+	if _, _, err := core.SolveUnassignedLSCompiled[geom.Vec](ctx, nil, 1, lsOpts); err == nil {
+		t.Error("nil compiled instance accepted")
 	}
-	if _, _, err := core.SolveUnassignedLocalSearch[geom.Vec](euclid, pts, cands, 0, 0); err == nil {
+	if _, _, err := core.SolveUnassignedLSCompiled(ctx, compile(t, euclid, pts, cands), 0, lsOpts); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -43,7 +48,7 @@ func TestUnassignedLocalSearchNearOptimal(t *testing.T) {
 		}
 		k := 1 + rng.Intn(2)
 		cands := uncertain.AllLocations(pts)
-		_, lsCost, err := core.SolveUnassignedLocalSearch[geom.Vec](euclid, pts, cands, k, 50)
+		_, lsCost, err := core.SolveUnassignedLSCompiled(context.Background(), compile(t, euclid, pts, cands), k, lsOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,11 +91,11 @@ func TestUnassignedLocalSearchImprovesOnSeeds(t *testing.T) {
 		// Candidate parity with the pipeline: locations AND expected points,
 		// since the pipeline's centers are unconstrained expected points.
 		cands := euclideanCandidates(pts)
-		_, lsCost, err := core.SolveUnassignedLocalSearch[geom.Vec](euclid, pts, cands, 2, 50)
+		_, lsCost, err := core.SolveUnassignedLSCompiled(context.Background(), compile(t, euclid, pts, cands), 2, lsOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pipe, err := core.SolveEuclidean(pts, 2, core.EuclideanOptions{Rule: core.RuleEP})
+		pipe, err := solveEuclidean(pts, 2, core.Options{Rule: core.RuleEP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +112,7 @@ func TestUnassignedLocalSearchImprovesOnSeeds(t *testing.T) {
 func TestUnassignedLocalSearchOnFiniteMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	space, pts, k := finiteInstance(t, rng)
-	centers, cost, err := core.SolveUnassignedLocalSearch[int](space, pts, space.Points(), k, 50)
+	centers, cost, err := core.SolveUnassignedLSCompiled(context.Background(), compile(t, space, pts, space.Points()), k, lsOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

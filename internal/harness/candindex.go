@@ -135,6 +135,6 @@ func RunR4(cfg Config) (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		"invariant: every prune row's cost ratio is exactly 1 (bit-identical trajectories, any pivot count); approx ratios are recorded, not gated",
 		"prune rate grows with pivot count but each pivot costs one exact evaluation per scan position — the sweep shows where the trade turns",
-		"BENCH_PR9.json records the same axes on the n=m=1000 acceptance instance via make bench-index")
+		"make bench-index measures the same axes on the n=m=1000 acceptance instance")
 	return rep, nil
 }

@@ -52,18 +52,18 @@ func (c Config) context() context.Context {
 	return c.Ctx
 }
 
-// solveEuclidean routes a legacy Euclidean option bundle through the
-// unified context-aware core.Solve with the config's parallelism.
-func (c Config) solveEuclidean(pts []uncertain.Point[geom.Vec], k int, o core.EuclideanOptions) (core.Result[geom.Vec], error) {
-	opts := core.OptionsFromEuclidean(o)
+// solveEuclidean runs the unified context-aware core.Solve over a
+// Euclidean point set with the config's parallelism.
+func (c Config) solveEuclidean(pts []uncertain.Point[geom.Vec], k int, opts core.Options) (core.Result[geom.Vec], error) {
 	opts.Parallelism = c.Parallelism
 	return core.Solve[geom.Vec](c.context(), metricspace.Euclidean{}, pts, nil, k, opts)
 }
 
-// solveMetric routes a legacy finite-metric option bundle through the
-// unified context-aware core.Solve with the config's parallelism.
-func (c Config) solveMetric(space metricspace.Space[int], pts []uncertain.Point[int], candidates []int, k int, o core.MetricOptions) (core.Result[int], error) {
-	opts := core.OptionsFromMetric(o)
+// solveMetric runs core.Solve over a finite metric with 1-center
+// surrogates (the only kind that exists outside Euclidean space) and the
+// config's parallelism.
+func (c Config) solveMetric(space metricspace.Space[int], pts []uncertain.Point[int], candidates []int, k int, opts core.Options) (core.Result[int], error) {
+	opts.Surrogate = core.SurrogateOneCenter
 	opts.Parallelism = c.Parallelism
 	return core.Solve[int](c.context(), space, pts, candidates, k, opts)
 }
@@ -72,8 +72,7 @@ func (c Config) solveMetric(space metricspace.Space[int], pts []uncertain.Point[
 // already-compiled instance, so validation, flattening and the memoized
 // surrogates are shared across every solve of the same pool entry (the R3
 // experiment measures exactly this amortization).
-func (c Config) solveCompiled(cc *core.Compiled[geom.Vec], k int, o core.EuclideanOptions) (core.Result[geom.Vec], error) {
-	opts := core.OptionsFromEuclidean(o)
+func (c Config) solveCompiled(cc *core.Compiled[geom.Vec], k int, opts core.Options) (core.Result[geom.Vec], error) {
 	opts.Parallelism = c.Parallelism
 	return core.SolveCompiled(c.context(), cc, k, opts)
 }
@@ -192,7 +191,7 @@ func RunEuclideanRows(cfg Config) (*Report, error) {
 				return nil, err
 			}
 			k := 1 + rng.Intn(2)
-			res, err := cfg.solveEuclidean(pts, k, core.EuclideanOptions{
+			res, err := cfg.solveEuclidean(pts, k, core.Options{
 				Surrogate: core.SurrogateExpectedPoint,
 				Rule:      spec.rule,
 				Solver:    spec.solver,
@@ -321,7 +320,7 @@ func RunE9(cfg Config) (*Report, error) {
 					return nil, err
 				}
 				k := 1 + rng.Intn(2)
-				res, err := cfg.solveMetric(space, pts, space.Points(), k, core.MetricOptions{
+				res, err := cfg.solveMetric(space, pts, space.Points(), k, core.Options{
 					Rule: c.rule, Solver: c.solver,
 				})
 				if err != nil {
@@ -410,11 +409,11 @@ func RunC1(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			ep, err := cfg.solveEuclidean(pts, k, core.EuclideanOptions{Rule: core.RuleEP})
+			ep, err := cfg.solveEuclidean(pts, k, core.Options{Rule: core.RuleEP})
 			if err != nil {
 				return nil, err
 			}
-			oc, err := cfg.solveEuclidean(pts, k, core.EuclideanOptions{
+			oc, err := cfg.solveEuclidean(pts, k, core.Options{
 				Surrogate: core.SurrogateOneCenter, Rule: core.RuleOC,
 			})
 			if err != nil {
@@ -459,11 +458,11 @@ func RunC1(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			oc, err := cfg.solveMetric(space, pts, space.Points(), k, core.MetricOptions{Rule: core.RuleOC})
+			oc, err := cfg.solveMetric(space, pts, space.Points(), k, core.Options{Rule: core.RuleOC})
 			if err != nil {
 				return nil, err
 			}
-			ed, err := cfg.solveMetric(space, pts, space.Points(), k, core.MetricOptions{Rule: core.RuleED})
+			ed, err := cfg.solveMetric(space, pts, space.Points(), k, core.Options{Rule: core.RuleED})
 			if err != nil {
 				return nil, err
 			}
@@ -545,13 +544,13 @@ func RunA1(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			ep, err := cfg.solveEuclidean(pts, k, core.EuclideanOptions{
+			ep, err := cfg.solveEuclidean(pts, k, core.Options{
 				Surrogate: core.SurrogateExpectedPoint, Rule: core.RuleEP,
 			})
 			if err != nil {
 				return nil, err
 			}
-			oc, err := cfg.solveEuclidean(pts, k, core.EuclideanOptions{
+			oc, err := cfg.solveEuclidean(pts, k, core.Options{
 				Surrogate: core.SurrogateOneCenter, Rule: core.RuleOC,
 			})
 			if err != nil {
@@ -595,7 +594,7 @@ func RunA2(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := cfg.solveEuclidean(pts, k, core.EuclideanOptions{Rule: core.RuleEP})
+			res, err := cfg.solveEuclidean(pts, k, core.Options{Rule: core.RuleEP})
 			if err != nil {
 				return nil, err
 			}
@@ -640,7 +639,7 @@ func RunA3(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := cfg.solveEuclidean(pts, 4, core.EuclideanOptions{Rule: core.RuleEP})
+		res, err := cfg.solveEuclidean(pts, 4, core.Options{Rule: core.RuleEP})
 		if err != nil {
 			return nil, err
 		}
@@ -688,7 +687,7 @@ func RunR2(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		t0 := time.Now()
-		if _, err := cfg.solveEuclidean(pts, 8, core.EuclideanOptions{Rule: core.RuleEP}); err != nil {
+		if _, err := cfg.solveEuclidean(pts, 8, core.Options{Rule: core.RuleEP}); err != nil {
 			return nil, err
 		}
 		d := time.Since(t0)
@@ -707,7 +706,7 @@ func RunR2(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		t0 := time.Now()
-		if _, err := cfg.solveEuclidean(pts, 8, core.EuclideanOptions{Rule: core.RuleEP}); err != nil {
+		if _, err := cfg.solveEuclidean(pts, 8, core.Options{Rule: core.RuleEP}); err != nil {
 			return nil, err
 		}
 		d := time.Since(t0)
@@ -730,13 +729,13 @@ func RunR2(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	epsOpts := core.EuclideanOptions{Rule: core.RuleEP, Solver: core.SolverEps, Eps: 0.5}
+	epsOpts := core.Options{Rule: core.RuleEP, Solver: core.SolverEps, Eps: 0.5}
 	withCS := epsOpts
 	withCS.CoresetEps = 0.3
 	withCS.CoresetMaxSize = 40
 	for _, variant := range []struct {
 		name string
-		opts core.EuclideanOptions
+		opts core.Options
 	}{
 		{"direct (1+eps)", epsOpts},
 		{"coreset + (1+eps)", withCS},

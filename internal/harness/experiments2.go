@@ -63,7 +63,7 @@ func RunA4(cfg Config) (*Report, error) {
 		grids := NewStats()
 		for _, in := range pool {
 			t0 := time.Now()
-			res, err := cfg.solveCompiled(in.c, in.k, core.EuclideanOptions{
+			res, err := cfg.solveCompiled(in.c, in.k, core.Options{
 				Rule: core.RuleEP, Solver: core.SolverEps, Eps: eps,
 			})
 			if err != nil {

@@ -55,7 +55,7 @@ func RunR3(cfg Config) (*Report, error) {
 		t0 := time.Now()
 		var coldCosts []float64
 		for i := 0; i < R; i++ {
-			res, err := cfg.solveEuclidean(pts, ks[i%len(ks)], core.EuclideanOptions{
+			res, err := cfg.solveEuclidean(pts, ks[i%len(ks)], core.Options{
 				Surrogate: core.SurrogateOneCenter, Rule: core.RuleOC,
 			})
 			if err != nil {

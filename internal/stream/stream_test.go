@@ -231,7 +231,7 @@ func TestUncertainKCenterStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := core.SolveEuclidean(pts, 3, core.EuclideanOptions{Rule: core.RuleEP})
+	batch, err := core.Solve[geom.Vec](context.Background(), euclid, pts, nil, 3, core.Options{Rule: core.RuleEP})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,7 @@ package ukc_test
 // with no tracer installed the instrumented hot paths cost nothing — same
 // allocs/op and ≤1% time vs the uninstrumented baseline recorded in
 // BENCH_PR5.json — and even a live tracer adds only span-proportional
-// work, not per-atom work. Recorded into BENCH_PR6.json by `make
-// bench-json`.
+// work, not per-atom work. `make bench` runs it.
 
 import (
 	"context"

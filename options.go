@@ -19,18 +19,17 @@ type Surrogate = core.Surrogate
 // CandidateIndexMode selects how SolveUnassigned's neighborhood scan uses
 // the instance's candidate index: CandIndexPrune (the default) keeps the
 // scan exact while skipping candidates a triangle-inequality lower bound
-// certifies as non-improving, CandIndexApprox restricts the scan to the
-// candidate neighborhood graph of the current centers, CandIndexOff scans
-// everything (the oracle). See WithCandidateIndex.
+// certifies as non-improving, and CandIndexApprox restricts the scan to the
+// candidate neighborhood graph of the current centers. See
+// WithCandidateIndex.
 type CandidateIndexMode = core.CandidateIndexMode
 
 const (
 	// CandIndexDefault defers to the surrounding configuration (a request
 	// inherits its solver's mode; a solver defaults to CandIndexPrune).
 	CandIndexDefault = core.CandIndexDefault
-	// CandIndexOff disables the index: every candidate is evaluated.
-	CandIndexOff = core.CandIndexOff
-	// CandIndexPrune enables provably safe pruning (bit-identical to Off).
+	// CandIndexPrune enables provably safe pruning: trajectories are
+	// bit-identical to scanning every candidate.
 	CandIndexPrune = core.CandIndexPrune
 	// CandIndexApprox enables the neighborhood-graph restricted scan.
 	CandIndexApprox = core.CandIndexApprox
@@ -156,8 +155,8 @@ func WithSwapCache(enabled bool) Option {
 // WithCandidateIndex selects how SolveUnassigned's neighborhood scan uses
 // the instance's metric candidate index (default CandIndexPrune):
 //
-//   - CandIndexPrune — exact results, bit-identical trajectories to
-//     CandIndexOff (pinned by tests and a fuzz target): each scan position
+//   - CandIndexPrune — exact results, bit-identical trajectories to the
+//     unindexed scan (pinned by tests and a fuzz target): each scan position
 //     evaluates P maxmin-seeded pivots exactly, then skips every candidate
 //     whose triangle-inequality lower bound max_p(cost(p) − d(p, c))
 //     already reaches the incumbent cost — typically the large majority of
@@ -167,7 +166,6 @@ func WithSwapCache(enabled bool) Option {
 //     faster on large candidate sets, but the descent may settle on a
 //     different (slightly worse) local optimum; the quality/speed curve is
 //     recorded in BENCH_PR9.json. An explicit opt-in, never a default.
-//   - CandIndexOff — scan every candidate (the PR-3 oracle path).
 //
 // Both index layers are built lazily from the instance's memoized
 // distance-RV columns, memoized on the compiled instance, and byte-

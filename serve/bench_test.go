@@ -1,9 +1,9 @@
 package serve_test
 
-// Serving-layer benchmarks, recorded into BENCH_PR5.json by `make
-// bench-serve`: request throughput through the sharded admission/deadline/
-// eviction machinery with the warm-cache hit rate reported per run, and the
-// per-request overhead the serving layer adds over a direct Solver call.
+// Serving-layer benchmarks (run by `make bench`): request throughput
+// through the sharded admission/deadline/eviction machinery with the
+// warm-cache hit rate reported per run, and the per-request overhead the
+// serving layer adds over a direct Solver call.
 
 import (
 	"context"

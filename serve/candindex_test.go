@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	ukc "repro"
+	"repro/internal/core"
 	"repro/serve"
 )
 
@@ -28,7 +29,7 @@ func TestServeCandidateIndexUnderEviction(t *testing.T) {
 	}
 	want := make([]ref, len(insts))
 	for i, inst := range insts {
-		centers, cost, err := solver.SolveUnassignedMode(ctx, inst, k, ukc.CandIndexOff)
+		centers, cost, err := solver.SolveUnassignedMode(ctx, inst, k, core.CandIndexOff)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func TestServeCandidateIndexUnderEviction(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i := range insts {
 			name := fmt.Sprintf("inst-%d", i)
-			for _, mode := range []ukc.CandidateIndexMode{ukc.CandIndexDefault, ukc.CandIndexPrune, ukc.CandIndexOff} {
+			for _, mode := range []ukc.CandidateIndexMode{ukc.CandIndexDefault, ukc.CandIndexPrune, core.CandIndexOff} {
 				resp, err := srv.SolveUnassigned(ctx, serve.UnassignedRequest{Instance: name, K: k, Index: mode})
 				if err != nil {
 					t.Fatal(err)

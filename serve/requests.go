@@ -182,8 +182,8 @@ func (s *Server[P]) EcostSweep(ctx context.Context, req EcostSweepRequest[P]) (E
 // candidate-index mode for this request: the zero value
 // (ukc.CandIndexDefault) defers to the server solver's WithCandidateIndex
 // option — safe pruning unless the operator chose otherwise — while
-// ukc.CandIndexOff / CandIndexPrune / CandIndexApprox override it per
-// request. Prune keeps answers bit-identical to Off; Approx trades exact
+// ukc.CandIndexPrune / CandIndexApprox override it per request. Prune keeps
+// answers bit-identical to the unindexed scan; Approx trades exact
 // trajectories for neighborhood-restricted scans.
 type UnassignedRequest struct {
 	Instance string

@@ -3,8 +3,8 @@
 // hash-sharded across independent worker pools, with request admission,
 // per-request deadlines and byte-budget eviction of the memoized caches.
 //
-// Where ukc.Batch is a one-shot pool over a slice of instances, a Server is
-// a long-lived process component: instances are registered once (compiled
+// Where a ukc.Solver answers one call on one instance, a Server is a
+// long-lived process component: instances are registered once (compiled
 // eagerly, so registration is also validation), then many concurrent
 // callers issue typed requests — Solve, Assign, Ecost, EcostSweep,
 // SolveUnassigned — against them by name. The expensive per-instance state
@@ -32,7 +32,8 @@
 // All admission, execution and eviction decisions are per shard, so a hot
 // or thrashing shard cannot stall the others. Metrics() returns a
 // snapshot — queue depths, cache bytes, hit/miss, latency quantiles — for
-// tests, benchmarks and operational endpoints (cmd/ukserver exposes it).
+// tests and in-process callers; Collect walks the same state for
+// exporters (cmd/ukserver serves it on GET /metrics).
 package serve
 
 import (

@@ -616,33 +616,3 @@ func TestServeMetricsLatency(t *testing.T) {
 		t.Fatalf("HitRate = %v, want strictly between 0 and 1 after 1 miss + 4 hits", hr)
 	}
 }
-
-// TestServeBatchEquivalence documents the Batch→Server migration path: the
-// same work submitted through ukc.Batch and through a single-shard Server
-// yields identical results (the Server adds admission, deadlines and the
-// cache budget that Batch lacks).
-func TestServeBatchEquivalence(t *testing.T) {
-	ctx := context.Background()
-	solver := ukc.NewSolver[ukc.Vec]()
-	insts := testInstances(t, 4)
-
-	batch, err := ukc.NewBatch(solver, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchRes := batch.SolveAll(ctx, insts, 2)
-
-	srv := newTestServer(t, solver, insts, serve.WithWorkersPerShard(2))
-	for i := range insts {
-		resp, err := srv.Solve(ctx, serve.SolveRequest{Instance: fmt.Sprintf("inst-%d", i), K: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batchRes[i].Err != nil {
-			t.Fatal(batchRes[i].Err)
-		}
-		if resp.Result.Ecost != batchRes[i].Result.Ecost || !sameVecs(resp.Result.Centers, batchRes[i].Result.Centers) {
-			t.Fatalf("instance %d: Server and Batch disagree", i)
-		}
-	}
-}

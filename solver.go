@@ -28,8 +28,8 @@ type ResultOf[P any] = core.Result[P]
 // Every method compiles its instance implicitly on first use (see
 // Instance.Compile): the validated flat model, both surrogate kinds and the
 // distance-RV swap evaluator are built once per instance and shared by all
-// later calls — from this solver, another solver, or a Batch pool — so
-// repeated solves of one instance pay only the k-dependent stages.
+// later calls — from this solver or another one — so repeated solves of
+// one instance pay only the k-dependent stages.
 //
 //	solver := ukc.NewSolver[ukc.Vec](ukc.WithRule(ukc.RuleEP), ukc.WithParallelism(8))
 //	res, err := solver.Solve(ctx, ukc.NewEuclideanInstance(pts), 3)
@@ -70,13 +70,26 @@ func (s *Solver[P]) resolve(eu bool) core.Options {
 	return opts
 }
 
-// compile checks the instance shape and returns its compiled representation
-// (cached in the instance after the first call).
-func (s *Solver[P]) compile(ctx context.Context, inst Instance[P]) (*Compiled[P], error) {
-	if inst.Space == nil {
-		return nil, fmt.Errorf("ukc: instance with nil space")
+// checkCenters rejects centers the instance's space cannot measure — a
+// Euclidean center of the wrong dimension, or a finite-space vertex outside
+// [0, N) — so a malformed request fails with an error instead of panicking
+// inside a distance loop.
+func checkCenters[P any](c *Compiled[P], centers []P) error {
+	switch sp := any(c.Space()).(type) {
+	case Euclidean:
+		for i, ctr := range any(centers).([]Vec) {
+			if len(ctr) != c.Dim() {
+				return fmt.Errorf("ukc: center %d has dimension %d, instance has %d", i, len(ctr), c.Dim())
+			}
+		}
+	case *FiniteSpace:
+		for i, v := range any(centers).([]int) {
+			if v < 0 || v >= sp.N() {
+				return fmt.Errorf("ukc: center %d is vertex %d, outside [0,%d)", i, v, sp.N())
+			}
+		}
 	}
-	return inst.Compile(ctx)
+	return nil
 }
 
 // obsCtx threads the solver's tracer into the request context, merging with
@@ -103,7 +116,7 @@ func (s *Solver[P]) obsCtx(ctx context.Context) context.Context {
 // and exact expected costs on the compiled flat model.
 func (s *Solver[P]) Solve(ctx context.Context, inst Instance[P], k int) (ResultOf[P], error) {
 	ctx = s.obsCtx(ctx)
-	c, err := s.compile(ctx, inst)
+	c, err := inst.Compile(ctx)
 	if err != nil {
 		return ResultOf[P]{}, err
 	}
@@ -114,7 +127,7 @@ func (s *Solver[P]) Solve(ctx context.Context, inst Instance[P], k int) (ResultO
 // E[max_i min_j d(X_i, c_j)] directly by multi-start single-swap local
 // search over the candidate set on the exact cost evaluator (the paper
 // defines this version but gives no algorithm; see
-// core.SolveUnassignedLS). Centers are drawn from the instance's candidate
+// core.SolveUnassignedLSCompiled). Centers are drawn from the instance's candidate
 // set, defaulting to all point locations (including zero-probability ones —
 // pruning removes probability mass, not center sites). The distance-RV
 // cache behind the fast path and the candidate index pruning the scan
@@ -130,7 +143,7 @@ func (s *Solver[P]) SolveUnassigned(ctx context.Context, inst Instance[P], k int
 // this call only. The serving layer's per-request Index field routes here.
 func (s *Solver[P]) SolveUnassignedMode(ctx context.Context, inst Instance[P], k int, mode CandidateIndexMode) ([]P, float64, error) {
 	ctx = s.obsCtx(ctx)
-	c, err := s.compile(ctx, inst)
+	c, err := inst.Compile(ctx)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -161,8 +174,11 @@ func (s *Solver[P]) EcostSweep(ctx context.Context, inst Instance[P], centers []
 		return nil, nil, fmt.Errorf("ukc: EcostSweep with no centers")
 	}
 	ctx = s.obsCtx(ctx)
-	c, err := s.compile(ctx, inst)
+	c, err := inst.Compile(ctx)
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := checkCenters(c, centers); err != nil {
 		return nil, nil, err
 	}
 	snapped = c.SnapToCandidates(centers)
@@ -180,7 +196,7 @@ func (s *Solver[P]) EcostSweep(ctx context.Context, inst Instance[P], centers []
 // k-median cost of the assignment.
 func (s *Solver[P]) SolveKMedian(ctx context.Context, inst Instance[P], k int) ([]P, []int, float64, error) {
 	ctx = s.obsCtx(ctx)
-	c, err := s.compile(ctx, inst)
+	c, err := inst.Compile(ctx)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -211,8 +227,11 @@ func (s *Solver[P]) SolveKMeans(ctx context.Context, inst Instance[P], k int) (c
 // model.
 func (s *Solver[P]) Ecost(ctx context.Context, inst Instance[P], centers []P, assign []int) (float64, error) {
 	ctx = s.obsCtx(ctx)
-	c, err := s.compile(ctx, inst)
+	c, err := inst.Compile(ctx)
 	if err != nil {
+		return 0, err
+	}
+	if err := checkCenters(c, centers); err != nil {
 		return 0, err
 	}
 	return c.EcostAssigned(ctx, centers, assign, core.Options{Parallelism: s.cfg.opts.Parallelism}.Workers())
@@ -223,8 +242,11 @@ func (s *Solver[P]) Ecost(ctx context.Context, inst Instance[P], centers []P, as
 // model.
 func (s *Solver[P]) EcostUnassigned(ctx context.Context, inst Instance[P], centers []P) (float64, error) {
 	ctx = s.obsCtx(ctx)
-	c, err := s.compile(ctx, inst)
+	c, err := inst.Compile(ctx)
 	if err != nil {
+		return 0, err
+	}
+	if err := checkCenters(c, centers); err != nil {
 		return 0, err
 	}
 	return c.EcostUnassigned(ctx, centers, core.Options{Parallelism: s.cfg.opts.Parallelism}.Workers())
@@ -235,8 +257,11 @@ func (s *Solver[P]) EcostUnassigned(ctx context.Context, inst Instance[P], cente
 // EP and OC rules reuse the instance's memoized surrogates.
 func (s *Solver[P]) Assign(ctx context.Context, inst Instance[P], centers []P) ([]int, error) {
 	ctx = s.obsCtx(ctx)
-	c, err := s.compile(ctx, inst)
+	c, err := inst.Compile(ctx)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkCenters(c, centers); err != nil {
 		return nil, err
 	}
 	opts := s.resolve(c.IsEuclidean())

@@ -19,7 +19,7 @@ import (
 // validate, prune, flatten); BenchmarkSnapshotOpen is the snapshot path
 // (bounds/CRC sweep plus slice reinterpretation); BenchmarkSnapshotWarmSolve
 // shows that solving off the mapped arena costs the same as off the heap.
-// `make bench-json` records all three into $(BENCH_OUT).
+// `make bench` runs all three.
 
 // benchSetup builds one deterministic instance per size and returns its
 // JSON document and frozen snapshot path.

@@ -30,12 +30,9 @@
 // (finite/graph metrics use the 1-center surrogate in place of the expected
 // point). Every solve takes a context.Context and aborts mid-solve on
 // cancellation; WithParallelism(n) fans the hot loops out over a worker
-// pool with bit-identical results, and Batch solves many instances
-// concurrently on a shared bounded pool.
-//
-// The flat functions below (SolveEuclidean, SolveMetric, Assign, Ecost, …)
-// are the legacy surface, kept as thin deprecated wrappers over the Solver
-// API; DESIGN.md carries the migration table.
+// pool with bit-identical results. Long-lived processes that serve many
+// instances use package serve, which adds admission control, deadlines and
+// cache eviction around the same Solver.
 //
 // The subpackages under internal/ hold the substrates (geometry, metric
 // spaces, graph shortest paths, the exact E[max] evaluator, deterministic
@@ -76,7 +73,7 @@ type FinitePoint = uncertain.Point[int]
 type FiniteSpace = metricspace.Finite
 
 // Graph is a weighted undirected graph whose shortest-path metric can serve
-// as the finite space of SolveMetric.
+// as the finite space of an instance (see NewGraphInstance).
 type Graph = graphmetric.Graph
 
 // Result is the output of the solvers: centers, assignment, and exact
@@ -106,15 +103,6 @@ const (
 	SolverExactDiscrete = core.SolverExactDiscrete
 )
 
-// EuclideanOptions configures SolveEuclidean; the zero value is the paper's
-// O(nz + n log k) pipeline with the factor-4 guarantee (expected-point
-// surrogate, Gonzalez, EP assignment).
-type EuclideanOptions = core.EuclideanOptions
-
-// MetricOptions configures SolveMetric; the zero value is Gonzalez with the
-// ED assignment (factor 7+2ε against the unrestricted optimum).
-type MetricOptions = core.MetricOptions
-
 // NewPoint validates and constructs an uncertain point from locations and
 // probabilities (which must sum to 1).
 func NewPoint(locs []Vec, probs []float64) (Point, error) {
@@ -140,31 +128,6 @@ func NewFinitePoint(locs []int, probs []float64) (FinitePoint, error) {
 // AddEdge, then derive its metric with (*Graph).Metric.
 func NewGraph(n int) *Graph { return graphmetric.New(n) }
 
-// SolveEuclidean runs the paper's Euclidean surrogate pipeline
-// (Theorems 2.1–2.5). See EuclideanOptions for the factor/runtime menu.
-//
-// Deprecated: use NewSolver[Vec] with functional options and Solve, which
-// adds context cancellation and worker-pool parallelism:
-//
-//	solver := ukc.NewSolver[ukc.Vec](ukc.WithRule(opts.Rule), ...)
-//	res, err := solver.Solve(ctx, ukc.NewEuclideanInstance(pts), k)
-func SolveEuclidean(pts []Point, k int, opts EuclideanOptions) (Result, error) {
-	// core.SolveEuclidean owns the legacy option mapping and is itself a
-	// wrapper over the same unified core.Solve that Solver.Solve calls.
-	return core.SolveEuclidean(pts, k, opts)
-}
-
-// SolveMetric runs the general-metric pipeline (Theorems 2.6–2.7) over a
-// finite metric space; candidates is the center/surrogate search space,
-// typically space.Points().
-//
-// Deprecated: use NewSolver[int] with functional options and Solve over a
-// NewFiniteInstance (or NewGraphInstance), which adds context cancellation
-// and worker-pool parallelism.
-func SolveMetric(space *FiniteSpace, pts []FinitePoint, candidates []int, k int, opts MetricOptions) (FiniteResult, error) {
-	return core.SolveMetric[int](space, pts, candidates, k, opts)
-}
-
 // OneCenter returns the Theorem 2.1 uncertain 1-center: an expected point
 // with exact cost at most twice the optimum.
 func OneCenter(pts []Point) (Vec, float64, error) {
@@ -176,30 +139,6 @@ func OneCenter(pts []Point) (Vec, float64, error) {
 // diameter.
 func Optimal1Center(pts []Point, tol float64) (Vec, float64, error) {
 	return core.Optimal1CenterEuclidean(pts, tol)
-}
-
-// Ecost returns the exact assigned expected cost of (centers, assign).
-//
-// Deprecated: use Solver.Ecost, which adds context cancellation and
-// worker-pool parallelism.
-func Ecost(pts []Point, centers []Vec, assign []int) (float64, error) {
-	return core.EcostAssigned[geom.Vec](metricspace.Euclidean{}, pts, centers, assign)
-}
-
-// EcostUnassigned returns the exact unassigned expected cost of centers.
-//
-// Deprecated: use Solver.EcostUnassigned, which adds context cancellation
-// and worker-pool parallelism.
-func EcostUnassigned(pts []Point, centers []Vec) (float64, error) {
-	return core.EcostUnassigned[geom.Vec](metricspace.Euclidean{}, pts, centers)
-}
-
-// Assign computes the named assignment rule for a center set.
-//
-// Deprecated: use Solver.Assign, which adds context cancellation and
-// worker-pool parallelism.
-func Assign(pts []Point, centers []Vec, rule core.Rule) ([]int, error) {
-	return core.AssignEuclidean(pts, centers, rule)
 }
 
 // ExpectedPoint returns P̄ = Σ p_j·P_j of one uncertain point.

@@ -2,12 +2,12 @@ package ukc_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	ukc "repro"
-	"repro/internal/core"
 	"repro/internal/gen"
 )
 
@@ -22,23 +22,25 @@ func demoPoints(t *testing.T) []ukc.Point {
 }
 
 func TestFacadeEuclideanPipeline(t *testing.T) {
-	pts := demoPoints(t)
-	res, err := ukc.SolveEuclidean(pts, 3, ukc.EuclideanOptions{Rule: ukc.RuleEP})
+	ctx := context.Background()
+	inst := ukc.NewEuclideanInstance(demoPoints(t))
+	solver := ukc.NewSolver[ukc.Vec](ukc.WithRule(ukc.RuleEP))
+	res, err := solver.Solve(ctx, inst, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Centers) != 3 || len(res.Assign) != len(pts) {
+	if len(res.Centers) != 3 || len(res.Assign) != inst.N() {
 		t.Fatalf("malformed result")
 	}
-	// Facade evaluators agree with the result.
-	ec, err := ukc.Ecost(pts, res.Centers, res.Assign)
+	// The solver's evaluators agree with the result.
+	ec, err := solver.Ecost(ctx, inst, res.Centers, res.Assign)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(ec-res.Ecost) > 1e-9 {
 		t.Errorf("Ecost %g vs result %g", ec, res.Ecost)
 	}
-	un, err := ukc.EcostUnassigned(pts, res.Centers)
+	un, err := solver.EcostUnassigned(ctx, inst, res.Centers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,8 @@ func TestFacadeMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ukc.SolveMetric(space, []ukc.FinitePoint{p1, p2}, space.Points(), 2, ukc.MetricOptions{Rule: ukc.RuleOC})
+	inst := ukc.NewFiniteInstance(space, []ukc.FinitePoint{p1, p2}, nil)
+	res, err := ukc.NewSolver[int](ukc.WithRule(ukc.RuleOC)).Solve(context.Background(), inst, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +190,14 @@ func TestFacadeIO(t *testing.T) {
 }
 
 func TestFacadeAssign(t *testing.T) {
-	pts := demoPoints(t)
+	inst := ukc.NewEuclideanInstance(demoPoints(t))
 	centers := []ukc.Vec{{0, 0}, {10, 10}}
-	for _, rule := range []core.Rule{ukc.RuleED, ukc.RuleEP, ukc.RuleOC} {
-		assign, err := ukc.Assign(pts, centers, rule)
+	for _, rule := range []ukc.Rule{ukc.RuleED, ukc.RuleEP, ukc.RuleOC} {
+		assign, err := ukc.NewSolver[ukc.Vec](ukc.WithRule(rule)).Assign(context.Background(), inst, centers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(assign) != len(pts) {
+		if len(assign) != inst.N() {
 			t.Fatalf("assign length %d", len(assign))
 		}
 	}

@@ -9,9 +9,12 @@ import (
 )
 
 func TestFacadeSolveUnassigned(t *testing.T) {
+	ctx := context.Background()
 	pts := demoPoints(t)
 	cands := append(uncertain.AllLocations(pts), ukc.ExpectedPoint(pts[0]))
-	centers, cost, err := ukc.SolveUnassigned(pts, cands, 3, 50)
+	inst := ukc.NewInstance[ukc.Vec](ukc.Euclidean{}, pts, cands)
+	solver := ukc.NewSolver[ukc.Vec](ukc.WithMaxIter(50))
+	centers, cost, err := solver.SolveUnassigned(ctx, inst, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +22,7 @@ func TestFacadeSolveUnassigned(t *testing.T) {
 		t.Fatalf("centers = %d", len(centers))
 	}
 	// Reported cost matches re-evaluation.
-	got, err := ukc.EcostUnassigned(pts, centers)
+	got, err := solver.EcostUnassigned(ctx, inst, centers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +31,7 @@ func TestFacadeSolveUnassigned(t *testing.T) {
 	}
 	// Optimizing the unassigned objective directly never loses to the
 	// pipeline's unassigned cost when given its centers' building blocks.
-	pipe, err := ukc.SolveEuclidean(pts, 3, ukc.EuclideanOptions{})
+	pipe, err := solver.Solve(ctx, ukc.NewEuclideanInstance(pts), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +59,8 @@ func TestFacadeSolveUnassignedMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	centers, cost, err := ukc.SolveUnassignedMetric(space, []ukc.FinitePoint{p1, p2}, space.Points(), 2, 50)
+	inst := ukc.NewFiniteInstance(space, []ukc.FinitePoint{p1, p2}, nil)
+	centers, cost, err := ukc.NewSolver[int](ukc.WithMaxIter(50)).SolveUnassigned(context.Background(), inst, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
