@@ -37,8 +37,9 @@ test-faults:
 # test-alloc-pins is the nightly allocation gate: the nil tracer and the
 # disabled flight recorder must add ZERO allocations to the paths they
 # instrument, and the warmed exact E-cost kernels (Arena.ExpectedMax,
-# Arena.ExpectedMaxFlat, SwapEvaluator.PrepareBase and EvalSwap) must
-# allocate nothing.
+# Arena.ExpectedMaxFlat, Arena.ExpectedMaxMinFlat,
+# SwapEvaluator.PrepareBase and EvalSwap, unbounded and with a prune
+# threshold armed) must allocate nothing.
 # These tests run in `make test` too; the standalone target fails the
 # nightly loudly and in isolation if a change loses a nil guard or a
 # reused buffer.
@@ -51,10 +52,11 @@ FUZZTIME ?= 5m
 fuzz-arena:
 	$(GO) test -fuzz FuzzOpen -fuzztime $(FUZZTIME) -run '^$$' ./internal/arena
 
-# fuzz-bound runs the candidate-index soundness fuzzer for $(FUZZTIME):
-# random metric instances through LowerBound(base, c) ≤ EvalSwap(base, c) +
-# 1e-12 — the inequality CandIndexPrune's bit-identical-trajectory claim
-# rests on (nightly CI).
+# fuzz-bound runs the prune-bound soundness fuzzer for $(FUZZTIME): random
+# metric instances, point masses skewed inside the validation tolerance,
+# through t*(c)·G∞ ≤ EvalSwap(base, c) + 1e-12 and "a candidate the armed
+# threshold skips costs ≥ cost₀·(1 − 1e-12)" — the inequalities
+# CandIndexPrune's bit-identical-trajectory claim rests on (nightly CI).
 fuzz-bound:
 	$(GO) test -fuzz FuzzLowerBound -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 

@@ -457,8 +457,9 @@ var benchSink float64
 // on the exact unassigned objective, from-scratch versus through the
 // incremental SwapEvaluator. n=200, m=200, k=8, z=4, single worker, so the
 // gap is algorithmic (no parallelism): the scratch path pays O(n·z·k)
-// metric calls per candidate, the incremental path a single O(nz) min pass
-// over cached columns. Both then run the same sweep. The evaluator build is
+// metric calls per candidate, the incremental path a t* pass and a fused
+// min pass over cached columns. Both then run the same sweep. The
+// evaluator build is
 // outside the timed loop — it is paid once per solve and amortizes over
 // k·m·rounds evaluations. ReportAllocs pins the incremental scan at 0
 // allocs: EvalSwap and PrepareBase both reuse their scratch.

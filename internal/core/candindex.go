@@ -10,8 +10,8 @@ import (
 	"repro/internal/par"
 )
 
-// CandidateIndexMode selects how the local-search neighborhood scan uses the
-// instance's candidate index (CandIndex / CandGraph).
+// CandidateIndexMode selects how the local-search neighborhood scan prunes
+// and restricts its candidates.
 //
 // The zero value (CandIndexDefault) resolves to the environment's default —
 // CandIndexPrune — so zero-valued options and requests get safe pruning
@@ -24,17 +24,17 @@ const (
 	// inherits its solver's mode, a solver inherits the package default,
 	// which is CandIndexPrune.
 	CandIndexDefault CandidateIndexMode = iota
-	// CandIndexOff scans every candidate exactly — the PR-3 oracle path.
+	// CandIndexOff scans every candidate exactly — the oracle path.
 	CandIndexOff
-	// CandIndexPrune keeps the scan exact but skips candidates whose
-	// triangle-inequality lower bound already certifies they cannot beat the
-	// scan-entry incumbent. Provably safe: trajectories are bit-identical to
-	// CandIndexOff (pinned by tests and a fuzz target on the bound).
+	// CandIndexPrune keeps the scan exact but skips candidates whose t*·G∞
+	// lower bound certifies they cannot beat the scan-entry incumbent:
+	// trajectories are bit-identical to CandIndexOff (pinned by tests and a
+	// fuzz target on the bound).
 	CandIndexPrune
-	// CandIndexApprox restricts each scan position to the candidate
-	// neighborhood graph of the current centers (plus the pivots). Fast and
-	// usually near-exact, but the trajectory may differ from the oracle —
-	// an explicit opt-in, never a default.
+	// CandIndexApprox restricts each scan position, pruned the same way, to
+	// the graph neighborhoods of the current centers plus the CandIndex
+	// pivots. Fast and usually near-exact, but the trajectory may differ
+	// from the oracle — an explicit opt-in, never a default.
 	CandIndexApprox
 )
 
@@ -61,137 +61,61 @@ func (m CandidateIndexMode) resolve() CandidateIndexMode {
 	return m
 }
 
-// Default index knobs: the pivot count of the prune bound and the per-node
-// degree of the approximate neighborhood graph. Builds with these values are
-// memoized on the Compiled instance; other values are computed fresh per
-// call (the same precedent Surrogates sets for foreign candidate sets).
+// Default approximate-mode knobs: the pivot count and the graph degree.
+// Builds with these values are memoized on the Compiled instance; other
+// values are computed fresh per call.
 const (
 	DefaultIndexPivots = 16
 	DefaultGraphDegree = 8
 )
 
-// CandIndex is the pivot layer of the candidate index: P pivots chosen
-// maxmin (farthest-first) over the candidate set, the P×m pivot→candidate
-// distance table, and a per-candidate expected-distance surrogate — the
-// precomputed, immutable inputs of a triangle-inequality lower bound on the
-// exact swap cost.
-//
-// The bound rests on the E-cost functional being 1-Lipschitz in the
-// candidate under the metric: for a fixed prepared base b (the per-atom min
-// over the k−1 unchanged centers), every realization's value
-// max_i min(b_f, d_f(c)) moves by at most |d_f(c) − d_f(p)| ≤ d(c, p) when
-// the swapped-in candidate moves from p to c (min and max are 1-Lipschitz,
-// expectation is a convex combination). Hence, writing F(c) for
-// EvalSwap(base, c),
-//
-//	F(c) ≥ F(p) − d(p, c)            for every pivot p,
-//
-// so after the scan evaluates the P pivots exactly, max_p(F(p) − d(p, c))
-// lower-bounds every remaining candidate's exact cost using zero metric
-// calls and zero column reads. For k = 1 (empty base) the per-candidate
-// surrogate expDist[c] = max_i E[d(X_i, c)] ≤ E[max_i d(X_i, c)] = F(c)
-// joins the bound.
-//
-// A CandIndex is immutable after construction and safe to share across
-// goroutines and solves; per-scan state lives in a caller-owned PruneState.
-// Memory: 8·P·m (table) + 8·m (surrogates) + 4·P (pivot ids) bytes,
-// memoized on the Compiled next to the evaluator and visible to
-// CacheBytes/DropCaches.
-type CandIndex[P any] struct {
-	pivots    []int32     // pivot candidate indices, maxmin order
-	pivotDist [][]float64 // [p][c] = d(candidate pivots[p], candidate c)
-	expDist   []float64   // [c] = max_i Σ_f probs[f]·d(loc_f, c) over point i's atoms
+// CandIndex holds P pivots chosen maxmin (farthest-first) over the
+// candidate set. Approximate mode adds them to every scan position as
+// global probes, so a descent confined to graph neighborhoods still tries a
+// spread-out sample of the whole set. Immutable; 4·P bytes, memoized on the
+// Compiled and visible to CacheBytes/DropCaches.
+type CandIndex struct {
+	pivots []int32 // pivot candidate indices, maxmin order
 }
 
-// NumPivots returns P, the number of pivots actually selected (less than the
-// requested count only when the candidate set has fewer distinct points).
-func (ix *CandIndex[P]) NumPivots() int { return len(ix.pivots) }
-
-// Pivots returns the pivot candidate indices; callers must not mutate them.
-func (ix *CandIndex[P]) Pivots() []int32 { return ix.pivots }
+// Pivots returns the pivot candidate indices — fewer than requested only
+// when the candidate set has fewer distinct points; callers must not mutate
+// them.
+func (ix *CandIndex) Pivots() []int32 { return ix.pivots }
 
 // Bytes returns the index's exact memory cost — the CacheBytes contribution
-// documented in DESIGN.md §11: 8·P·m + 8·m + 4·P.
-func (ix *CandIndex[P]) Bytes() int64 {
-	m := int64(len(ix.expDist))
-	p := int64(len(ix.pivots))
-	return 8*p*m + 8*m + 4*p
-}
+// documented in DESIGN.md §11: 4·P.
+func (ix *CandIndex) Bytes() int64 { return 4 * int64(len(ix.pivots)) }
 
-// PruneState is the per-scan-position state of pruned scanning: the exact
-// E-cost of every pivot at the current (chosen, pos), and the incumbent
-// threshold candidates must beat. One state per descent; the scan overwrites
-// it at every position. It must not be written concurrently with LowerBound
-// reads — a scan fills pivotCost first, then fans the bound checks out.
-type PruneState struct {
-	pivotCost []float64
-	threshold float64
-}
-
-// NewPruneState returns a fresh scan state sized for this index.
-func (ix *CandIndex[P]) NewPruneState() *PruneState {
-	return &PruneState{pivotCost: make([]float64, len(ix.pivots))}
-}
-
-// LowerBound returns a certified lower bound on EvalSwap(base, c) — the
-// exact unassigned E-cost of the prepared base's center set with candidate c
-// swapped in — from the pivot costs cached in st:
-//
-//	max_p (pivotCost[p] − pivotDist[p][c])
-//
-// joined, when the base is empty (k = 1), by the expected-distance surrogate
-// expDist[c]. O(P) float ops, no metric calls. The bound never exceeds the
-// exact cost by more than floating-point roundoff (≤ 1e-12 relative, pinned
-// by tests and FuzzLowerBound), which is what makes pruning against a
-// threshold 1e-9-relative below safe.
-func (ix *CandIndex[P]) LowerBound(b *SwapBase, st *PruneState, c int) float64 {
-	lb := math.Inf(-1)
-	for p, pc := range st.pivotCost {
-		if v := pc - ix.pivotDist[p][c]; v > lb {
-			lb = v
-		}
-	}
-	if b != nil && b.unchanged == 0 {
-		if v := ix.expDist[c]; v > lb {
-			lb = v
-		}
-	}
-	return lb
-}
-
-// newCandIndex builds the pivot index over the compiled instance's candidate
-// set: maxmin (Gonzalez farthest-first) pivot seeding from candidate 0, the
-// P×m distance table (parallelized over pivots), and the per-candidate
-// expected-distance surrogates read straight off the evaluator's distance-RV
-// columns — zero additional metric calls for that last term.
-func newCandIndex[P any](ctx context.Context, c *Compiled[P], ev *SwapEvaluator[P], pivots, workers int) (*CandIndex[P], error) {
-	cands := c.CandidatesOrLocations()
+// newCandIndex selects the pivots by maxmin (Gonzalez farthest-first)
+// seeding from candidate 0: repeatedly take the candidate farthest from the
+// chosen pivots. Each round's distance refresh fans out over `workers`;
+// the farthest candidate is picked serially, so the pivots are
+// deterministic for any worker count. Stops early when every remaining
+// candidate duplicates a pivot. Cost: P·m metric calls.
+func newCandIndex[P any](ctx context.Context, space metricspace.Space[P], cands []P, pivots, workers int) (*CandIndex, error) {
 	m := len(cands)
 	if m == 0 {
 		return nil, fmt.Errorf("core: candidate index needs candidates")
 	}
-	if pivots > m {
-		pivots = m
-	}
-	// Maxmin seeding: start at candidate 0, repeatedly take the candidate
-	// farthest from the chosen pivots. Deterministic; stops early when every
-	// remaining candidate duplicates a pivot.
 	minD := make([]float64, m)
 	for i := range minD {
 		minD[i] = math.Inf(1)
 	}
-	piv := make([]int32, 0, pivots)
+	piv := make([]int32, 0, min(pivots, m))
 	next := 0
-	for len(piv) < pivots {
+	for len(piv) < cap(piv) {
 		piv = append(piv, int32(next))
 		pc := cands[next]
+		if err := par.For(ctx, m, workers, func(i int) {
+			minD[i] = min(minD[i], space.Dist(cands[i], pc))
+		}); err != nil {
+			return nil, err
+		}
 		far, farD := -1, -1.0
-		for i := range cands {
-			if d := c.space.Dist(cands[i], pc); d < minD[i] {
-				minD[i] = d
-			}
-			if minD[i] > farD {
-				far, farD = i, minD[i]
+		for i, d := range minD {
+			if d > farD {
+				far, farD = i, d
 			}
 		}
 		if far < 0 || farD == 0 {
@@ -199,45 +123,7 @@ func newCandIndex[P any](ctx context.Context, c *Compiled[P], ev *SwapEvaluator[
 		}
 		next = far
 	}
-	ix := &CandIndex[P]{
-		pivots:    piv,
-		pivotDist: make([][]float64, len(piv)),
-		expDist:   make([]float64, m),
-	}
-	if err := par.For(ctx, len(piv), workers, func(p int) {
-		row := make([]float64, m)
-		pc := cands[ix.pivots[p]]
-		for i := range cands {
-			row[i] = c.space.Dist(pc, cands[i])
-		}
-		ix.pivotDist[p] = row
-	}); err != nil {
-		return nil, err
-	}
-	// expDist[c] = max_i E[d(X_i, c)]: one streaming pass over candidate c's
-	// distance-RV column, accumulating per point (atoms of one point are
-	// contiguous in the flat arena).
-	if err := par.For(ctx, m, workers, func(cd int) {
-		col := ev.cols[cd]
-		best, acc := 0.0, 0.0
-		cur := int32(-1)
-		for f, v := range col {
-			if ev.ptIdx[f] != cur {
-				if acc > best {
-					best = acc
-				}
-				acc, cur = 0, ev.ptIdx[f]
-			}
-			acc += ev.probs[f] * v
-		}
-		if acc > best {
-			best = acc
-		}
-		ix.expDist[cd] = best
-	}); err != nil {
-		return nil, err
-	}
-	return ix, nil
+	return &CandIndex{pivots: piv}, nil
 }
 
 // CandGraph is the neighborhood layer of the candidate index: a k-NN graph

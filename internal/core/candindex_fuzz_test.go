@@ -11,7 +11,8 @@ import (
 )
 
 // fuzzFiniteInstance compiles a random finite-metric instance (points on the
-// vertices of a random point cloud's induced metric) for the bound fuzzer.
+// vertices of a random point cloud's induced metric, masses skewed inside
+// the validation tolerance) for the bound fuzzer.
 func fuzzFiniteInstance(t testing.TB, rng *rand.Rand) *Compiled[int] {
 	t.Helper()
 	mv := 4 + rng.Intn(10)
@@ -26,6 +27,7 @@ func fuzzFiniteInstance(t testing.TB, rng *rand.Rand) *Compiled[int] {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen.SkewMasses(rng, pts)
 	c, err := Compile[int](context.Background(), space, pts, space.Points())
 	if err != nil {
 		t.Fatal(err)
@@ -33,11 +35,14 @@ func fuzzFiniteInstance(t testing.TB, rng *rand.Rand) *Compiled[int] {
 	return c
 }
 
-// FuzzLowerBound fuzzes the pruning soundness invariant — for a random
-// metric instance, every candidate's pivot lower bound must not exceed its
-// exact swap cost beyond floating-point roundoff:
+// FuzzLowerBound fuzzes the pruning soundness invariants of
+// checkLowerBound — for a random metric instance, every candidate's t*·G∞
+// bound must not exceed its exact swap cost beyond floating-point
+// roundoff, and a candidate the armed threshold skips must cost at least
+// the threshold's cost₀:
 //
-//	LowerBound(base, c) ≤ EvalSwap(base, c) + 1e-12·scale
+//	t*(c)·G∞ ≤ EvalSwap(base, c) + 1e-12·scale
+//	EvalSwap(base, c) = +Inf under cost₀  ⇒  exact cost ≥ cost₀·(1 − 1e-12)
 //
 // The fuzzer steers instance shape (sizes, support, metric kind, chosen
 // set) through a seeded RNG, so every failure reproduces from its corpus
@@ -62,10 +67,10 @@ func FuzzLowerBound(f *testing.F) {
 		}
 		if finite {
 			cm := fuzzFiniteInstance(t, rng)
-			checkLowerBound(t, cm, pick(len(cm.CandidatesOrLocations())))
+			checkLowerBound(t, cm, pick(len(cm.CandidatesOrLocations())), rng)
 			return
 		}
 		cm, _, cands := boundInstance(t, rng)
-		checkLowerBound(t, cm, pick(len(cands)))
+		checkLowerBound(t, cm, pick(len(cands)), rng)
 	})
 }

@@ -13,7 +13,8 @@ import (
 )
 
 // boundInstance compiles a random Euclidean instance with all point
-// locations as candidates, returning everything the bound check needs.
+// locations as candidates and point masses skewed inside the validation
+// tolerance, returning everything the bound check needs.
 func boundInstance(t testing.TB, rng *rand.Rand) (*Compiled[geom.Vec], []uncertain.Point[geom.Vec], []geom.Vec) {
 	t.Helper()
 	n := 4 + rng.Intn(12)
@@ -22,6 +23,7 @@ func boundInstance(t testing.TB, rng *rand.Rand) (*Compiled[geom.Vec], []uncerta
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen.SkewMasses(rng, pts)
 	cands := uncertain.AllLocations(pts)
 	c, err := Compile[geom.Vec](context.Background(), metricspace.Euclidean{}, pts, cands)
 	if err != nil {
@@ -30,42 +32,68 @@ func boundInstance(t testing.TB, rng *rand.Rand) (*Compiled[geom.Vec], []uncerta
 	return c, pts, cands
 }
 
-// checkLowerBound asserts the pivot bound is sound on one compiled instance:
-// for every scan position of a random chosen set and every candidate,
-// LowerBound(base, c) ≤ EvalSwap(base, c) + 1e-12·scale. This is the exact
-// inequality pruning relies on.
-func checkLowerBound[P any](t testing.TB, c *Compiled[P], chosen []int) {
+// checkLowerBound asserts the prune certificate is sound on one compiled
+// instance, for every scan position of a chosen set and every candidate c:
+//
+//   - tStar is exactly max_i min_f min(base_f, col_f), and
+//     t*(c)·G∞ ≤ EvalSwap(base, c) + 1e-12·scale;
+//   - with the threshold armed at cost₀ — the chosen set's cost, and the
+//     exact cost of a few candidates, so decisions land on the boundary —
+//     EvalSwap returns the exact cost bit for bit, or +Inf only for a
+//     candidate whose exact cost is ≥ cost₀·(1 − 1e-12).
+//
+// These are the inequalities pruning's bit-identical trajectories rest on.
+func checkLowerBound[P any](t testing.TB, c *Compiled[P], chosen []int, rng *rand.Rand) {
 	t.Helper()
-	ctx := context.Background()
-	ev, err := c.Evaluator(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := c.CandIndex(ctx, 0, 1)
+	ev, err := c.Evaluator(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base, s := ev.NewBase(), ev.NewScratch()
-	st := ix.NewPruneState()
 	m := len(c.CandidatesOrLocations())
+	exact := make([]float64, m)
 	for pos := range chosen {
 		ev.PrepareBase(base, chosen, pos)
-		for p, piv := range ix.Pivots() {
-			st.pivotCost[p] = ev.EvalSwap(base, s, int(piv))
-		}
 		for cd := 0; cd < m; cd++ {
-			exact := ev.EvalSwap(base, s, cd)
-			lb := ix.LowerBound(base, st, cd)
-			tol := 1e-12 * math.Max(1, math.Abs(exact))
-			if lb > exact+tol {
-				t.Fatalf("pos %d cand %d: LowerBound %.17g > exact %.17g (excess %g)",
-					pos, cd, lb, exact, lb-exact)
+			exact[cd] = ev.EvalSwap(base, s, cd)
+			want := math.Inf(-1)
+			for i := 0; i+1 < len(c.offsets); i++ {
+				pm := math.Inf(1)
+				for f := c.offsets[i]; f < c.offsets[i+1]; f++ {
+					pm = min(pm, base.vals[f], ev.cols[cd][f])
+				}
+				want = max(want, pm)
+			}
+			ts := ev.tStar(base, ev.cols[cd])
+			if ts != want {
+				t.Fatalf("pos %d cand %d: tStar %.17g, want %.17g", pos, cd, ts, want)
+			}
+			if lb, tol := ts*ev.gInf, 1e-12*math.Max(1, math.Abs(exact[cd])); lb > exact[cd]+tol {
+				t.Fatalf("pos %d cand %d: t*·G∞ %.17g > exact %.17g (excess %g, G∞ = %.17g)",
+					pos, cd, lb, exact[cd], lb-exact[cd], ev.gInf)
+			}
+		}
+		thresholds := []float64{exact[chosen[pos]]}
+		for range 3 {
+			thresholds = append(thresholds, exact[rng.Intn(m)])
+		}
+		for _, cost0 := range thresholds {
+			ev.SetThreshold(base, cost0)
+			for cd := 0; cd < m; cd++ {
+				got := ev.EvalSwap(base, s, cd)
+				if math.IsInf(got, 1) {
+					if exact[cd] < cost0*(1-1e-12) {
+						t.Fatalf("pos %d cand %d: skipped at cost₀ %.17g, exact cost %.17g", pos, cd, cost0, exact[cd])
+					}
+				} else if got != exact[cd] {
+					t.Fatalf("pos %d cand %d: bounded EvalSwap %.17g != exact %.17g", pos, cd, got, exact[cd])
+				}
 			}
 		}
 	}
 }
 
-// TestLowerBoundSoundEuclidean sweeps the soundness inequality over random
+// TestLowerBoundSoundEuclidean sweeps the certificate over random
 // Euclidean instances, positions and candidates.
 func TestLowerBoundSoundEuclidean(t *testing.T) {
 	rng := rand.New(rand.NewSource(700))
@@ -75,13 +103,12 @@ func TestLowerBoundSoundEuclidean(t *testing.T) {
 		if k > len(cands) {
 			k = len(cands)
 		}
-		checkLowerBound(t, c, rng.Perm(len(cands))[:k])
+		checkLowerBound(t, c, rng.Perm(len(cands))[:k], rng)
 	}
 }
 
-// TestLowerBoundSoundFinite runs the same sweep on finite metric spaces —
-// the Lipschitz argument uses only the triangle inequality, so any metric
-// must satisfy it.
+// TestLowerBoundSoundFinite runs the same sweep on finite metric spaces:
+// the bound uses no geometry, only that every realization's max is ≥ t*.
 func TestLowerBoundSoundFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(701))
 	euclid := metricspace.Euclidean{}
@@ -98,13 +125,14 @@ func TestLowerBoundSoundFinite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		gen.SkewMasses(rng, pts)
 		cands := space.Points()
 		c, err := Compile[int](context.Background(), space, pts, cands)
 		if err != nil {
 			t.Fatal(err)
 		}
 		k := 1 + rng.Intn(2)
-		checkLowerBound(t, c, rng.Perm(len(cands))[:k])
+		checkLowerBound(t, c, rng.Perm(len(cands))[:k], rng)
 	}
 }
 

@@ -118,7 +118,7 @@ type Compiled[P any] struct {
 	surrOCFree memo[[]P]               // continuous 1-centers P̃ (Euclidean, no candidates)
 	surrOCCand memo[[]P]               // 1-centers P̃ over CandidatesOrLocations()
 	evCache    memo[*SwapEvaluator[P]] // n×m distance-RV table over CandidatesOrLocations()
-	ciCache    memo[*CandIndex[P]]     // pivot index at DefaultIndexPivots
+	ciCache    memo[*CandIndex]        // approx-mode pivots at DefaultIndexPivots
 	cgCache    memo[*CandGraph]        // neighborhood graph at DefaultGraphDegree
 
 	builds atomic.Uint64 // completed cache builds (see CacheBuilds)
@@ -402,14 +402,12 @@ func (c *Compiled[P]) Evaluator(ctx context.Context, workers int) (*SwapEvaluato
 }
 
 // CandIndex returns the pivot layer of the instance's candidate index over
-// CandidatesOrLocations(): P pivots seeded maxmin, the P×m pivot→candidate
-// distance table, and the per-candidate expected-distance surrogates read
-// off the evaluator's columns (building the evaluator first if needed — the
-// index is only ever consulted on the cached scan path). pivots <= 0 selects
-// DefaultIndexPivots, the memoized build shared by every later call; any
-// other pivot count is computed fresh without touching the cache, the same
-// precedent Surrogates sets for foreign candidate sets.
-func (c *Compiled[P]) CandIndex(ctx context.Context, pivots, workers int) (*CandIndex[P], error) {
+// CandidatesOrLocations(): P pivots seeded maxmin, the global probes of
+// approximate mode's scan. pivots <= 0 selects DefaultIndexPivots, the
+// memoized build shared by every later call; any other pivot count is
+// computed fresh without touching the cache, the same precedent Surrogates
+// sets for foreign candidate sets.
+func (c *Compiled[P]) CandIndex(ctx context.Context, pivots, workers int) (*CandIndex, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -419,18 +417,15 @@ func (c *Compiled[P]) CandIndex(ctx context.Context, pivots, workers int) (*Cand
 	if pivots <= 0 {
 		pivots = DefaultIndexPivots
 	}
-	build := func() (*CandIndex[P], error) {
-		ev, err := c.Evaluator(ctx, workers)
-		if err != nil {
-			return nil, err
-		}
+	build := func() (*CandIndex, error) {
 		sp := obs.StartSpan(obs.FromContext(ctx), "candindex.build")
-		ix, err := newCandIndex(ctx, c, ev, pivots, workers)
+		cands := c.CandidatesOrLocations()
+		ix, err := newCandIndex(ctx, c.space, cands, pivots, workers)
 		if err != nil {
 			return nil, err
 		}
-		sp.Int("pivots", ix.NumPivots())
-		sp.Int("candidates", len(ix.expDist))
+		sp.Int("pivots", len(ix.Pivots()))
+		sp.Int("candidates", len(cands))
 		sp.Int64("bytes", ix.Bytes())
 		sp.End()
 		return ix, nil
@@ -509,7 +504,7 @@ func (c *Compiled[P]) surrogateElemBytes() int64 {
 //   - the distance-RV swap evaluator costs 8·m·N bytes — one float64
 //     distance per (candidate, atom) pair — the dominant term for any
 //     nontrivial candidate set;
-//   - the candidate-index pivot layer costs 8·P·m + 8·m + 4·P bytes and the
+//   - approximate mode's candidate-index pivots cost 4·P bytes and its
 //     neighborhood graph 4·K·m bytes (§11) — small next to the evaluator,
 //     but metered all the same so eviction accounting stays exact.
 //
@@ -543,7 +538,7 @@ func (c *Compiled[P]) CacheBytes() int64 {
 }
 
 // DropCaches releases every memoized cache — both surrogate kinds, the
-// distance-RV swap evaluator, and the candidate index's pivot and graph
+// distance-RV swap evaluator, and approximate mode's pivot and graph
 // layers — returning CacheBytes to zero while keeping
 // the compiled arena (validation, pruning and flattening are never redone).
 // The next solve that needs a dropped cache rebuilds it lazily and, because

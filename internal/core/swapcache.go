@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
+	"repro/internal/emax"
 	"repro/internal/par"
 	"repro/obs"
 )
@@ -13,57 +16,56 @@ import (
 // objective Ecost(C) = E[max_i min_{c∈C} d(X_i, c)] over center sets drawn
 // from a fixed candidate set.
 //
-// Construction reuses the compiled instance's flat atom layout — the
-// N = Σ_i |{j : p_ij > 0}| support atoms with zero-probability atoms already
-// pruned at compile time — and caches, for every candidate c, the column of
-// distances d(loc_f, candidate_c) over all atoms: the full n×m table of
-// per-point distance RVs. The columns are computed once (parallelized over
-// candidates) and are immutable afterwards, so every later evaluation makes
-// zero metric calls.
+// Construction reuses the compiled instance's flat atom layout (the N
+// support atoms, zero-probability ones pruned at compile time) and caches,
+// for every candidate c, the column of distances d(loc_f, c) over all
+// atoms — the n×m table of per-point distance RVs — computed once, in
+// parallel over candidates, and immutable afterwards: no later evaluation
+// calls the metric.
 //
-// A neighborhood scan then factors through PrepareBase: for one scan
-// position it precomputes each atom's min distance over the k−1 *unchanged*
-// centers into a caller-owned SwapBase, after which EvalSwap(c) is one O(N)
-// pass of min(base, column c) followed by the threshold-split emax sweep
-// (emax.Arena.ExpectedMaxFlat), which orders only the few atoms above
-// t* = max_i min D_i. Per-candidate cost drops from O(N·k) metric calls to
-// that O(N) pass plus the sweep, with no allocations in steady state.
+// A neighborhood scan factors through PrepareBase, which fixes one scan
+// position's base — each atom's min distance over the k−1 unchanged
+// centers — in a caller-owned SwapBase. EvalSwap(c) then finds the split
+// t*(c) of the emax sweep and runs one fused min(base, column c) pass into
+// it (emax.Arena.ExpectedMaxMinFlat), reading column c only for the points
+// the base does not settle; no allocations in steady state. Every
+// realization's max is at least t*, so Ecost ≥ t*·G∞ for the total point
+// mass G∞: SetThreshold turns that into a prune certificate.
 //
-// The evaluator itself is immutable after construction and therefore safe
-// to share across goroutines and across solves — Compiled.Evaluator
-// memoizes one per instance. All scan-mutable state lives in caller-owned
-// values: one SwapBase per neighborhood scan (PrepareBase overwrites it)
-// and one SwapScratch per worker. EvalSwap hands ExpectedMaxFlat the same
-// per-atom distances EcostUnassigned computes from scratch, so cached and
-// from-scratch costs are bit-identical.
+// The evaluator is immutable and safe to share across goroutines and
+// solves (Compiled.Evaluator memoizes one per instance); scan state lives
+// in caller-owned values, one SwapBase per scan and one SwapScratch per
+// worker. EvalSwap sweeps the same per-atom distances EcostUnassigned
+// computes from scratch, so cached and from-scratch costs are
+// bit-identical.
 //
-// Memory: the table holds one float64 distance per (candidate, atom) pair —
-// 8·m·N bytes, e.g. ~64 MB for n = m = 1000, z = 8.
-// LocalSearchOptions.DisableSwapCache (ukc.WithSwapCache(false)) falls
-// back to the from-scratch scan when that is too much.
+// Memory: 8·m·N bytes, one float64 per (candidate, atom) pair, e.g. ~64 MB
+// for n = m = 1000, z = 8. LocalSearchOptions.DisableSwapCache
+// (ukc.WithSwapCache(false)) falls back to the from-scratch scan when that
+// is too much.
 type SwapEvaluator[P any] struct {
-	nPts  int       // number of uncertain points
-	ptIdx []int32   // atom f -> index of the point it belongs to
-	probs []float64 // atom f -> its (positive) probability mass
-	cols  [][]float64
+	offsets []int32      // point i owns atoms offsets[i]:offsets[i+1]
+	lay     *emax.Layout // the atoms' masses and owners, for the sweep
+	gInf    float64      // G∞ = Π_i min(1, mass_i), the mass the sweep reaches
+	cols    [][]float64
 }
 
-// SwapBase is the per-scan-position state of a neighborhood scan: every
-// atom's min distance over the k−1 unchanged centers. PrepareBase
-// overwrites it; EvalSwap reads it. One base must not be written
-// (PrepareBase) concurrently with reads; a scan prepares the base once,
-// then fans EvalSwap out over candidates.
+// SwapBase is the per-scan-position state of a neighborhood scan, written
+// by PrepareBase and SetThreshold and read by EvalSwap. It must not be
+// written concurrently with reads; a scan prepares the base once, then fans
+// EvalSwap out over candidates.
 type SwapBase struct {
-	vals      []float64 // atom f -> min distance over the unchanged centers
-	unchanged int       // number of unchanged centers; 0 when k = 1
+	vals  []float64 // atom f -> min distance over the unchanged centers
+	ptMin []float64 // point i -> baseMin_i, min of vals over its atoms
+	ptMax []float64 // point i -> max of vals over its atoms
+	order []int32   // points by descending ptMin
+	theta float64   // candidates with t* ≥ theta are certified; +Inf = none
 }
 
-// SwapScratch is the per-worker mutable state of EvalSwap: the swapped
-// set's per-atom min distances and the sweep arena. One scratch must not be
-// used by two goroutines concurrently; a neighborhood scan hands each
-// worker slot its own via NewScratch.
+// SwapScratch is the per-worker mutable state of EvalSwap, its sweep arena;
+// a neighborhood scan hands each worker slot its own.
 type SwapScratch struct {
-	ecostScratch
+	arena emax.Arena
 }
 
 // newSwapEvaluatorCompiled builds the candidate columns over a compiled
@@ -76,11 +78,11 @@ func newSwapEvaluatorCompiled[P any](ctx context.Context, c *Compiled[P], candid
 		return nil, fmt.Errorf("core: SwapEvaluator needs candidates")
 	}
 	e := &SwapEvaluator[P]{
-		nPts:  c.NumPoints(),
-		ptIdx: c.ptIdx,
-		probs: c.probs,
-		cols:  make([][]float64, len(candidates)),
+		offsets: c.offsets,
+		lay:     emax.NewLayout(c.probs, c.offsets, c.ptIdx),
+		cols:    make([][]float64, len(candidates)),
 	}
+	e.gInf = e.lay.Mass()
 	locs, space := c.locs, c.space
 	err := par.For(ctx, len(candidates), workers, func(cd int) {
 		col := make([]float64, len(locs))
@@ -97,64 +99,108 @@ func newSwapEvaluatorCompiled[P any](ctx context.Context, c *Compiled[P], candid
 
 // NumAtoms returns N, the number of positive-probability support atoms —
 // the per-candidate column length of the cache.
-func (e *SwapEvaluator[P]) NumAtoms() int { return len(e.probs) }
+func (e *SwapEvaluator[P]) NumAtoms() int { return int(e.offsets[len(e.offsets)-1]) }
 
 // Bytes returns the size of the distance table, 8·m·N bytes.
-func (e *SwapEvaluator[P]) Bytes() int64 { return 8 * int64(len(e.cols)) * int64(len(e.probs)) }
+func (e *SwapEvaluator[P]) Bytes() int64 { return 8 * int64(len(e.cols)) * int64(e.NumAtoms()) }
 
 // NewBase returns a fresh per-scan base sized for this evaluator.
 func (e *SwapEvaluator[P]) NewBase() *SwapBase {
-	return &SwapBase{vals: make([]float64, len(e.probs))}
+	n := len(e.offsets) - 1
+	return &SwapBase{
+		vals:  make([]float64, e.NumAtoms()),
+		ptMin: make([]float64, n),
+		ptMax: make([]float64, n),
+		order: make([]int32, n),
+		theta: math.Inf(1),
+	}
 }
 
-// NewScratch returns a fresh per-worker scratch sized for this evaluator.
-func (e *SwapEvaluator[P]) NewScratch() *SwapScratch {
-	return &SwapScratch{ecostScratch{vals: make([]float64, len(e.probs))}}
-}
+// NewScratch returns a fresh per-worker scratch.
+func (e *SwapEvaluator[P]) NewScratch() *SwapScratch { return &SwapScratch{} }
 
 // PrepareBase fixes the scan position: it computes every atom's min
-// distance over chosen[j] for j ≠ pos (+Inf when k = 1) into the
-// caller-owned base — the shared read-only input of the EvalSwap calls that
-// follow. Cost: O(N·(k−1)) mins, amortized over the whole candidate scan;
-// allocation-free. PrepareBase must not run concurrently with EvalSwap on
-// the same base.
+// distance over chosen[j] for j ≠ pos (+Inf when k = 1) and each point's
+// minimum and maximum of those into the caller-owned base, orders the
+// points by that minimum, descending, and clears the prune threshold.
+// Cost: O(N·(k−1)) plus an O(n log n) sort, amortized over the whole
+// candidate scan; allocation-free.
 func (e *SwapEvaluator[P]) PrepareBase(b *SwapBase, chosen []int, pos int) {
 	bv := b.vals
 	for f := range bv {
 		bv[f] = math.Inf(1)
 	}
-	b.unchanged = 0
 	for j, c := range chosen {
 		if j == pos {
 			continue
 		}
-		b.unchanged++
 		for f, v := range e.cols[c] {
 			if v < bv[f] {
 				bv[f] = v
 			}
 		}
 	}
+	lo := e.offsets[0]
+	for i, hi := range e.offsets[1:] {
+		mn, mx := math.Inf(1), math.Inf(-1)
+		for _, v := range bv[lo:hi] {
+			mn, mx = min(mn, v), max(mx, v)
+		}
+		b.ptMin[i], b.ptMax[i], b.order[i] = mn, mx, int32(i)
+		lo = hi
+	}
+	slices.SortFunc(b.order, func(x, y int32) int { return cmp.Compare(b.ptMin[y], b.ptMin[x]) })
+	b.theta = math.Inf(1)
 }
 
-// EvalSwap returns the exact unassigned E-cost of the center set formed by
-// the prepared base plus candidates[c] — i.e. chosen with chosen[pos]
-// replaced by c, for the (chosen, pos) of the last PrepareBase on b. It
-// writes min(base_f, col_f) for every atom, then runs the emax sweep on
-// them: O(N) plus the sweep, allocation-free in steady state, and
-// bit-identical to Compiled.EcostUnassigned of the same center set. Safe to
-// call concurrently with itself given distinct scratches (the base is
-// read-only during a scan).
-func (e *SwapEvaluator[P]) EvalSwap(b *SwapBase, s *SwapScratch, c int) float64 {
-	vals, col := s.vals, e.cols[c]
-	col = col[:len(vals)]
-	for f, v := range b.vals[:len(vals)] {
-		if cv := col[f]; cv < v {
-			v = cv
+// SetThreshold arms the prepared base's prune certificate for an incumbent
+// cost cost₀: until the next PrepareBase, EvalSwap returns +Inf for every
+// candidate whose t* reaches θ = cost₀/G∞, whose cost is then at least
+// t*·G∞ ≥ cost₀ up to roundoff far below a relative 1e-12.
+func (e *SwapEvaluator[P]) SetThreshold(b *SwapBase, cost0 float64) {
+	b.theta = cost0 / e.gInf
+}
+
+// tStar returns t* = max_i min(baseMin_i, min_f col_f) over point i's
+// atoms f, visiting points in descending baseMin order: once baseMin_i is
+// at most the running max no later point can raise it, and a point's atoms
+// are read only until one is at most the running max. It returns early,
+// with a partial max ≥ b.theta, as soon as the threshold certifies col.
+func (e *SwapEvaluator[P]) tStar(b *SwapBase, col []float64) float64 {
+	t := math.Inf(-1)
+	for _, i := range b.order {
+		m := b.ptMin[i]
+		if m <= t {
+			break
 		}
-		vals[f] = v
+		for _, v := range col[e.offsets[i]:e.offsets[i+1]] {
+			if v < m {
+				if m = v; m <= t {
+					break
+				}
+			}
+		}
+		if m > t {
+			if t = m; t >= b.theta {
+				break
+			}
+		}
 	}
-	return s.arena.ExpectedMaxFlat(vals, e.probs, e.ptIdx, e.nPts)
+	return t
+}
+
+// EvalSwap returns the exact unassigned E-cost of chosen with chosen[pos]
+// replaced by candidates[c], for the (chosen, pos) of the last PrepareBase
+// on b — bit-identical to Compiled.EcostUnassigned of that center set — or
+// +Inf when SetThreshold's certificate covers c. Allocation-free in steady
+// state; safe to call concurrently given distinct scratches.
+func (e *SwapEvaluator[P]) EvalSwap(b *SwapBase, s *SwapScratch, c int) float64 {
+	col := e.cols[c]
+	t := e.tStar(b, col)
+	if t >= b.theta {
+		return math.Inf(1)
+	}
+	return s.arena.ExpectedMaxMinFlat(e.lay, b.vals, col, b.ptMax, t)
 }
 
 // Cost returns the exact unassigned E-cost of the chosen candidate set

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -89,22 +90,36 @@ func TestPrepareBaseAllocs(t *testing.T) {
 }
 
 // TestEvalSwapAllocs pins a warmed EvalSwap allocation-free across a whole
-// candidate scan: the scratch's distances, sweep arena and sort scratch
-// are reused.
+// candidate scan, unbounded and with SetThreshold armed at the chosen
+// set's cost (so the scan both prunes and evaluates): the sweep arena and
+// its sort scratch are reused.
 func TestEvalSwapAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(143))
 	_, ev := lineEvaluator(t, rng, 1)
 	base, s := ev.NewBase(), ev.NewScratch()
-	ev.PrepareBase(base, rng.Perm(len(ev.cols))[:4], 0)
-	for cd := range ev.cols {
-		ev.EvalSwap(base, s, cd)
-	}
-	cd := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		cd = (cd + 1) % len(ev.cols)
-		ev.EvalSwap(base, s, cd)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm EvalSwap allocates %v times per call, want 0", allocs)
+	chosen := rng.Perm(len(ev.cols))[:4]
+	ev.PrepareBase(base, chosen, 0)
+	cost0 := ev.EvalSwap(base, s, chosen[0])
+	for _, bounded := range []bool{false, true} {
+		if bounded {
+			ev.SetThreshold(base, cost0)
+		}
+		pruned := 0
+		for cd := range ev.cols {
+			if math.IsInf(ev.EvalSwap(base, s, cd), 1) {
+				pruned++
+			}
+		}
+		if bounded != (pruned > 0) || pruned == len(ev.cols) {
+			t.Fatalf("bounded=%v: %d of %d candidates pruned", bounded, pruned, len(ev.cols))
+		}
+		cd := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			cd = (cd + 1) % len(ev.cols)
+			ev.EvalSwap(base, s, cd)
+		})
+		if allocs != 0 {
+			t.Fatalf("bounded=%v: warm EvalSwap allocates %v times per call, want 0", bounded, allocs)
+		}
 	}
 }

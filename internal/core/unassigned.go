@@ -28,21 +28,17 @@ type LocalSearchOptions struct {
 	// lifetime; disable it when m·Σz_i is too large to hold in memory.
 	// Costs are bit-identical to the cached path, and so are the swap
 	// trajectories (pinned by tests). Disabling the cache
-	// also disables the candidate index (it consumes the cached columns),
-	// so the oracle path stays pure.
+	// also disables pruning and the candidate index (the bound reads the
+	// cached columns), so the oracle path stays pure.
 	DisableSwapCache bool
-	// CandidateIndex selects how the neighborhood scan uses the instance's
-	// candidate index: CandIndexPrune (the default, reached through
-	// CandIndexDefault) keeps the scan exact but skips candidates whose
-	// triangle-inequality lower bound certifies they cannot beat the
-	// incumbent — bit-identical trajectories at a fraction of the
-	// evaluations; CandIndexApprox restricts the scan to the neighborhood
-	// graph of the current centers (explicitly approximate);
+	// CandidateIndex selects how the neighborhood scan prunes: CandIndexPrune
+	// (the default, reached through CandIndexDefault) keeps the scan exact
+	// but skips candidates whose t*·G∞ lower bound certifies they cannot
+	// beat the incumbent — bit-identical trajectories at a fraction of the
+	// evaluations; CandIndexApprox also restricts the scan to the
+	// neighborhood graph of the current centers (explicitly approximate);
 	// CandIndexOff scans everything (the oracle).
 	CandidateIndex CandidateIndexMode
-	// IndexPivots sets the pivot count of the prune bound
-	// (0 = DefaultIndexPivots; only the default is memoized).
-	IndexPivots int
 	// GraphDegree sets the per-node degree of the approximate neighborhood
 	// graph (0 = DefaultGraphDegree; only the default is memoized).
 	GraphDegree int
@@ -75,9 +71,9 @@ func (o LocalSearchOptions) Workers() int {
 // (the seeds) and — unless DisableSwapCache — its memoized distance-RV
 // evaluator, so only the descent itself is paid per solve. By default
 // (CandidateIndex unset, i.e. CandIndexPrune) the scan additionally skips
-// every candidate whose pivot lower bound certifies it cannot beat the
+// every candidate whose t*·G∞ lower bound certifies it cannot beat the
 // incumbent — the trajectory is bit-identical to the unpruned scan (see
-// CandIndex) while typically evaluating a small fraction of the
+// swapDescent) while typically evaluating a small fraction of the
 // neighborhood. The neighborhood scan checks ctx between chunks and aborts
 // with ctx.Err(); Parallelism > 1 fans the scan out over a worker pool with
 // bit-identical results.
@@ -99,10 +95,10 @@ func selectCandidates[P any](candidates []P, idx []int) []P {
 }
 
 // descentState is the scan state shared by every descent of one solve: the
-// evaluator with its per-scan base and per-worker scratches, the candidate
-// index's pivot/graph layers with their per-position prune state, and — on
-// the oracle path — the per-worker from-scratch scratches. Allocated once
-// per solve; both seed descents reuse it.
+// evaluator with its per-scan base and per-worker scratches, whether the
+// bound prunes, approximate mode's pivots and graph, and — on the oracle
+// path — the per-worker from-scratch scratches. Allocated once per solve;
+// both seed descents reuse it.
 type descentState[P any] struct {
 	workers int
 
@@ -110,13 +106,12 @@ type descentState[P any] struct {
 	ev        *SwapEvaluator[P]
 	base      *SwapBase
 	scratches []*SwapScratch
+	prune     bool // the t*·G∞ bound skips certified candidates (not CandIndexOff)
 
-	// Candidate index (nil in CandIndexOff / oracle mode).
-	ix       *CandIndex[P]
-	st       *PruneState
-	pivotOrd []int32    // candidate -> pivot ordinal, -1 when not a pivot
-	gr       *CandGraph // non-nil only in CandIndexApprox
-	mark     []bool     // approx scan set, rebuilt per position
+	// CandIndexApprox only (nil otherwise).
+	ix   *CandIndex
+	gr   *CandGraph
+	mark []bool // approx scan set, rebuilt per position
 
 	// Oracle path (ev == nil).
 	flat []*flatScratch[P]
@@ -124,9 +119,9 @@ type descentState[P any] struct {
 
 // pruneStats aggregates one descent's scan accounting: candidates scanned
 // (in the scan set and not currently centers), candidates pruned by the
-// lower bound without evaluation, and bound failures (bound computed but
-// too weak — the candidate was evaluated exactly). Pivot evaluations count
-// as scanned but neither pruned nor failed.
+// bound without evaluation, and bound failures (the bound did not certify
+// the candidate, which was evaluated exactly), so pruned + boundFail =
+// scanned.
 type pruneStats struct {
 	scanned, pruned, boundFail int
 }
@@ -168,9 +163,9 @@ func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts L
 		farthestFirstSeed(space, candidates, k),
 	}
 
-	// The index modes all live on the cached evaluator (the pivot
-	// surrogates are read off its columns), so DisableSwapCache forces the
-	// pure oracle: no cache, no index, from-scratch evaluations only.
+	// Pruning lives on the cached evaluator (the bound reads its columns),
+	// so DisableSwapCache forces the pure oracle: no cache, no pruning, no
+	// index, from-scratch evaluations only.
 	mode := opts.CandidateIndex.resolve()
 	ds := &descentState[P]{workers: opts.Workers()}
 	if opts.DisableSwapCache {
@@ -188,26 +183,17 @@ func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts L
 		for w := range ds.scratches {
 			ds.scratches[w] = ds.ev.NewScratch()
 		}
-		if mode != CandIndexOff {
-			ds.ix, err = c.CandIndex(ctx, opts.IndexPivots, ds.workers)
+		ds.prune = mode != CandIndexOff
+		if mode == CandIndexApprox {
+			ds.ix, err = c.CandIndex(ctx, 0, ds.workers)
 			if err != nil {
 				return nil, 0, err
 			}
-			ds.st = ds.ix.NewPruneState()
-			ds.pivotOrd = make([]int32, len(candidates))
-			for i := range ds.pivotOrd {
-				ds.pivotOrd[i] = -1
+			ds.gr, err = c.CandGraph(ctx, opts.GraphDegree, ds.workers)
+			if err != nil {
+				return nil, 0, err
 			}
-			for ord, p := range ds.ix.Pivots() {
-				ds.pivotOrd[p] = int32(ord)
-			}
-			if mode == CandIndexApprox {
-				ds.gr, err = c.CandGraph(ctx, opts.GraphDegree, ds.workers)
-				if err != nil {
-					return nil, 0, err
-				}
-				ds.mark = make([]bool, len(candidates))
-			}
+			ds.mark = make([]bool, len(candidates))
 		}
 	}
 
@@ -235,29 +221,28 @@ func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts L
 //
 // With a non-nil evaluator the scan runs on the incremental path: one
 // PrepareBase per position, then a zero-metric-call, allocation-free
-// EvalSwap per candidate. With a pivot index (CandIndexPrune, the default)
-// each position first evaluates the P pivots exactly, then skips every
-// candidate whose lower bound LowerBound(c) ≥ cost₀, where cost₀ is the
-// current solution's cost at scan entry. That pruning is provably safe:
-// the selection rule only accepts costs[c] < best·(1−1e-9) with best ≤
-// cost₀, and the bound guarantees the exact cost of a pruned candidate is
-// ≥ cost₀ up to ~1e-12 roundoff — three orders of magnitude inside the
-// 1e-9 acceptance slack — so a pruned candidate could never have been
-// selected. Pruned (and, in CandIndexApprox, out-of-neighborhood)
-// candidates are marked +Inf, leaving the selection rule untouched;
-// trajectories are therefore bit-identical to the unpruned scan,
-// independent of worker count, pinned by tests. With ds.ev == nil it
-// evaluates every swap from scratch on the compiled flat layout (the
-// cross-check oracle), reusing per-worker center/value/arena scratch
-// across the whole descent.
+// EvalSwap per candidate. With pruning on (CandIndexPrune, the default, and
+// CandIndexApprox) each position arms SetThreshold with cost₀, the current
+// solution's cost at scan entry, and EvalSwap skips every candidate whose
+// t* reaches cost₀/G∞. That pruning is provably safe: the selection rule
+// only accepts costs[c] < best·(1−1e-9) with best ≤ cost₀, and the bound
+// guarantees the exact cost of a pruned candidate is ≥ cost₀ up to ~1e-12
+// roundoff — three orders of magnitude inside the 1e-9 acceptance slack —
+// so a pruned candidate could never have been selected. Pruned (and, in
+// CandIndexApprox, out-of-neighborhood) candidates are marked +Inf,
+// leaving the selection rule untouched; trajectories are therefore
+// bit-identical to the unpruned scan, independent of worker count, pinned
+// by tests. With ds.ev == nil it evaluates every swap from scratch on the
+// compiled flat layout (the cross-check oracle), reusing per-worker
+// center/value/arena scratch across the whole descent.
 //
 // Instrumentation: each completed swap round reports an "ls.iter" span —
 // swaps evaluated, improvements taken, and the round-end E-cost in
 // micro-units, i.e. the cost trajectory — and the whole descent reports one
-// "ls.descent" span with the totals, plus one "ls.prune" span (pivot count,
-// candidates scanned, pruned, bound failures) when an index is active. With
-// no tracer on ctx every span is inert (zero allocations, no clock reads);
-// the per-candidate inner loop is never instrumented at all.
+// "ls.descent" span with the totals, plus one "ls.prune" span (candidates
+// scanned, pruned, bound failures) when pruning is on. With no tracer on
+// ctx every span is inert (zero allocations, no clock reads); the
+// per-candidate inner loop is never instrumented at all.
 func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, seed []int, maxIter int, ds *descentState[P]) ([]int, float64, error) {
 	workers := ds.workers
 	if workers < 1 {
@@ -283,20 +268,8 @@ func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, se
 		cost = ev.Cost(ds.base, ds.scratches[0], chosen)
 		scanPos = func(pos int) error {
 			ev.PrepareBase(ds.base, chosen, pos)
-			if ds.ix != nil {
-				// Pivot pass: exact costs for all P pivots — the bound's
-				// anchors, and exact scan entries where they are candidates.
-				ds.st.threshold = cost
-				piv := ds.ix.Pivots()
-				if err := par.ForWorker(ctx, len(piv), workers, func(w, p int) {
-					v := ev.EvalSwap(ds.base, ds.scratches[w], int(piv[p]))
-					ds.st.pivotCost[p] = v
-					if !inSet[int(piv[p])] {
-						costs[piv[p]] = v
-					}
-				}); err != nil {
-					return err
-				}
+			if ds.prune {
+				ev.SetThreshold(ds.base, cost)
 			}
 			if ds.gr != nil {
 				// Approx scan set: neighborhoods of the current centers,
@@ -317,14 +290,7 @@ func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, se
 				if inSet[c] {
 					return
 				}
-				if ds.ix != nil && ds.pivotOrd[c] >= 0 {
-					return // exact cost already written by the pivot pass
-				}
 				if ds.gr != nil && !ds.mark[c] {
-					costs[c] = math.Inf(1)
-					return
-				}
-				if ds.ix != nil && ds.ix.LowerBound(ds.base, ds.st, c) >= ds.st.threshold {
 					costs[c] = math.Inf(1)
 					return
 				}
@@ -360,7 +326,7 @@ func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, se
 	// accounting — serially, after the parallel scan, so the numbers are
 	// deterministic for any worker count.
 	countScan := func() {
-		if ds.ix == nil {
+		if !ds.prune {
 			return
 		}
 		for c := range candidates {
@@ -371,9 +337,6 @@ func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, se
 				continue // outside the approx scan set: never considered
 			}
 			stats.scanned++
-			if ds.pivotOrd[c] >= 0 {
-				continue // pivot: evaluated exactly, no bound involved
-			}
 			if math.IsInf(costs[c], 1) {
 				stats.pruned++
 			} else {
@@ -426,9 +389,8 @@ func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, se
 			break
 		}
 	}
-	if ds.ix != nil {
+	if ds.prune {
 		psp := obs.StartSpan(tracer, "ls.prune")
-		psp.Int("pivots", ds.ix.NumPivots())
 		psp.Int("scanned", stats.scanned)
 		psp.Int("pruned", stats.pruned)
 		psp.Int("bound_failures", stats.boundFail)

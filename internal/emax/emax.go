@@ -169,11 +169,7 @@ func (a *Arena) ExpectedMaxFlat(vals, probs []float64, rvIdx []int32, nRVs int) 
 		return 0
 	}
 	probs, rvIdx = probs[:len(vals)], rvIdx[:len(vals)]
-	if cap(a.cdf) < nRVs {
-		a.cdf = make([]float64, nRVs)
-		a.logCdf = make([]float64, nRVs)
-	}
-	cdf, logCdf := a.cdf[:nRVs], a.logCdf[:nRVs]
+	cdf, logCdf := a.rvState(nRVs)
 
 	// Pass 1: per-RV minima (in cdf), then t* and a zeroed cdf.
 	for i := range cdf {
@@ -220,6 +216,113 @@ func (a *Arena) ExpectedMaxFlat(vals, probs []float64, rvIdx []int32, nRVs int) 
 		}
 		logCdf[i] = lg
 	}
+	return a.sweep(tStar, s, c, probs, rvIdx, nRVs)
+}
+
+// Layout is the static half of ExpectedMaxMinFlat's input: atom f has
+// probability probs[f] and belongs to RV rvIdx[f], RV i owns atoms
+// offsets[i]:offsets[i+1], and full/fullLog hold each RV's whole mass
+// F_i(∞), clamped at 1 and summed in atom order, with its log. Immutable.
+type Layout struct {
+	probs          []float64
+	offsets, rvIdx []int32
+	full, fullLog  []float64
+	mass           float64 // Π_i F_i(∞)
+}
+
+// NewLayout builds the layout of RVs i ∈ [0, len(offsets)−1) over the
+// given atoms; the slices are retained, not copied.
+func NewLayout(probs []float64, offsets, rvIdx []int32) *Layout {
+	n := max(len(offsets)-1, 0)
+	l := &Layout{probs: probs, offsets: offsets, rvIdx: rvIdx,
+		full: make([]float64, n), fullLog: make([]float64, n), mass: 1}
+	for i := range l.full {
+		p := 0.0
+		for _, q := range probs[offsets[i]:offsets[i+1]] {
+			p += q
+		}
+		l.full[i], l.fullLog[i] = clampLog(p)
+		l.mass *= l.full[i]
+	}
+	return l
+}
+
+// Mass returns G∞ = Π_i F_i(∞), the total probability G reaches at the
+// end of a sweep: 1 up to the per-RV tolerance of ProbSumTol.
+func (l *Layout) Mass() float64 { return l.mass }
+
+// ExpectedMaxMinFlat returns ExpectedMaxFlat over l's atoms for the values
+// v_f = min(av[f], bv[f]) (bv[f] only where strictly smaller) without
+// materializing them. The caller supplies tStar = max_i min_f v_f, the
+// split ExpectedMaxFlat finds in its first pass, and aMax[i], the max of
+// av over RV i's atoms. An RV with aMax[i] ≤ t* has every atom at or below
+// t*, so it takes F_i(∞) from l without a read; every other RV folds its
+// atoms ≤ t* into F_i(t*) and gathers the rest into the live set, in atom
+// order. With log G(t*) summed in RV order and the shared sweep, that is
+// ExpectedMaxFlat's arithmetic: the results are equal bit for bit. A
+// warmed arena allocates nothing.
+func (a *Arena) ExpectedMaxMinFlat(l *Layout, av, bv, aMax []float64, tStar float64) float64 {
+	if len(l.probs) == 0 {
+		return 0
+	}
+	nRVs := len(l.full)
+	cdf, logCdf := a.rvState(nRVs)
+	aMax = aMax[:nRVs]
+	liveVals, liveIdx := a.liveVals[:0], a.liveIdx[:0]
+	s, c := 0.0, 0.0
+	lo := l.offsets[0]
+	for i, hi := range l.offsets[1:] {
+		p, lg := l.full[i], l.fullLog[i]
+		if aMax[i] > tStar {
+			p = 0
+			for f := lo; f < hi; f++ {
+				v := av[f]
+				if w := bv[f]; w < v {
+					v = w
+				}
+				if v <= tStar {
+					p += l.probs[f]
+				} else {
+					liveVals = append(liveVals, v)
+					liveIdx = append(liveIdx, f)
+				}
+			}
+			p, lg = clampLog(p)
+		}
+		if p < 1 {
+			s, c = twoSum(s, c, lg)
+		}
+		cdf[i], logCdf[i] = p, lg
+		lo = hi
+	}
+	a.liveVals, a.liveIdx = liveVals, liveIdx
+	return a.sweep(tStar, s, c, l.probs, l.rvIdx, nRVs)
+}
+
+// rvState returns the arena's per-RV CDF and log-CDF state for n RVs.
+func (a *Arena) rvState(n int) (cdf, logCdf []float64) {
+	if cap(a.cdf) < n {
+		a.cdf = make([]float64, n)
+		a.logCdf = make([]float64, n)
+	}
+	return a.cdf[:n], a.logCdf[:n]
+}
+
+// clampLog clamps a CDF value at 1 and returns it with its log (0 at 1).
+func clampLog(p float64) (float64, float64) {
+	if p < 1 {
+		return p, math.Log(p)
+	}
+	return 1, 0
+}
+
+// sweep is the tail of both flat entry points, run once cdf and logCdf
+// hold every F_i(t*) and its log, s + c the compensated log G(t*), and the
+// live set the atoms above t* in atom order: it sorts and sweeps the live
+// set.
+func (a *Arena) sweep(tStar, s, c float64, probs []float64, rvIdx []int32, nRVs int) float64 {
+	cdf, logCdf := a.cdf[:nRVs], a.logCdf[:nRVs]
+	liveVals, liveIdx := a.liveVals, a.liveIdx
 	prevG := min(math.Exp(s+c), 1)
 	expected := tStar * prevG
 

@@ -39,6 +39,19 @@ func randProbs(rng *rand.Rand, z int) []float64 {
 	return probs
 }
 
+// SkewMasses rescales each point's probabilities in place by its own
+// factor 1 + δ, δ uniform in ±0.99·uncertain.ProbSumTol, so the point
+// masses land anywhere inside the tolerance validation accepts — deficits
+// and surpluses both — rather than at 1 up to roundoff.
+func SkewMasses[P any](rng *rand.Rand, pts []uncertain.Point[P]) {
+	for _, p := range pts {
+		s := 1 + (2*rng.Float64()-1)*0.99*uncertain.ProbSumTol
+		for j := range p.Probs {
+			p.Probs[j] *= s
+		}
+	}
+}
+
 func randVec(rng *rand.Rand, d int, scale float64) geom.Vec {
 	v := geom.NewVec(d)
 	for a := 0; a < d; a++ {

@@ -226,3 +226,29 @@ func TestRandProbsWellConditioned(t *testing.T) {
 		}
 	}
 }
+
+// TestSkewMassesSpansTolerance pins SkewMasses' contract: every skewed
+// point still validates, and across many points the masses reach both a
+// deficit and a surplus of more than half the tolerance.
+func TestSkewMassesSpansTolerance(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	pts, err := UniformBox(rng, 200, 3, 2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SkewMasses(rng, pts)
+	lo, hi := 0.0, 0.0
+	for i, p := range pts {
+		if err := p.Validate(); err != nil {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		var sum float64
+		for _, pr := range p.Probs {
+			sum += pr
+		}
+		lo, hi = min(lo, sum-1), max(hi, sum-1)
+	}
+	if lo > -uncertain.ProbSumTol/2 || hi < uncertain.ProbSumTol/2 {
+		t.Fatalf("mass deviations span [%g, %g], want beyond ±%g", lo, hi, uncertain.ProbSumTol/2)
+	}
+}

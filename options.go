@@ -152,28 +152,28 @@ func WithSwapCache(enabled bool) Option {
 	return func(c *solverConfig) { c.noSwapCache = !enabled }
 }
 
-// WithCandidateIndex selects how SolveUnassigned's neighborhood scan uses
-// the instance's metric candidate index (default CandIndexPrune):
+// WithCandidateIndex selects how SolveUnassigned's neighborhood scan prunes
+// and restricts its candidates (default CandIndexPrune):
 //
 //   - CandIndexPrune — exact results, bit-identical trajectories to the
-//     unindexed scan (pinned by tests and a fuzz target): each scan position
-//     evaluates P maxmin-seeded pivots exactly, then skips every candidate
-//     whose triangle-inequality lower bound max_p(cost(p) − d(p, c))
-//     already reaches the incumbent cost — typically the large majority of
-//     the m candidates, without ever touching their distance-RV columns.
+//     unpruned scan (pinned by tests and a fuzz target): each scan position
+//     skips every candidate whose t*·G∞ lower bound already reaches the
+//     incumbent cost, where t* is the split of the exact E[max] sweep and
+//     G∞ the total point mass — typically the large majority of the m
+//     candidates, each skipped after reading a handful of atoms.
 //   - CandIndexApprox — each scan position examines only the union of the
-//     current centers' k-NN graph neighborhoods (plus the pivots). Much
-//     faster on large candidate sets, but the descent may settle on a
-//     different (slightly worse) local optimum; the quality/speed curve is
-//     recorded in BENCH_PR9.json. An explicit opt-in, never a default.
+//     current centers' k-NN graph neighborhoods plus P maxmin-seeded
+//     pivots as global probes, with the same bound inside that set. Faster
+//     on large candidate sets, but the descent may settle on a different
+//     (slightly worse) local optimum; DESIGN.md §11 records the
+//     quality/speed trade. An explicit opt-in, never a default.
 //
-// Both index layers are built lazily from the instance's memoized
-// distance-RV columns, memoized on the compiled instance, and byte-
-// accounted: pivot layer 8·P·m + 8·m + 4·P bytes, graph 4·K·m bytes
-// (DESIGN.md §11) — visible to CacheBytes, dropped by DropCaches and the
-// serving layer's LRU, and rebuilt bit-identically after eviction.
-// WithSwapCache(false) disables the index along with the evaluator it
-// reads from; the oracle path never consults it.
+// Approximate mode's pivots and graph are memoized on the compiled
+// instance and byte-accounted: 4·P bytes and 4·K·m bytes (DESIGN.md §11) —
+// visible to CacheBytes, dropped by DropCaches and the serving layer's
+// LRU, and rebuilt bit-identically after eviction. WithSwapCache(false)
+// disables pruning along with the evaluator the bound reads from; the
+// oracle path scans everything.
 func WithCandidateIndex(m CandidateIndexMode) Option {
 	return func(c *solverConfig) { c.candIndex = m }
 }

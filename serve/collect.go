@@ -18,8 +18,9 @@ import (
 //     *.quarantine, and stale *.ukc.tmp write temporaries removed at
 //     startup;
 //   - cache_events_total{shard,event} — event ∈ hit, miss, eviction;
-//   - prune_total{shard,event} — event ∈ scanned, pruned: candidate-index
-//     scan accounting across pruning-enabled SolveUnassigned requests
+//   - prune_total{shard,event} — event ∈ scanned, pruned: swap-scan
+//     accounting across pruning-enabled SolveUnassigned requests; every
+//     scanned candidate is either pruned by the t*·G∞ bound or evaluated
 //     (pruned/scanned is the live prune rate);
 //   - instances, queue_depth, queue_capacity, cache_bytes,
 //     cache_budget_bytes{shard} — gauges;

@@ -23,9 +23,9 @@ type shardCounters struct {
 	misses    atomic.Uint64 // executed requests whose window saw a cache build
 	evictions atomic.Uint64 // DropCaches calls issued by the byte-budget LRU
 
-	// Candidate-index scan accounting, fed by the ls.prune spans the entry
+	// Swap-scan prune accounting, fed by the ls.prune spans the entry
 	// tracer observes on SolveUnassigned requests: candidates considered by
-	// pruning-enabled scans, and the subset skipped by the lower bound.
+	// pruning-enabled scans, and the subset the t*·G∞ bound skipped.
 	pruneScanned atomic.Uint64
 	prunePruned  atomic.Uint64
 }
@@ -129,12 +129,12 @@ type ShardMetrics struct {
 	CacheMisses uint64
 	Evictions   uint64
 
-	// PruneScanned / PrunePruned are the shard's candidate-index scan
-	// counters across SolveUnassigned requests with pruning enabled (the
-	// default): candidates considered, and the subset the pivot lower
-	// bound skipped without an exact evaluation. Their ratio (PruneRate)
-	// is the live measure of how much of the O(n·m) swap-scan wall the
-	// index is absorbing.
+	// PruneScanned / PrunePruned are the shard's swap-scan counters across
+	// SolveUnassigned requests with pruning enabled (the default):
+	// candidates considered, and the subset the t*·G∞ lower bound skipped
+	// without an exact evaluation; every other scanned candidate was
+	// evaluated. Their ratio (PruneRate) is the live measure of how much of
+	// the O(n·m) swap-scan wall the bound is absorbing.
 	PruneScanned uint64
 	PrunePruned  uint64
 
@@ -158,7 +158,7 @@ func (m ShardMetrics) HitRate() float64 {
 	return float64(m.CacheHits) / float64(total)
 }
 
-// PruneRate returns the fraction of scanned candidates the candidate index
+// PruneRate returns the fraction of scanned candidates the t*·G∞ bound
 // pruned without an exact evaluation (0 when no pruning-enabled scan has
 // run).
 func (m ShardMetrics) PruneRate() float64 {
