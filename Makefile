@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all vet fmt-check build test test-race test-faults test-alloc-pins fuzz-arena fuzz-bound fuzz-emax bench bench-index bench-smoke examples check ci
+.PHONY: all vet fmt-check build test test-race test-faults test-alloc-pins fuzz-arena fuzz-bound fuzz-emax fuzz-dist bench bench-index bench-smoke examples check ci
 
 all: check
 
@@ -66,6 +66,13 @@ fuzz-bound:
 # relative (nightly CI).
 fuzz-emax:
 	$(GO) test -fuzz FuzzExpectedMaxFlat -fuzztime $(FUZZTIME) -run '^$$' ./internal/emax
+
+# fuzz-dist runs the flat Euclidean distance kernel fuzzer for $(FUZZTIME):
+# random dimensions up to 8 and random finite coordinates, from ±0 to
+# magnitudes whose squares underflow or overflow, through geom.DistsFlat and
+# geom.MinDistsFlat, checked bit for bit against geom.Dist (nightly CI).
+fuzz-dist:
+	$(GO) test -fuzz FuzzDistsFlat -fuzztime $(FUZZTIME) -run '^$$' ./internal/geom
 
 # bench runs every microbenchmark of the library, the serving layer, the
 # snapshot store and the observability package (slow) and prints the

@@ -517,6 +517,59 @@ func BenchmarkSwapIncremental(b *testing.B) {
 	})
 }
 
+// clusterCompile compiles a 2-D Gaussian-cluster instance shaped like the
+// ukbench workloads' (64 clusters, spread 0.6, jitter 0.3), with the
+// default candidate set of all n·z locations.
+func clusterCompile(b *testing.B, seed int64, n, z int) *core.Compiled[geom.Vec] {
+	b.Helper()
+	pts, err := gen.GaussianClusters(rand.New(rand.NewSource(seed)), n, z, 2, 64, 0.6, 0.3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := core.Compile[geom.Vec](context.Background(), metricspace.Euclidean{}, pts, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
+// BenchmarkEvaluatorBuild — the evaluator build an evicted instance pays on
+// every request (evict-churn's shape: n = 200, z = 4, m = 800 candidates,
+// one worker): DropCaches, then one m×N distance-column build from the
+// compiled coordinate column.
+func BenchmarkEvaluatorBuild(b *testing.B) {
+	ctx := context.Background()
+	c := clusterCompile(b, 11, 200, 4)
+	b.ReportAllocs()
+	for b.Loop() {
+		c.DropCaches()
+		if _, err := c.Evaluator(ctx, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEcostUnassigned — one exact unassigned E-cost (solve-mix's
+// shape: n = 1000, z = 10, k = 8, one worker): the per-atom min-distance
+// pass over the coordinate column, then the threshold-split sweep.
+func BenchmarkEcostUnassigned(b *testing.B) {
+	ctx := context.Background()
+	c := clusterCompile(b, 12, 1000, 10)
+	locs := c.CandidatesOrLocations()
+	centers := make([]geom.Vec, 8)
+	for i := range centers {
+		centers[i] = locs[i*len(locs)/len(centers)]
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		cost, err := c.EcostUnassigned(ctx, centers, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += cost
+	}
+}
+
 // BenchmarkRepeatedSolve — the PR-4 tentpole's amortization claim: solving
 // one instance repeatedly with varying k. "compiled" reuses one instance
 // (the compiled flat model, the memoized 1-center surrogates and the

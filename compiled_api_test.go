@@ -15,6 +15,7 @@ import (
 
 	ukc "repro"
 	"repro/internal/gen"
+	"repro/internal/metricspace"
 )
 
 // TestInstanceCompileCached pins the cache identity contract: repeated
@@ -309,5 +310,44 @@ func TestStreamPushCompiled(t *testing.T) {
 	}
 	if !reflect.DeepEqual(kcCompiled.Centers(), kc.Centers()) {
 		t.Fatal("k-center compiled feed centers differ from per-point feed")
+	}
+}
+
+// TestValidateRejectsPointsOutsideTheSpace: a library-built instance whose
+// candidates or locations are not points of its space fails Validate — the
+// first stage of every solve — instead of passing it and then panicking
+// in SolveUnassigned, EcostSweep or Solve.
+func TestValidateRejectsPointsOutsideTheSpace(t *testing.T) {
+	ctx := context.Background()
+	pts := euclideanInstance(t, 5, 6, 2).Points
+	eu := ukc.NewInstance[ukc.Vec](ukc.Euclidean{}, pts, []ukc.Vec{{0, 0}, {1, 2, 3}})
+	if err := eu.Validate(); err == nil {
+		t.Error("Validate accepted a 3-D candidate among 2-D points")
+	}
+	if _, _, err := ukc.NewSolver[ukc.Vec]().SolveUnassigned(ctx, eu, 2); err == nil {
+		t.Error("SolveUnassigned accepted a 3-D candidate among 2-D points")
+	}
+	space, err := metricspace.NewFinite([][]float64{{0, 1, 2}, {1, 0, 1}, {2, 1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ukc.NewFinitePoint([]int{0, 2}, []float64{0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	far, err := ukc.NewFinitePoint([]int{1, 9}, []float64{0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, inst := range map[string]ukc.Instance[int]{
+		"candidate 7": ukc.NewFiniteInstance(space, []ukc.FinitePoint{p}, []int{0, 7}),
+		"location 9":  ukc.NewFiniteInstance(space, []ukc.FinitePoint{p, far}, nil),
+	} {
+		if err := inst.Validate(); err == nil {
+			t.Errorf("Validate accepted %s in a 3-vertex space", name)
+		}
+		if _, err := ukc.NewSolver[int]().Solve(ctx, inst, 1); err == nil {
+			t.Errorf("Solve accepted %s in a 3-vertex space", name)
+		}
 	}
 }

@@ -183,7 +183,9 @@ func (in Instance[P]) IsEuclidean() bool {
 }
 
 // Validate checks the structural invariants: a non-nil space, a nonempty
-// valid point set, and (in Euclidean space) agreeing coordinate dimensions.
+// valid point set, in Euclidean space one coordinate dimension shared by
+// every location and candidate, and over a finite space locations and
+// candidates that are vertices of it.
 // Validation is the first stage of compilation, so a successful Validate
 // caches the compiled model and later solves skip both.
 func (in Instance[P]) Validate() error {

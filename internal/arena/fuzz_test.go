@@ -90,6 +90,9 @@ func checkOpened(t *testing.T, file *arena.File) {
 		if c.Dim() < 1 {
 			t.Fatalf("accepted euclidean dim %d", c.Dim())
 		}
+		if len(c.Coords()) != c.NumAtoms()*c.Dim() {
+			t.Fatalf("accepted %d coordinates for %d atoms of dimension %d", len(c.Coords()), c.NumAtoms(), c.Dim())
+		}
 	case "finite":
 		c, err := file.Finite()
 		if err != nil {

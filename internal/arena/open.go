@@ -329,31 +329,32 @@ func (f *File) sharedColumns(h *header) (probs []float64, offsets, ptIdx []int32
 }
 
 // buildEuclidean assembles the Euclidean instance: the flat coordinate
-// column is aliased once and vector headers are sliced into it — a
-// constant number of allocations regardless of atom count.
+// column is aliased once — it doubles as the instance's coordinate column
+// xy — and vector headers are sliced into it, a constant number of
+// allocations regardless of atom count.
 func (f *File) buildEuclidean(h *header) error {
 	probs, offsets, ptIdx, err := f.sharedColumns(h)
 	if err != nil {
 		return err
 	}
 	dim := int(h.dim)
-	locs, err := f.vecColumn(h, secLocs, int(h.atoms), dim, "locs")
+	locs, xy, err := f.vecColumn(h, secLocs, int(h.atoms), dim, "locs")
 	if err != nil {
 		return err
 	}
 	allLocs := locs
 	if h.flags&flagAllLocsInline == 0 {
-		if allLocs, err = f.vecColumn(h, secAllLocs, int(h.nAll), dim, "allLocs"); err != nil {
+		if allLocs, _, err = f.vecColumn(h, secAllLocs, int(h.nAll), dim, "allLocs"); err != nil {
 			return err
 		}
 	}
 	var cands []geom.Vec
 	if h.flags&flagCands != 0 {
-		if cands, err = f.vecColumn(h, secCands, int(h.nCands), dim, "cands"); err != nil {
+		if cands, _, err = f.vecColumn(h, secCands, int(h.nCands), dim, "cands"); err != nil {
 			return err
 		}
 	}
-	c, err := core.FromArena[geom.Vec](metricspace.Euclidean{}, locs, probs, offsets, ptIdx, allLocs, cands, dim, int(h.maxZ))
+	c, err := core.FromArena[geom.Vec](metricspace.Euclidean{}, locs, xy, probs, offsets, ptIdx, allLocs, cands, dim, int(h.maxZ))
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -362,22 +363,23 @@ func (f *File) buildEuclidean(h *header) error {
 }
 
 // vecColumn aliases a coordinate section as count dim-dimensional vectors,
-// rejecting non-finite coordinates.
-func (f *File) vecColumn(h *header, sec, count, dim int, what string) ([]geom.Vec, error) {
+// rejecting non-finite coordinates. It also returns the section itself, the
+// flat column the vectors alias.
+func (f *File) vecColumn(h *header, sec, count, dim int, what string) ([]geom.Vec, []float64, error) {
 	coords, err := f64s(f.sectionBytes(h, sec), count*dim, what)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i, x := range coords {
 		if math.IsInf(x, 0) || math.IsNaN(x) {
-			return nil, fmt.Errorf("%w: non-finite coordinate %v in %s row %d", ErrCorrupt, x, what, i/dim)
+			return nil, nil, fmt.Errorf("%w: non-finite coordinate %v in %s row %d", ErrCorrupt, x, what, i/dim)
 		}
 	}
 	out := make([]geom.Vec, count)
 	for i := range out {
 		out[i] = geom.Vec(coords[i*dim : (i+1)*dim : (i+1)*dim])
 	}
-	return out, nil
+	return out, coords, nil
 }
 
 // buildFinite assembles the finite-metric instance: vertex columns are
@@ -417,7 +419,7 @@ func (f *File) buildFinite(h *header) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	c, err := core.FromArena[int](space, locs, probs, offsets, ptIdx, allLocs, cands, 0, int(h.maxZ))
+	c, err := core.FromArena[int](space, locs, nil, probs, offsets, ptIdx, allLocs, cands, 0, int(h.maxZ))
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

@@ -43,7 +43,7 @@ func WriteEuclidean(ctx context.Context, path string, c *core.Compiled[geom.Vec]
 	allLocs := locationSections(h, locs, cands, c.CandidatesOrLocations())
 	dim := c.Dim()
 	return writeSnapshot(ctx, path, h, func(sw *sectionWriter) error {
-		if err := sw.vecs(secLocs, locs, dim); err != nil {
+		if err := sw.f64(secLocs, c.Coords()); err != nil {
 			return err
 		}
 		if err := sw.f64(secProbs, probs); err != nil {

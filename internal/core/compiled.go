@@ -93,18 +93,28 @@ func (m *memo[T]) drop() {
 // afterwards, so a second solve of the same instance performs zero metric
 // calls for surrogate construction and zero evaluator rebuilds.
 //
+// In Euclidean space the arena owns its coordinates: Compile copies the
+// pruned atoms' coordinates once into one row-major column xy (atom f at
+// xy[f·d:(f+1)·d]) and re-slices every location into it, so each
+// coordinate is stored once and mutating the input points afterwards does
+// not reach the instance. The evaluator build and the exact E-costs
+// compute atom distances from xy with internal/geom's flat loops, which
+// repeat geom.Dist's arithmetic and so return bit-identical values; every
+// other space calls Space.Dist per atom.
+//
 // A Compiled is goroutine-safe: all mutable state is behind the memo cells,
 // and everything else is written once at compile time. Callers must not
 // mutate the slices it returns. Memory: the flat arena is
-// N·(sizeof(P) + 8 + 4) bytes plus 4·(n+1) offset bytes; the memoized swap
-// evaluator adds 8·m·N bytes when (and only when) a swap-cache path is
-// first exercised.
+// N·(sizeof(P) + 8 + 4) bytes plus 4·(n+1) offset bytes, plus the 8·d·N
+// coordinate column in Euclidean space; the memoized swap evaluator adds
+// 8·m·N bytes when (and only when) a swap-cache path is first exercised.
 type Compiled[P any] struct {
 	space metricspace.Space[P]
 	pts   []uncertain.Point[P] // pruned views into the flat arena
 	cands []P                  // explicit candidate set (may be empty)
 
 	locs    []P       // atom f -> location (the arena)
+	xy      []float64 // Euclidean only: atom f's coordinates at xy[f·dim:(f+1)·dim], which locs[f] aliases; nil elsewhere
 	probs   []float64 // atom f -> positive probability mass
 	offsets []int32   // point i owns atoms offsets[i]:offsets[i+1]; len n+1
 	ptIdx   []int32   // atom f -> owning point index (inverse of offsets)
@@ -139,12 +149,13 @@ func (c *Compiled[P]) CacheBuilds() uint64 { return c.builds.Load() }
 // (Euclidean space, or "default to all locations").
 //
 // Validation is strict on the ORIGINAL set: probabilities must be
-// non-negative, finite and sum to 1 per point, and in Euclidean space every
-// location — including zero-probability ones — must share one coordinate
-// dimension. After validation, zero-probability atoms are pruned; they
-// contribute to no expectation, distribution or E-cost, and pruning them
-// once here is what makes the cached and from-scratch evaluators agree on
-// the support they enumerate.
+// non-negative, finite and sum to 1 per point; in Euclidean space every
+// location — including zero-probability ones — and every candidate must
+// share one coordinate dimension, and over a *metricspace.Finite every
+// location and candidate must be a vertex of the space. After validation,
+// zero-probability atoms are pruned; they contribute to no expectation,
+// distribution or E-cost, and pruning them once here is what makes the
+// cached and from-scratch evaluators agree on the support they enumerate.
 func Compile[P any](ctx context.Context, space metricspace.Space[P], pts []uncertain.Point[P], candidates []P) (*Compiled[P], error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -168,7 +179,17 @@ func Compile[P any](ctx context.Context, space metricspace.Space[P], pts []uncer
 		if err != nil {
 			return nil, err
 		}
+		for j, cd := range any(candidates).([]geom.Vec) {
+			if len(cd) != d {
+				return nil, fmt.Errorf("core: candidate %d has dimension %d, want %d", j, len(cd), d)
+			}
+		}
 		dim = d
+	}
+	if fin, ok := any(space).(*metricspace.Finite); ok {
+		if err := checkVertices(fin, any(pts).([]uncertain.Point[int]), any(candidates).([]int)); err != nil {
+			return nil, err
+		}
 	}
 	vsp.Int("points", len(pts))
 	vsp.End()
@@ -215,6 +236,17 @@ func Compile[P any](ctx context.Context, space metricspace.Space[P], pts []uncer
 			Probs: c.probs[start:end:end],
 		}
 	}
+	if isEu {
+		// Copy the coordinates into one column and re-slice each location
+		// into it; the point views above alias locs, so they follow.
+		vs := any(c.locs).([]geom.Vec)
+		c.xy = make([]float64, len(vs)*dim)
+		for f, v := range vs {
+			row := c.xy[f*dim : (f+1)*dim : (f+1)*dim]
+			copy(row, v)
+			vs[f] = row
+		}
+	}
 	// The default candidate set keeps EVERY input location, including
 	// zero-probability ones: pruning affects probability mass (no E-cost
 	// ever changes), but a p = 0 location is still a legal — and possibly
@@ -229,6 +261,25 @@ func Compile[P any](ctx context.Context, space metricspace.Space[P], pts []uncer
 	fsp.Int("max_z", c.maxZ)
 	fsp.End()
 	return c, nil
+}
+
+// checkVertices reports the first location or candidate that is not a
+// vertex of the finite space.
+func checkVertices(fin *metricspace.Finite, pts []uncertain.Point[int], cands []int) error {
+	n := fin.N()
+	for i, p := range pts {
+		for j, v := range p.Locs {
+			if v < 0 || v >= n {
+				return fmt.Errorf("core: point %d location %d is vertex %d, outside the %d-vertex space", i, j, v, n)
+			}
+		}
+	}
+	for j, v := range cands {
+		if v < 0 || v >= n {
+			return fmt.Errorf("core: candidate %d is vertex %d, outside the %d-vertex space", j, v, n)
+		}
+	}
+	return nil
 }
 
 // Space returns the metric space the instance lives in.
@@ -290,6 +341,49 @@ func (c *Compiled[P]) PipelineCandidates() []P {
 // offsets[i]:offsets[i+1]. Callers must not mutate the slices.
 func (c *Compiled[P]) FlatAtoms() (locs []P, probs []float64, offsets, ptIdx []int32) {
 	return c.locs, c.probs, c.offsets, c.ptIdx
+}
+
+// Coords returns a Euclidean instance's row-major coordinate column, atom f
+// at [f·Dim():(f+1)·Dim()], which every location aliases; nil in any other
+// space. Callers must not mutate it.
+func (c *Compiled[P]) Coords() []float64 { return c.xy }
+
+// distsTo sets dst[j] = d(locs[lo+j], q) for every j in range dst: one
+// geom.DistsFlat pass over the coordinate column in Euclidean space, one
+// Space.Dist call per atom elsewhere. Both give the same bits.
+func (c *Compiled[P]) distsTo(dst []float64, lo int, q P) {
+	if c.xy != nil {
+		geom.DistsFlat(dst, c.xy[lo*c.dim:], c.dim, any(q).(geom.Vec))
+		return
+	}
+	for j, loc := range c.locs[lo : lo+len(dst)] {
+		dst[j] = c.space.Dist(loc, q)
+	}
+}
+
+// minDistsTo sets dst[j] = min over qs of d(locs[lo+j], q), dispatching
+// like distsTo.
+func (c *Compiled[P]) minDistsTo(dst []float64, lo int, qs []P) {
+	if c.xy != nil {
+		geom.MinDistsFlat(dst, c.xy[lo*c.dim:], c.dim, any(qs).([]geom.Vec))
+		return
+	}
+	minDists(c.space, dst, c.locs[lo:lo+len(dst)], qs)
+}
+
+// minDists sets dst[j] = min over qs of space.Dist(locs[j], q), +Inf when
+// qs is empty: the Space.Dist loop behind minDistsTo and the from-scratch
+// oracle.
+func minDists[P any](space metricspace.Space[P], dst []float64, locs, qs []P) {
+	for j, loc := range locs {
+		best := math.Inf(1)
+		for _, q := range qs {
+			if d := space.Dist(loc, q); d < best {
+				best = d
+			}
+		}
+		dst[j] = best
+	}
 }
 
 // euclideanPts returns the pruned points at their concrete Euclidean type;
@@ -483,8 +577,8 @@ func (c *Compiled[P]) buildSpan(ctx context.Context, name string) obs.Span {
 // surrogateElemBytes is the per-element cost of one memoized surrogate
 // entry, following the DESIGN.md §4a memory formula: sizeof(P) per element,
 // plus the 8·dim coordinate payload behind the slice header in Euclidean
-// space (surrogate vectors are freshly allocated, unlike the arena's
-// locations, which alias the input points).
+// space (each surrogate vector is its own allocation, while the arena's
+// locations share the coordinate column xy, which is not a cache).
 func (c *Compiled[P]) surrogateElemBytes() int64 {
 	var zero P
 	b := int64(unsafe.Sizeof(zero))
@@ -576,10 +670,11 @@ func (c *Compiled[P]) SnapToCandidates(centers []P) []int {
 // EcostAssigned returns the exact assigned expected cost
 // Σ_R prob(R)·max_i d(P̂_i, centers[assign[i]]) of the compiled instance:
 // the flat per-atom distances are filled on `workers` goroutines (disjoint
-// per-point ranges, bit-identical to sequential), then one threshold-split
-// sweep (emax.Arena.ExpectedMaxFlat). No re-validation: the instance was
-// validated at compile time. The distance buffer and the sweep arena come
-// from a pool, so repeated calls reuse them instead of allocating O(N).
+// per-point ranges through distsTo, bit-identical to sequential), then one
+// threshold-split sweep (emax.Arena.ExpectedMaxFlat). No re-validation: the
+// instance was validated at compile time. The distance buffer and the sweep
+// arena come from a pool, so repeated calls reuse them instead of
+// allocating O(N).
 func (c *Compiled[P]) EcostAssigned(ctx context.Context, centers []P, assign []int, workers int) (float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -591,10 +686,8 @@ func (c *Compiled[P]) EcostAssigned(ctx context.Context, centers []P, assign []i
 	defer ecostPool.Put(s)
 	vals := s.vals
 	if err := par.For(ctx, len(c.pts), workers, func(i int) {
-		ctr := centers[assign[i]]
-		for f := c.offsets[i]; f < c.offsets[i+1]; f++ {
-			vals[f] = c.space.Dist(c.locs[f], ctr)
-		}
+		lo, hi := c.offsets[i], c.offsets[i+1]
+		c.distsTo(vals[lo:hi], int(lo), centers[assign[i]])
 	}); err != nil {
 		return 0, err
 	}
@@ -602,7 +695,8 @@ func (c *Compiled[P]) EcostAssigned(ctx context.Context, centers []P, assign []i
 }
 
 // EcostUnassigned returns the exact unassigned expected cost
-// Σ_R prob(R)·max_i min_j d(P̂_i, c_j) of the compiled instance; see
+// Σ_R prob(R)·max_i min_j d(P̂_i, c_j) of the compiled instance; the
+// per-atom minima are filled per point through minDistsTo. See
 // EcostAssigned for the parallelism and validation contract.
 func (c *Compiled[P]) EcostUnassigned(ctx context.Context, centers []P, workers int) (float64, error) {
 	if ctx == nil {
@@ -614,14 +708,9 @@ func (c *Compiled[P]) EcostUnassigned(ctx context.Context, centers []P, workers 
 	s := getEcostScratch(len(c.locs))
 	defer ecostPool.Put(s)
 	vals := s.vals
-	if err := par.For(ctx, len(c.locs), workers, func(f int) {
-		best := math.Inf(1)
-		for _, ctr := range centers {
-			if d := c.space.Dist(c.locs[f], ctr); d < best {
-				best = d
-			}
-		}
-		vals[f] = best
+	if err := par.For(ctx, len(c.pts), workers, func(i int) {
+		lo, hi := c.offsets[i], c.offsets[i+1]
+		c.minDistsTo(vals[lo:hi], int(lo), centers)
 	}); err != nil {
 		return 0, err
 	}
@@ -672,16 +761,10 @@ func (c *Compiled[P]) newFlatScratches(k, workers int) []*flatScratch[P] {
 // ecostUnassignedFlat is the scratch-reusing sequential unassigned E-cost —
 // the inner-loop evaluator of the from-scratch local-search and sweep paths.
 // vals must have length NumAtoms(); vals and arena are overwritten and may
-// be reused across calls. Value-identical to EcostUnassigned.
+// be reused across calls. Value-identical to EcostUnassigned, but it keeps
+// one Space.Dist call per atom and center in every space: it is the oracle
+// the trajectory-equality tests hold the flat kernels to.
 func (c *Compiled[P]) ecostUnassignedFlat(centers []P, vals []float64, a *emax.Arena) float64 {
-	for f, loc := range c.locs {
-		best := math.Inf(1)
-		for _, ctr := range centers {
-			if d := c.space.Dist(loc, ctr); d < best {
-				best = d
-			}
-		}
-		vals[f] = best
-	}
+	minDists(c.space, vals, c.locs, centers)
 	return a.ExpectedMaxFlat(vals, c.probs, c.ptIdx, len(c.pts))
 }

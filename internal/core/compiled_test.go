@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/geom"
+	"repro/internal/metricspace"
 	"repro/internal/uncertain"
 )
 
@@ -60,6 +62,44 @@ func TestCompileRejectsInvalid(t *testing.T) {
 	}
 	if _, err := core.Compile[geom.Vec](ctx, euclid, hetZero, nil); err == nil {
 		t.Error("heterogeneous dimension on a zero-probability atom accepted")
+	}
+}
+
+// TestCompileRejectsPointsOutsideTheSpace: a candidate or location that is
+// not a point of the space — a 3-D candidate among 2-D points, a vertex
+// outside a finite space — is a compile error naming it, not a panic in
+// the first solve.
+func TestCompileRejectsPointsOutsideTheSpace(t *testing.T) {
+	ctx := context.Background()
+	cands := []geom.Vec{{0, 0}, {1, 2, 3}}
+	if _, err := core.Compile[geom.Vec](ctx, euclid, zeroAtomInstance(), cands); err == nil ||
+		!strings.Contains(err.Error(), "candidate 1 has dimension 3, want 2") {
+		t.Errorf("3-D candidate among 2-D points: err = %v", err)
+	}
+	space, err := metricspace.NewFinite([][]float64{{0, 1, 2}, {1, 0, 1}, {2, 1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := []uncertain.Point[int]{
+		{Locs: []int{0, 1}, Probs: []float64{0.5, 0.5}},
+		{Locs: []int{2, 1}, Probs: []float64{1, 0}},
+	}
+	if _, err := core.Compile[int](ctx, space, pts, []int{0, 7}); err == nil ||
+		!strings.Contains(err.Error(), "candidate 1 is vertex 7") {
+		t.Errorf("candidate 7 in a 3-vertex space: err = %v", err)
+	}
+	pts[1].Locs[1] = 9 // a zero-probability location is still a center site
+	if _, err := core.Compile[int](ctx, space, pts, nil); err == nil ||
+		!strings.Contains(err.Error(), "point 1 location 1 is vertex 9") {
+		t.Errorf("location 9 in a 3-vertex space: err = %v", err)
+	}
+	pts[1].Locs[1] = -1
+	if _, err := core.Compile[int](ctx, space, pts, nil); err == nil {
+		t.Error("location -1 accepted")
+	}
+	pts[1].Locs[1] = 1
+	if _, err := core.Compile[int](ctx, space, pts, []int{2, 0}); err != nil {
+		t.Errorf("in-range instance rejected: %v", err)
 	}
 }
 

@@ -19,13 +19,16 @@ import (
 //
 // The returned Compiled aliases every slice it is given — for a mapped
 // snapshot the arena columns point straight into the mapped region, so the
-// mapping must outlive the instance. allLocs is the CandidatesOrLocations
-// default (all input locations including zero-probability ones) and may be
-// the locs slice itself when nothing was pruned; cands may be nil. The
-// memoized caches (surrogates, swap evaluator) start empty and rebuild
-// lazily exactly as after a Compile — which is what keeps a
-// frozen-then-opened instance's solves bit-identical to the in-memory one.
-func FromArena[P any](space metricspace.Space[P], locs []P, probs []float64, offsets, ptIdx []int32, allLocs, cands []P, dim, maxZ int) (*Compiled[P], error) {
+// mapping must outlive the instance. xy is a Euclidean instance's row-major
+// coordinate column (len(locs)·dim values) that every locs[f] aliases at
+// xy[f·dim:(f+1)·dim], and nil in any other space. allLocs is the
+// CandidatesOrLocations default (all input locations including
+// zero-probability ones) and may be the locs slice itself when nothing was
+// pruned; cands may be nil. The memoized caches (surrogates, swap
+// evaluator) start empty and rebuild lazily exactly as after a Compile —
+// which is what keeps a frozen-then-opened instance's solves bit-identical
+// to the in-memory one.
+func FromArena[P any](space metricspace.Space[P], locs []P, xy, probs []float64, offsets, ptIdx []int32, allLocs, cands []P, dim, maxZ int) (*Compiled[P], error) {
 	if space == nil {
 		return nil, fmt.Errorf("core: nil space")
 	}
@@ -40,11 +43,18 @@ func FromArena[P any](space metricspace.Space[P], locs []P, probs []float64, off
 		return nil, fmt.Errorf("core: arena offsets span [%d,%d], want [0,%d]", offsets[0], offsets[n], len(locs))
 	}
 	_, isEu := any(space).(metricspace.Euclidean)
+	if isEu && len(xy) != len(locs)*dim {
+		return nil, fmt.Errorf("core: arena coordinate column holds %d values for %d atoms of dimension %d", len(xy), len(locs), dim)
+	}
+	if !isEu && xy != nil {
+		return nil, fmt.Errorf("core: arena coordinate column outside Euclidean space")
+	}
 	c := &Compiled[P]{
 		space:       space,
 		cands:       cands,
 		pts:         make([]uncertain.Point[P], n),
 		locs:        locs,
+		xy:          xy,
 		probs:       probs,
 		offsets:     offsets,
 		ptIdx:       ptIdx,

@@ -83,12 +83,11 @@ func newSwapEvaluatorCompiled[P any](ctx context.Context, c *Compiled[P], candid
 		cols:    make([][]float64, len(candidates)),
 	}
 	e.gInf = e.lay.Mass()
-	locs, space := c.locs, c.space
+	// One allocation per column: a single m·N block, freed and rebuilt on
+	// every eviction, measured a higher GC heap goal and peak RSS (DESIGN §4).
 	err := par.For(ctx, len(candidates), workers, func(cd int) {
-		col := make([]float64, len(locs))
-		for f, loc := range locs {
-			col[f] = space.Dist(loc, candidates[cd])
-		}
+		col := make([]float64, c.NumAtoms())
+		c.distsTo(col, 0, candidates[cd])
 		e.cols[cd] = col
 	})
 	if err != nil {

@@ -173,12 +173,82 @@ func Dist(v, w Vec) float64 { return math.Sqrt(DistSq(v, w)) }
 // DistSq returns the squared Euclidean distance between v and w.
 func DistSq(v, w Vec) float64 {
 	checkDim(v, w)
+	return distSq(v, w)
+}
+
+// distSq is DistSq without the dimension check: the squares accumulate
+// from 0 in coordinate order. Dist and the flat kernels all go through it
+// or through distSq2, its planar unrolling, so they round alike.
+func distSq(v, w []float64) float64 {
 	var s float64
 	for i := range v {
 		d := v[i] - w[i]
 		s += d * d
 	}
 	return s
+}
+
+// distSq2 is distSq's two steps for the coordinate differences of a planar
+// pair, written in the loop's order so a target that fuses multiply-adds
+// fuses both alike.
+func distSq2(tx, ty float64) float64 {
+	s := 0 + tx*tx
+	s += ty * ty
+	return s
+}
+
+// DistsFlat sets dst[j] = Dist(xy[j·d:(j+1)·d], q) for every j in range
+// dst: the distances from q to len(dst) points stored row-major in one flat
+// coordinate column, bit-identical to Dist. It checks q's dimension once,
+// panicking as Dist does when len(q) != d, and panics when xy holds fewer
+// than len(dst)·d coordinates.
+func DistsFlat(dst, xy []float64, d int, q Vec) {
+	checkFlatDim(d, q)
+	xy = xy[:len(dst)*d]
+	if d == 2 {
+		qx, qy := q[0], q[1]
+		for j := range dst {
+			dst[j] = math.Sqrt(distSq2(xy[2*j]-qx, xy[2*j+1]-qy))
+		}
+		return
+	}
+	for j := range dst {
+		dst[j] = math.Sqrt(distSq(xy[j*d:(j+1)*d], q))
+	}
+}
+
+// MinDistsFlat sets dst[j] to the least Dist(xy[j·d:(j+1)·d], q) over q in
+// qs (+Inf when qs is empty). It compares squared distances and takes one
+// Sqrt per point; Sqrt is correctly rounded and monotone, so the result is
+// bit-identical to the least Dist. It panics like DistsFlat.
+func MinDistsFlat(dst, xy []float64, d int, qs []Vec) {
+	for _, q := range qs {
+		checkFlatDim(d, q)
+	}
+	xy = xy[:len(dst)*d]
+	if d == 2 {
+		for j := range dst {
+			x, y := xy[2*j], xy[2*j+1]
+			best := math.Inf(1)
+			for _, q := range qs {
+				if s := distSq2(x-q[0], y-q[1]); s < best {
+					best = s
+				}
+			}
+			dst[j] = math.Sqrt(best)
+		}
+		return
+	}
+	for j := range dst {
+		p := xy[j*d : (j+1)*d]
+		best := math.Inf(1)
+		for _, q := range qs {
+			if s := distSq(p, q); s < best {
+				best = s
+			}
+		}
+		dst[j] = math.Sqrt(best)
+	}
 }
 
 // Dist1 returns the L1 (Manhattan) distance between v and w.
@@ -240,5 +310,12 @@ func WeightedMean(pts []Vec, weights []float64) Vec {
 func checkDim(v, w Vec) {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(v), len(w)))
+	}
+}
+
+// checkFlatDim is checkDim for a target against d-dimensional rows.
+func checkFlatDim(d int, q Vec) {
+	if len(q) != d {
+		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", d, len(q)))
 	}
 }

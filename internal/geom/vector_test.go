@@ -323,3 +323,165 @@ func BenchmarkDist(b *testing.B) {
 		_ = Dist(v, w)
 	}
 }
+
+// flatCoord draws a coordinate for the flat-kernel tests: ±0, or a signed
+// magnitude anywhere from 1e-160 to 1e160, so that squares underflow to 0
+// and overflow to +Inf.
+func flatCoord(r *rand.Rand) float64 {
+	switch r.Intn(8) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	}
+	x := (1 + r.Float64()) * math.Pow(10, float64(r.Intn(321)-160))
+	if r.Intn(2) == 0 {
+		x = -x
+	}
+	return x
+}
+
+// checkFlatKernels holds DistsFlat and MinDistsFlat to Dist and the least
+// Dist under math.Float64bits, on every point of xy against every target
+// and against all of them. It returns the number of results that overflowed
+// to +Inf and that underflowed to 0 between distinct points.
+func checkFlatKernels(t *testing.T, xy []float64, d int, qs []Vec) (overflow, underflow int) {
+	t.Helper()
+	n := len(xy) / d
+	dst := make([]float64, n)
+	for _, q := range qs {
+		DistsFlat(dst, xy, d, q)
+		for j, got := range dst {
+			p := Vec(xy[j*d : (j+1)*d])
+			want := Dist(p, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("d=%d: DistsFlat(%v, %v) = %v, Dist = %v", d, p, q, got, want)
+			}
+			if math.IsInf(got, 1) {
+				overflow++
+			}
+			if got == 0 && !p.Equal(q, 0) {
+				underflow++
+			}
+		}
+	}
+	MinDistsFlat(dst, xy, d, qs)
+	for j, got := range dst {
+		p := Vec(xy[j*d : (j+1)*d])
+		want := math.Inf(1)
+		for _, q := range qs {
+			if dd := Dist(p, q); dd < want {
+				want = dd
+			}
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("d=%d: MinDistsFlat(%v) = %v, least Dist = %v", d, p, got, want)
+		}
+	}
+	return overflow, underflow
+}
+
+// TestFlatKernelsBitIdentical pins DistsFlat and MinDistsFlat to Dist bit
+// for bit on both sides of the planar case, over ±0 coordinates,
+// coincident points, and magnitudes whose squares underflow and overflow.
+func TestFlatKernelsBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for _, d := range []int{1, 2, 3, 5} {
+		var overflow, underflow int
+		for trial := 0; trial < 200; trial++ {
+			n := 1 + r.Intn(12)
+			xy := make([]float64, n*d)
+			for i := range xy {
+				xy[i] = flatCoord(r)
+			}
+			qs := make([]Vec, r.Intn(4))
+			for i := range qs {
+				qs[i] = NewVec(d)
+				for c := range qs[i] {
+					qs[i][c] = flatCoord(r)
+				}
+			}
+			// A target on one of the points, and one a hair off it.
+			j := r.Intn(n)
+			on := Vec(xy[j*d : (j+1)*d]).Clone()
+			off := on.Clone()
+			off[0] = math.Nextafter(off[0], math.Inf(1))
+			qs = append(qs, on, off)
+			o, u := checkFlatKernels(t, xy, d, qs)
+			overflow += o
+			underflow += u
+		}
+		if overflow == 0 || underflow == 0 {
+			t.Fatalf("d=%d: %d overflows and %d underflows; the draw must reach both", d, overflow, underflow)
+		}
+	}
+	// No targets: every minimum is +Inf.
+	dst := []float64{1, 2}
+	MinDistsFlat(dst, []float64{0, 0, 1, 1}, 2, nil)
+	if !math.IsInf(dst[0], 1) || !math.IsInf(dst[1], 1) {
+		t.Fatalf("MinDistsFlat over no targets = %v, want +Inf", dst)
+	}
+}
+
+// TestFlatKernelsPanicOnDimensionMismatch: a target of the wrong length
+// panics, as Dist does, rather than reading a prefix of it.
+func TestFlatKernelsPanicOnDimensionMismatch(t *testing.T) {
+	xy := []float64{0, 0, 1, 1}
+	dst := make([]float64, 2)
+	for name, f := range map[string]func(){
+		"DistsFlat 3-D target":         func() { DistsFlat(dst, xy, 2, Vec{1, 2, 3}) },
+		"DistsFlat 1-D target":         func() { DistsFlat(dst, xy, 2, Vec{1}) },
+		"MinDistsFlat one 3-D target":  func() { MinDistsFlat(dst, xy, 2, []Vec{{1, 2}, {1, 2, 3}}) },
+		"DistsFlat short column":       func() { DistsFlat(make([]float64, 3), xy, 2, Vec{1, 2}) },
+		"MinDistsFlat d=3, 2-D target": func() { MinDistsFlat(dst[:1], xy[:3], 3, []Vec{{1, 2}}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// FuzzDistsFlat checks DistsFlat and MinDistsFlat against Dist bit for bit
+// on random dimensions up to 8 and random finite coordinates from ±0 up to
+// magnitudes whose squares overflow (nightly: make fuzz-dist).
+func FuzzDistsFlat(f *testing.F) {
+	f.Add([]byte{1, 3, 2, 0, 1, 7, 255, 3, 128, 4, 9})
+	f.Add([]byte{2, 4, 2, 10, 200, 30, 40, 90, 80, 1, 2, 3, 4, 200, 100, 7, 8})
+	f.Add([]byte{7, 2, 1, 127, 127, 129, 127, 0, 0, 1, 129, 5, 5, 5, 5, 5, 5, 5, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		coord := func() float64 {
+			m, e := int8(next()), int8(next())
+			if m == 0 && e < 0 {
+				return math.Copysign(0, -1)
+			}
+			return math.Ldexp(float64(m), int(e)*8)
+		}
+		d := 1 + int(next())%8
+		n := 1 + int(next())%8
+		xy := make([]float64, n*d)
+		for i := range xy {
+			xy[i] = coord()
+		}
+		qs := make([]Vec, int(next())%4)
+		for i := range qs {
+			qs[i] = NewVec(d)
+			for c := range qs[i] {
+				qs[i][c] = coord()
+			}
+		}
+		checkFlatKernels(t, xy, d, qs)
+	})
+}
