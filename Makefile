@@ -55,8 +55,8 @@ fuzz-arena:
 # fuzz-bound runs the prune-bound soundness fuzzer for $(FUZZTIME): random
 # metric instances, point masses skewed inside the validation tolerance,
 # through t*(c)·G∞ ≤ EvalSwap(base, c) + 1e-12 and "a candidate the armed
-# threshold skips costs ≥ cost₀·(1 − 1e-12)" — the inequalities
-# CandIndexPrune's bit-identical-trajectory claim rests on (nightly CI).
+# threshold skips costs ≥ cost₀·(1 − 1e-12)" — the inequalities the pruned
+# scan's bit-identical-trajectory claim rests on (nightly CI).
 fuzz-bound:
 	$(GO) test -fuzz FuzzLowerBound -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 
@@ -82,13 +82,13 @@ fuzz-dist:
 bench:
 	$(GO) test -run '^$$' -benchmem -bench . . ./serve ./store ./obs
 
-# bench-index runs BenchmarkCandIndexScan/{off,prune,approx} once on the
+# bench-index runs BenchmarkCandIndexScan/{off,prune} once on the
 # n=m=1000 acceptance instance and prints ns/scan, prune_rate and
-# cost_ratio per mode. The off row is the unindexed oracle scan; prune and
-# approx are the indexed scans, so the ns/scan ratio is the per-scan
-# speedup on the same instance and seeds. The bench itself fails when the
-# prune rate drops below the 0.50 acceptance floor or a pruned trajectory
-# diverges from the oracle (cost_ratio must be exactly 1.0).
+# cost_ratio per row. The off row is the unpruned cached scan and prune the
+# default pruned one, so the ns/scan ratio is the per-scan speedup on the
+# same instance and seeds. The bench itself fails when the prune rate drops
+# below the 0.50 acceptance floor or a pruned trajectory diverges from the
+# unpruned one (cost_ratio must be exactly 1.0).
 bench-index:
 	$(GO) test -run '^$$' -benchmem -benchtime 1x -bench 'BenchmarkCandIndexScan' .
 
@@ -108,7 +108,6 @@ examples:
 	$(GO) run ./examples/adversarial
 	$(GO) run ./examples/streaming
 	$(GO) run ./examples/serving
-	$(GO) run ./cmd/ukserver -selfcheck
 	$(GO) run ./cmd/ukfreeze -selfcheck
 
 check: vet fmt-check build test test-race

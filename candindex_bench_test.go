@@ -1,16 +1,13 @@
 package ukc_test
 
-// The PR-9 acceptance benchmark: the n = m = 1000 swap-scan wall, measured
-// with the candidate index off (the PR-3 oracle), pruning (bit-identical,
-// must skip ≥ 50% of candidate evaluations here), and approximate
-// (neighborhood-restricted, cost ratio reported). `make bench-index` runs it
-// once and prints the reported metrics:
+// The swap-scan acceptance benchmark: the n = m = 1000 swap-scan wall,
+// measured with pruning off (the unpruned cached scan, the reference) and on
+// (bit-identical, must skip ≥ 50% of candidate evaluations here). `make
+// bench-index` runs it once and prints the reported metrics:
 //
 //	ns/scan     — wall time per scan position (the per-scan old-vs-new axis)
 //	prune_rate  — pruned / scanned candidate evaluations
-//	cost_ratio  — final E-cost vs the exact trajectory's (1.0 for off/prune)
-//
-// so one file carries the whole quality/speed story.
+//	cost_ratio  — final E-cost vs the unpruned trajectory's (exactly 1)
 
 import (
 	"context"
@@ -82,40 +79,44 @@ func (s *scanCounter) Span(name, _ string, _ time.Time, _ time.Duration, attrs [
 	}
 }
 
-// BenchmarkCandIndexScan is the off/prune/approx sweep on the n = m = 1000
-// instance. Sub-bench names are stable identifiers for BENCH_PR9.json.
+// BenchmarkCandIndexScan is the off/prune sweep on the n = m = 1000
+// instance. Sub-bench names are stable identifiers for BENCH_PR9.json. The
+// unpruned scan is not a public option, so both rows call the core local
+// search with the options Solver.SolveUnassigned passes, plus DisablePrune.
 func BenchmarkCandIndexScan(b *testing.B) {
 	const k = 8
 	ctx := context.Background()
-	inst := benchIndexInstance(b)
+	c, err := benchIndexInstance(b).Compile(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
 
-	// Exact-trajectory cost, computed once, anchors every cost_ratio.
-	exactSolver := ukc.NewSolver[ukc.Vec](ukc.WithParallelism(1))
-	_, exactCost, err := exactSolver.SolveUnassignedMode(ctx, inst, k, core.CandIndexOff)
+	// The unpruned trajectory's cost, computed once, anchors every cost_ratio.
+	_, exactCost, err := core.SolveUnassignedLSCompiled(ctx, c, k, core.LocalSearchOptions{Parallelism: 1, DisablePrune: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 
 	for _, bc := range []struct {
-		name string
-		mode ukc.CandidateIndexMode
+		name         string
+		disablePrune bool
 	}{
-		{"off", core.CandIndexOff},
-		{"prune", ukc.CandIndexPrune},
-		{"approx", ukc.CandIndexApprox},
+		{"off", true},
+		{"prune", false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			sc := &scanCounter{}
-			solver := ukc.NewSolver[ukc.Vec](ukc.WithParallelism(1), ukc.WithTracer(sc))
+			tctx := obs.NewContext(ctx, sc)
+			opts := core.LocalSearchOptions{Parallelism: 1, DisablePrune: bc.disablePrune}
 			var cost float64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, c, err := solver.SolveUnassignedMode(ctx, inst, k, bc.mode)
+				_, cst, err := core.SolveUnassignedLSCompiled(tctx, c, k, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				cost = c
+				cost = cst
 			}
 			b.StopTimer()
 			if sc.positions > 0 {
@@ -124,13 +125,13 @@ func BenchmarkCandIndexScan(b *testing.B) {
 			if sc.scanned > 0 {
 				rate := float64(sc.pruned) / float64(sc.scanned)
 				b.ReportMetric(rate, "prune_rate")
-				if bc.mode == ukc.CandIndexPrune && rate < 0.5 {
+				if rate < 0.5 {
 					b.Fatalf("prune_rate = %.3f, acceptance floor is 0.50", rate)
 				}
 			}
 			b.ReportMetric(cost/exactCost, "cost_ratio")
-			if bc.mode != ukc.CandIndexApprox && cost != exactCost {
-				b.Fatalf("mode %v cost %g != exact %g (trajectory diverged)", bc.mode, cost, exactCost)
+			if cost != exactCost {
+				b.Fatalf("%s cost %g != unpruned %g (trajectory diverged)", bc.name, cost, exactCost)
 			}
 		})
 	}

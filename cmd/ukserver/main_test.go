@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"io"
-	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,23 +10,7 @@ import (
 
 	"repro/internal/dataio"
 	"repro/internal/gen"
-	"repro/obs"
 )
-
-// TestSelfcheck runs the full CI smoke path in-process: every endpoint,
-// both instance kinds, over real HTTP on a loopback port. The flight
-// recorder runs at its production defaults so the trace-retention step is
-// exercised, not skipped.
-func TestSelfcheck(t *testing.T) {
-	gw, err := newGateway(1, nil, obs.NewFlightRecorder(obs.FlightConfig{}), t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.close()
-	if err := gw.selfcheck(slog.New(slog.NewTextHandler(io.Discard, nil))); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestHTTPStatusMapping(t *testing.T) {
 	gw, err := newGateway(1, nil, nil, "")
@@ -81,6 +63,15 @@ func TestHTTPStatusMapping(t *testing.T) {
 	}
 	if resp := do(http.MethodPut, "/v1/instances/c", `{nope`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad json: %d, want 400", resp.StatusCode)
+	}
+	// A workload body is exactly one object of the request's fields: an
+	// unknown field (the retired "index" among them) or a second value
+	// after the object is a bad request, not a field silently ignored.
+	if resp := do(http.MethodPost, "/v1/unassigned", `{"instance":"a","k":2,"index":"approx"}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown field: %d, want 400", resp.StatusCode)
+	}
+	if resp := do(http.MethodPost, "/v1/unassigned", `{"instance":"a","k":2} {"k":9}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("data after the object: %d, want 400", resp.StatusCode)
 	}
 	// deadline_ms 0 means "no per-request deadline": the solve succeeds.
 	if resp := do(http.MethodPost, "/v1/solve", `{"instance":"a","k":2,"deadline_ms":0}`); resp.StatusCode != http.StatusOK {

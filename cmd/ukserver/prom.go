@@ -5,8 +5,8 @@ package main
 // library: the vocabulary is small and fully known (see serve.Collect),
 // so a hand-rolled writer — family grouping, TYPE inference from the name
 // suffix, label escaping, deterministic ordering — is ~100 lines and keeps
-// the binary dependency-free. parsePromText is the inverse used by
-// -selfcheck and the golden test to assert the exposition stays valid.
+// the binary dependency-free. parsePromText (prom_test.go) is the inverse
+// the tests use to assert the exposition stays valid.
 
 import (
 	"fmt"
@@ -160,145 +160,4 @@ func (p *promCollector) write(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// parsePromText parses an exposition document back into samples keyed by
-// series name. It accepts exactly the subset write produces (plus blank
-// lines and arbitrary comments) and errors on anything malformed — the
-// selfcheck uses it to prove the endpoint serves parseable output.
-func parsePromText(r io.Reader) (map[string][]promSample, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string][]promSample{}
-	for ln, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) >= 2 && fields[1] == "TYPE" && len(fields) != 4 {
-				return nil, fmt.Errorf("line %d: malformed TYPE comment %q", ln+1, line)
-			}
-			continue
-		}
-		s, err := parsePromLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", ln+1, err)
-		}
-		out[s.name] = append(out[s.name], s)
-	}
-	return out, nil
-}
-
-func parsePromLine(line string) (promSample, error) {
-	var s promSample
-	rest := line
-	if i := strings.IndexByte(rest, '{'); i >= 0 {
-		s.name = rest[:i]
-		// Quote-aware scan, not LastIndexByte: an exemplar suffix carries a
-		// second label block, and '}' may legitimately appear inside a quoted
-		// label value.
-		end := labelBlockEnd(rest, i+1)
-		if end < 0 {
-			return s, fmt.Errorf("unterminated label block in %q", line)
-		}
-		labels, err := parsePromLabels(rest[i+1 : end])
-		if err != nil {
-			return s, err
-		}
-		s.labels = labels
-		rest = strings.TrimSpace(rest[end+1:])
-	} else {
-		fields := strings.Fields(rest)
-		if len(fields) < 2 {
-			return s, fmt.Errorf("want 'name value', got %q", line)
-		}
-		s.name, rest = fields[0], strings.TrimSpace(strings.TrimPrefix(rest, fields[0]))
-	}
-	// Tolerate (and discard) an OpenMetrics exemplar: the value can never
-	// contain '#', so everything from the first '#' on is the exemplar.
-	if i := strings.IndexByte(rest, '#'); i >= 0 {
-		rest = strings.TrimSpace(rest[:i])
-	}
-	if s.name == "" || !isPromName(s.name) {
-		return s, fmt.Errorf("invalid metric name in %q", line)
-	}
-	if len(strings.Fields(rest)) != 1 {
-		return s, fmt.Errorf("want one value in %q", line)
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-	if err != nil {
-		return s, fmt.Errorf("invalid value in %q: %w", line, err)
-	}
-	s.value = v
-	return s, nil
-}
-
-// labelBlockEnd returns the index of the '}' closing the label block that
-// starts (after its '{') at start, honoring quoting and escapes; -1 when
-// unterminated.
-func labelBlockEnd(s string, start int) int {
-	inQuote := false
-	for i := start; i < len(s); i++ {
-		switch {
-		case inQuote && s[i] == '\\':
-			i++ // skip the escaped byte
-		case s[i] == '"':
-			inQuote = !inQuote
-		case !inQuote && s[i] == '}':
-			return i
-		}
-	}
-	return -1
-}
-
-func parsePromLabels(block string) (map[string]string, error) {
-	labels := map[string]string{}
-	for block != "" {
-		eq := strings.IndexByte(block, '=')
-		if eq < 0 || len(block) < eq+2 || block[eq+1] != '"' {
-			return nil, fmt.Errorf("malformed label pair near %q", block)
-		}
-		key := strings.TrimSpace(block[:eq])
-		rest := block[eq+2:]
-		var val strings.Builder
-		i := 0
-		for ; i < len(rest); i++ {
-			if rest[i] == '\\' && i+1 < len(rest) {
-				switch rest[i+1] {
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					val.WriteByte(rest[i+1])
-				}
-				i++
-				continue
-			}
-			if rest[i] == '"' {
-				break
-			}
-			val.WriteByte(rest[i])
-		}
-		if i == len(rest) {
-			return nil, fmt.Errorf("unterminated label value for %q", key)
-		}
-		labels[key] = val.String()
-		block = strings.TrimPrefix(strings.TrimSpace(rest[i+1:]), ",")
-		block = strings.TrimSpace(block)
-	}
-	return labels, nil
-}
-
-func isPromName(name string) bool {
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		ok := c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return len(name) > 0
 }

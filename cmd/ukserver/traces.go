@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/dataio"
@@ -157,14 +156,4 @@ func (g *gateway) handleRequests(w http.ResponseWriter, r *http.Request) {
 		out = kept
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"requests": out})
-}
-
-// traceSummary renders a one-line digest of a retained trace for selfcheck
-// output: span names in record order.
-func traceSummary(tr traceOut) string {
-	names := make([]string, 0, len(tr.Spans))
-	for _, sp := range tr.Spans {
-		names = append(names, sp.Name)
-	}
-	return tr.TraceID[:8] + " [" + tr.Reason + "] " + strings.Join(names, " → ")
 }

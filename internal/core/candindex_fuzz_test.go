@@ -46,7 +46,7 @@ func fuzzFiniteInstance(t testing.TB, rng *rand.Rand) *Compiled[int] {
 //
 // The fuzzer steers instance shape (sizes, support, metric kind, chosen
 // set) through a seeded RNG, so every failure reproduces from its corpus
-// entry. This is the safety net under CandIndexPrune's bit-identical
+// entry. This is the safety net under the pruned scan's bit-identical
 // trajectory claim: if this invariant held only usually, pruning would
 // silently change answers.
 //

@@ -65,11 +65,11 @@ func TestPruneTrajectoryEquality(t *testing.T) {
 		var refCenters []geom.Vec
 		var refCost float64
 		for _, workers := range []int{1, 4, 8} {
-			for _, mode := range []core.CandidateIndexMode{core.CandIndexOff, core.CandIndexPrune} {
+			for _, disablePrune := range []bool{true, false} {
 				centers, cost, err := core.SolveUnassignedLSCompiled(ctx, c, k, core.LocalSearchOptions{
-					MaxIter:        50,
-					Parallelism:    workers,
-					CandidateIndex: mode,
+					MaxIter:      50,
+					Parallelism:  workers,
+					DisablePrune: disablePrune,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -79,13 +79,13 @@ func TestPruneTrajectoryEquality(t *testing.T) {
 					continue
 				}
 				if cost != refCost || len(centers) != len(refCenters) {
-					t.Fatalf("seed %d workers %d mode %v: cost %g (ref %g), %d centers (ref %d)",
-						seed, workers, mode, cost, refCost, len(centers), len(refCenters))
+					t.Fatalf("seed %d workers %d DisablePrune %v: cost %g (ref %g), %d centers (ref %d)",
+						seed, workers, disablePrune, cost, refCost, len(centers), len(refCenters))
 				}
 				for i := range centers {
 					if euclid.Dist(centers[i], refCenters[i]) != 0 {
-						t.Fatalf("seed %d workers %d mode %v: center %d = %v != ref %v",
-							seed, workers, mode, i, centers[i], refCenters[i])
+						t.Fatalf("seed %d workers %d DisablePrune %v: center %d = %v != ref %v",
+							seed, workers, disablePrune, i, centers[i], refCenters[i])
 					}
 				}
 			}
@@ -110,11 +110,11 @@ func TestPruneTrajectoryEqualityFinite(t *testing.T) {
 		var refCenters []int
 		var refCost float64
 		for _, workers := range []int{1, 4, 8} {
-			for _, mode := range []core.CandidateIndexMode{core.CandIndexOff, core.CandIndexPrune} {
+			for _, disablePrune := range []bool{true, false} {
 				centers, cost, err := core.SolveUnassignedLSCompiled(ctx, c, k, core.LocalSearchOptions{
-					MaxIter:        50,
-					Parallelism:    workers,
-					CandidateIndex: mode,
+					MaxIter:      50,
+					Parallelism:  workers,
+					DisablePrune: disablePrune,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -129,9 +129,9 @@ func TestPruneTrajectoryEqualityFinite(t *testing.T) {
 	}
 }
 
-// TestDefaultModeIsPrune pins the resolution chain: a zero-valued
-// LocalSearchOptions must behave exactly like an explicit CandIndexPrune
-// (and therefore exactly like CandIndexOff, by the equality pin above).
+// TestDefaultModeIsPrune pins the zero value: a zero-valued
+// LocalSearchOptions prunes (TestPruneSpanEvidence counts its ls.prune
+// spans) and lands exactly where the unpruned scan does.
 func TestDefaultModeIsPrune(t *testing.T) {
 	ctx := context.Background()
 	pts, cands, k := lsInstance(t, 777)
@@ -144,7 +144,7 @@ func TestDefaultModeIsPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	cOff, costOff, err := core.SolveUnassignedLSCompiled(ctx, c, k, core.LocalSearchOptions{
-		MaxIter: 50, CandidateIndex: core.CandIndexOff,
+		MaxIter: 50, DisablePrune: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,112 +152,9 @@ func TestDefaultModeIsPrune(t *testing.T) {
 	sameTrajectory[geom.Vec](t, euclid, "default-vs-off", cDef, cOff, costDef, costOff)
 }
 
-// TestApproxModeSane checks the approximate mode's contract: it returns a
-// valid center set whose reported cost is the exact unassigned E-cost of
-// those centers (the approximation is in the search, never the evaluation).
-func TestApproxModeSane(t *testing.T) {
-	ctx := context.Background()
-	pts, cands, k := lsInstance(t, 301)
-	c, err := core.Compile[geom.Vec](ctx, euclid, pts, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	centers, cost, err := core.SolveUnassignedLSCompiled(ctx, c, k, core.LocalSearchOptions{
-		MaxIter:        50,
-		CandidateIndex: core.CandIndexApprox,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(centers) == 0 || len(centers) > k {
-		t.Fatalf("approx returned %d centers, want 1..%d", len(centers), k)
-	}
-	if math.IsNaN(cost) || math.IsInf(cost, 0) || cost < 0 {
-		t.Fatalf("approx cost = %g", cost)
-	}
-	exact, err := core.EcostUnassigned[geom.Vec](euclid, pts, centers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relDiff(cost, exact) > 1e-12 {
-		t.Fatalf("approx reported cost %g, exact E-cost of its centers %g", cost, exact)
-	}
-	// Approx is deterministic too: same instance, same trajectory every run
-	// and for every worker count.
-	for _, workers := range []int{1, 4, 8} {
-		c2, cost2, err := core.SolveUnassignedLSCompiled(ctx, c, k, core.LocalSearchOptions{
-			MaxIter:        50,
-			Parallelism:    workers,
-			CandidateIndex: core.CandIndexApprox,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameTrajectory[geom.Vec](t, euclid, "approx determinism", c2, centers, cost2, cost)
-	}
-}
-
-// TestCandGraphProperties pins the neighborhood graph's structural contract:
-// deterministic across rebuilds and worker counts, no self-loops, no
-// duplicate neighbors, degree capped at m−1.
-func TestCandGraphProperties(t *testing.T) {
-	ctx := context.Background()
-	pts, cands, _ := lsInstance(t, 401)
-	c, err := core.Compile[geom.Vec](ctx, euclid, pts, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := len(cands)
-	// Non-default degree bypasses the memo cell, so each call is a genuine
-	// rebuild — determinism is a property of the build, not pointer reuse.
-	const degree = 5
-	var ref *core.CandGraph
-	for _, workers := range []int{1, 4, 8} {
-		g, err := c.CandGraph(ctx, degree, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantDeg := degree
-		if wantDeg > m-1 {
-			wantDeg = m - 1
-		}
-		if g.Degree() != wantDeg {
-			t.Fatalf("degree = %d, want %d", g.Degree(), wantDeg)
-		}
-		for cd := 0; cd < m; cd++ {
-			nbrs := g.Neighbors(cd)
-			if len(nbrs) != wantDeg {
-				t.Fatalf("cand %d: %d neighbors, want %d", cd, len(nbrs), wantDeg)
-			}
-			seen := map[int32]bool{}
-			for _, nb := range nbrs {
-				if nb == int32(cd) {
-					t.Fatalf("cand %d: self-loop", cd)
-				}
-				if seen[nb] {
-					t.Fatalf("cand %d: duplicate neighbor %d", cd, nb)
-				}
-				seen[nb] = true
-			}
-		}
-		if ref == nil {
-			ref = g
-			continue
-		}
-		for cd := 0; cd < m; cd++ {
-			a, b := g.Neighbors(cd), ref.Neighbors(cd)
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("workers=%d cand %d neighbor %d: %d != ref %d", workers, cd, i, a[i], b[i])
-				}
-			}
-		}
-	}
-}
-
-// TestCandIndexCacheAccounting pins the byte-accounting contract: approx
-// mode's pivots and graph show up in CacheBytes with their exact Bytes()
-// and vanish after DropCaches.
+// TestCandIndexCacheAccounting pins the byte-accounting contract: the
+// CandIndex pivots show up in CacheBytes with their exact Bytes() and
+// vanish after DropCaches.
 func TestCandIndexCacheAccounting(t *testing.T) {
 	ctx := context.Background()
 	pts, cands, _ := lsInstance(t, 501)
@@ -270,20 +167,12 @@ func TestCandIndexCacheAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := c.CandGraph(ctx, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := int64(len(cands))
 	p := int64(len(ix.Pivots()))
 	if want := 4 * p; ix.Bytes() != want {
 		t.Fatalf("index Bytes = %d, want %d (4·%d)", ix.Bytes(), want, p)
 	}
-	if want := 4 * int64(g.Degree()) * m; g.Bytes() != want {
-		t.Fatalf("graph Bytes = %d, want %d (4·%d·%d)", g.Bytes(), want, g.Degree(), m)
-	}
-	if after := c.CacheBytes(); after != before+ix.Bytes()+g.Bytes() {
-		t.Fatalf("CacheBytes %d → %d, want growth %d", before, after, ix.Bytes()+g.Bytes())
+	if after := c.CacheBytes(); after != before+ix.Bytes() {
+		t.Fatalf("CacheBytes %d → %d, want growth %d", before, after, ix.Bytes())
 	}
 	c.DropCaches()
 	if got := c.CacheBytes(); got != 0 {
@@ -321,7 +210,8 @@ func (a *attrTracer) Span(name, _ string, _ time.Time, _ time.Duration, attrs []
 // TestPruneSpanEvidence proves pruning actually happens and is accounted:
 // the ls.prune span fires once per descent with scanned > 0 and pruned > 0
 // on a clustered instance, and every scanned candidate is either pruned or
-// a bound failure: pruned + bound_failures = scanned.
+// a bound failure: pruned + bound_failures = scanned. With DisablePrune it
+// does not fire.
 func TestPruneSpanEvidence(t *testing.T) {
 	tr := &attrTracer{}
 	ctx := obs.NewContext(context.Background(), tr)
@@ -366,6 +256,14 @@ func TestPruneSpanEvidence(t *testing.T) {
 	if pruned+failures != scanned {
 		t.Fatalf("pruned %d + bound_failures %d != scanned %d", pruned, failures, scanned)
 	}
+	// DisablePrune is the reference the trajectory-equality tests compare
+	// against, so it must really scan unpruned: no ls.prune span.
+	if _, _, err := core.SolveUnassignedLSCompiled(ctx, c, 4, core.LocalSearchOptions{MaxIter: 50, DisablePrune: true}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tr.spans["ls.prune"]); n != 2 {
+		t.Fatalf("DisablePrune emitted %d ls.prune spans, want none", n-2)
+	}
 }
 
 // TestPruneMassDeficitK1 is the regression pin for pruning at k = 1 on
@@ -398,7 +296,7 @@ func TestPruneMassDeficitK1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, refCost, err := core.SolveUnassignedLSCompiled(ctx, c, 1, core.LocalSearchOptions{CandidateIndex: core.CandIndexOff})
+	ref, refCost, err := core.SolveUnassignedLSCompiled(ctx, c, 1, core.LocalSearchOptions{DisablePrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,8 +128,7 @@ type Compiled[P any] struct {
 	surrOCFree memo[[]P]               // continuous 1-centers P̃ (Euclidean, no candidates)
 	surrOCCand memo[[]P]               // 1-centers P̃ over CandidatesOrLocations()
 	evCache    memo[*SwapEvaluator[P]] // n×m distance-RV table over CandidatesOrLocations()
-	ciCache    memo[*CandIndex]        // approx-mode pivots at DefaultIndexPivots
-	cgCache    memo[*CandGraph]        // neighborhood graph at DefaultGraphDegree
+	ciCache    memo[*CandIndex]        // maxmin pivots at DefaultIndexPivots (benchmark only)
 
 	builds atomic.Uint64 // completed cache builds (see CacheBuilds)
 }
@@ -495,12 +494,13 @@ func (c *Compiled[P]) Evaluator(ctx context.Context, workers int) (*SwapEvaluato
 	})
 }
 
-// CandIndex returns the pivot layer of the instance's candidate index over
-// CandidatesOrLocations(): P pivots seeded maxmin, the global probes of
-// approximate mode's scan. pivots <= 0 selects DefaultIndexPivots, the
-// memoized build shared by every later call; any other pivot count is
-// computed fresh without touching the cache, the same precedent Surrogates
-// sets for foreign candidate sets.
+// CandIndex returns P pivots seeded maxmin over CandidatesOrLocations().
+// It has no solver caller: the swap scan prunes without an index. The
+// benchmark's replay still times this build as its core.candindex_build
+// layer, and the method goes once a benchmark change drops that layer.
+// pivots <= 0 selects DefaultIndexPivots, the memoized build shared by
+// every later call; any other pivot count is computed fresh without
+// touching the cache.
 func (c *Compiled[P]) CandIndex(ctx context.Context, pivots, workers int) (*CandIndex, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -526,39 +526,6 @@ func (c *Compiled[P]) CandIndex(ctx context.Context, pivots, workers int) (*Cand
 	}
 	if pivots == DefaultIndexPivots {
 		return c.ciCache.get(&c.builds, build)
-	}
-	return build()
-}
-
-// CandGraph returns the neighborhood layer of the instance's candidate
-// index: the degree-NN graph over CandidatesOrLocations() built by
-// deterministic NN-descent. degree <= 0 selects DefaultGraphDegree, the
-// memoized build; any other degree is computed fresh without touching the
-// cache.
-func (c *Compiled[P]) CandGraph(ctx context.Context, degree, workers int) (*CandGraph, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if degree <= 0 {
-		degree = DefaultGraphDegree
-	}
-	build := func() (*CandGraph, error) {
-		sp := obs.StartSpan(obs.FromContext(ctx), "candgraph.build")
-		g, err := newCandGraph(ctx, c.space, c.CandidatesOrLocations(), degree, workers)
-		if err != nil {
-			return nil, err
-		}
-		sp.Int("degree", g.Degree())
-		sp.Int("candidates", g.m)
-		sp.Int64("bytes", g.Bytes())
-		sp.End()
-		return g, nil
-	}
-	if degree == DefaultGraphDegree {
-		return c.cgCache.get(&c.builds, build)
 	}
 	return build()
 }
@@ -598,8 +565,7 @@ func (c *Compiled[P]) surrogateElemBytes() int64 {
 //   - the distance-RV swap evaluator costs 8·m·N bytes — one float64
 //     distance per (candidate, atom) pair — the dominant term for any
 //     nontrivial candidate set;
-//   - approximate mode's candidate-index pivots cost 4·P bytes and its
-//     neighborhood graph 4·K·m bytes (§11) — small next to the evaluator,
+//   - the CandIndex pivots cost 4·P bytes — small next to the evaluator,
 //     but metered all the same so eviction accounting stays exact.
 //
 // The compiled arena itself (flat atoms, offsets, pruned point views) is
@@ -625,16 +591,13 @@ func (c *Compiled[P]) CacheBytes() int64 {
 	if ix, ok := c.ciCache.peek(); ok && ix != nil {
 		total += ix.Bytes()
 	}
-	if g, ok := c.cgCache.peek(); ok && g != nil {
-		total += g.Bytes()
-	}
 	return total
 }
 
 // DropCaches releases every memoized cache — both surrogate kinds, the
-// distance-RV swap evaluator, and approximate mode's pivot and graph
-// layers — returning CacheBytes to zero while keeping
-// the compiled arena (validation, pruning and flattening are never redone).
+// distance-RV swap evaluator and the CandIndex pivots — returning
+// CacheBytes to zero while keeping the compiled arena (validation, pruning
+// and flattening are never redone).
 // The next solve that needs a dropped cache rebuilds it lazily and, because
 // every build is deterministic, produces bit-identical results to a solve
 // against the never-dropped caches. In-flight consumers holding a
@@ -647,7 +610,6 @@ func (c *Compiled[P]) DropCaches() {
 	c.surrOCCand.drop()
 	c.evCache.drop()
 	c.ciCache.drop()
-	c.cgCache.drop()
 }
 
 // SnapToCandidates returns, for each center, the index of its nearest

@@ -27,21 +27,16 @@ type LocalSearchOptions struct {
 	// atom) pair and, on a compiled instance, is memoized for the instance
 	// lifetime; disable it when m·Σz_i is too large to hold in memory.
 	// Costs are bit-identical to the cached path, and so are the swap
-	// trajectories (pinned by tests). Disabling the cache
-	// also disables pruning and the candidate index (the bound reads the
-	// cached columns), so the oracle path stays pure.
+	// trajectories (pinned by tests). Disabling the cache also disables
+	// pruning (the bound reads the cached columns), so the oracle path
+	// stays pure.
 	DisableSwapCache bool
-	// CandidateIndex selects how the neighborhood scan prunes: CandIndexPrune
-	// (the default, reached through CandIndexDefault) keeps the scan exact
-	// but skips candidates whose t*·G∞ lower bound certifies they cannot
-	// beat the incumbent — bit-identical trajectories at a fraction of the
-	// evaluations; CandIndexApprox also restricts the scan to the
-	// neighborhood graph of the current centers (explicitly approximate);
-	// CandIndexOff scans everything (the oracle).
-	CandidateIndex CandidateIndexMode
-	// GraphDegree sets the per-node degree of the approximate neighborhood
-	// graph (0 = DefaultGraphDegree; only the default is memoized).
-	GraphDegree int
+	// DisablePrune makes the cached scan evaluate every candidate instead of
+	// skipping those whose t*·G∞ lower bound certifies they cannot beat the
+	// incumbent. Trajectories are bit-identical either way; the unpruned
+	// cached scan exists as the reference the trajectory-equality tests,
+	// harness R4 and `make bench-index` measure pruning against.
+	DisablePrune bool
 }
 
 // Workers normalizes Parallelism to a worker count; see Options.Workers.
@@ -69,12 +64,11 @@ func (o LocalSearchOptions) Workers() int {
 //
 // Repeated calls on one Compiled reuse its memoized 1-center surrogates
 // (the seeds) and — unless DisableSwapCache — its memoized distance-RV
-// evaluator, so only the descent itself is paid per solve. By default
-// (CandidateIndex unset, i.e. CandIndexPrune) the scan additionally skips
-// every candidate whose t*·G∞ lower bound certifies it cannot beat the
-// incumbent — the trajectory is bit-identical to the unpruned scan (see
-// swapDescent) while typically evaluating a small fraction of the
-// neighborhood. The neighborhood scan checks ctx between chunks and aborts
+// evaluator, so only the descent itself is paid per solve. Unless
+// DisablePrune, the scan additionally skips every candidate whose t*·G∞
+// lower bound certifies it cannot beat the incumbent — the trajectory is
+// bit-identical to the unpruned scan (see swapDescent) while typically
+// evaluating a small fraction of the neighborhood. The neighborhood scan checks ctx between chunks and aborts
 // with ctx.Err(); Parallelism > 1 fans the scan out over a worker pool with
 // bit-identical results.
 func SolveUnassignedLSCompiled[P any](ctx context.Context, c *Compiled[P], k int, opts LocalSearchOptions) ([]P, float64, error) {
@@ -96,9 +90,8 @@ func selectCandidates[P any](candidates []P, idx []int) []P {
 
 // descentState is the scan state shared by every descent of one solve: the
 // evaluator with its per-scan base and per-worker scratches, whether the
-// bound prunes, approximate mode's pivots and graph, and — on the oracle
-// path — the per-worker from-scratch scratches. Allocated once per solve;
-// both seed descents reuse it.
+// bound prunes, and — on the oracle path — the per-worker from-scratch
+// scratches. Allocated once per solve; both seed descents reuse it.
 type descentState[P any] struct {
 	workers int
 
@@ -106,29 +99,23 @@ type descentState[P any] struct {
 	ev        *SwapEvaluator[P]
 	base      *SwapBase
 	scratches []*SwapScratch
-	prune     bool // the t*·G∞ bound skips certified candidates (not CandIndexOff)
-
-	// CandIndexApprox only (nil otherwise).
-	ix   *CandIndex
-	gr   *CandGraph
-	mark []bool // approx scan set, rebuilt per position
+	prune     bool // the t*·G∞ bound skips certified candidates (not DisablePrune)
 
 	// Oracle path (ev == nil).
 	flat []*flatScratch[P]
 }
 
 // pruneStats aggregates one descent's scan accounting: candidates scanned
-// (in the scan set and not currently centers), candidates pruned by the
-// bound without evaluation, and bound failures (the bound did not certify
-// the candidate, which was evaluated exactly), so pruned + boundFail =
-// scanned.
+// (not currently centers), candidates pruned by the bound without
+// evaluation, and bound failures (the bound did not certify the candidate,
+// which was evaluated exactly), so pruned + boundFail = scanned.
 type pruneStats struct {
 	scanned, pruned, boundFail int
 }
 
-// solveUnassignedLS is the engine behind SolveUnassignedLSCompiled: resolve
-// the index mode, build the shared descent state, run the two seed descents
-// and return the winner's candidate indices.
+// solveUnassignedLS is the engine behind SolveUnassignedLSCompiled: build
+// the shared descent state, run the two seed descents and return the
+// winner's candidate indices.
 func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts LocalSearchOptions) ([]int, float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -164,9 +151,8 @@ func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts L
 	}
 
 	// Pruning lives on the cached evaluator (the bound reads its columns),
-	// so DisableSwapCache forces the pure oracle: no cache, no pruning, no
-	// index, from-scratch evaluations only.
-	mode := opts.CandidateIndex.resolve()
+	// so DisableSwapCache forces the pure oracle: no cache, no pruning,
+	// from-scratch evaluations only.
 	ds := &descentState[P]{workers: opts.Workers()}
 	if opts.DisableSwapCache {
 		ds.flat = c.newFlatScratches(k, ds.workers)
@@ -183,18 +169,7 @@ func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts L
 		for w := range ds.scratches {
 			ds.scratches[w] = ds.ev.NewScratch()
 		}
-		ds.prune = mode != CandIndexOff
-		if mode == CandIndexApprox {
-			ds.ix, err = c.CandIndex(ctx, 0, ds.workers)
-			if err != nil {
-				return nil, 0, err
-			}
-			ds.gr, err = c.CandGraph(ctx, opts.GraphDegree, ds.workers)
-			if err != nil {
-				return nil, 0, err
-			}
-			ds.mark = make([]bool, len(candidates))
-		}
+		ds.prune = !opts.DisablePrune
 	}
 
 	// A later seed wins only by the swap rule's relative 1e-9, so last-bit
@@ -215,26 +190,25 @@ func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts L
 
 // swapDescent runs best-improvement single-swap local search on the exact
 // unassigned cost from the given seed. Each neighborhood scan evaluates the
-// scan set on the worker pool, then applies the deterministic left-to-right
-// selection rule over the computed costs, so any worker count yields the
-// sequential trajectory.
+// candidates on the worker pool, then applies the deterministic
+// left-to-right selection rule over the computed costs, so any worker count
+// yields the sequential trajectory.
 //
 // With a non-nil evaluator the scan runs on the incremental path: one
 // PrepareBase per position, then a zero-metric-call, allocation-free
-// EvalSwap per candidate. With pruning on (CandIndexPrune, the default, and
-// CandIndexApprox) each position arms SetThreshold with cost₀, the current
-// solution's cost at scan entry, and EvalSwap skips every candidate whose
-// t* reaches cost₀/G∞. That pruning is provably safe: the selection rule
-// only accepts costs[c] < best·(1−1e-9) with best ≤ cost₀, and the bound
-// guarantees the exact cost of a pruned candidate is ≥ cost₀ up to ~1e-12
-// roundoff — three orders of magnitude inside the 1e-9 acceptance slack —
-// so a pruned candidate could never have been selected. Pruned (and, in
-// CandIndexApprox, out-of-neighborhood) candidates are marked +Inf,
-// leaving the selection rule untouched; trajectories are therefore
-// bit-identical to the unpruned scan, independent of worker count, pinned
-// by tests. With ds.ev == nil it evaluates every swap from scratch on the
-// compiled flat layout (the cross-check oracle), reusing per-worker
-// center/value/arena scratch across the whole descent.
+// EvalSwap per candidate. With pruning on (the default) each position arms
+// SetThreshold with cost₀, the current solution's cost at scan entry, and
+// EvalSwap skips every candidate whose t* reaches cost₀/G∞. That pruning is
+// provably safe: the selection rule only accepts costs[c] < best·(1−1e-9)
+// with best ≤ cost₀, and the bound guarantees the exact cost of a pruned
+// candidate is ≥ cost₀ up to ~1e-12 roundoff — three orders of magnitude
+// inside the 1e-9 acceptance slack — so a pruned candidate could never have
+// been selected. Pruned candidates are marked +Inf, leaving the selection
+// rule untouched; trajectories are therefore bit-identical to the unpruned
+// scan, independent of worker count, pinned by tests. With ds.ev == nil it
+// evaluates every swap from scratch on the compiled flat layout (the
+// cross-check oracle), reusing per-worker center/value/arena scratch across
+// the whole descent.
 //
 // Instrumentation: each completed swap round reports an "ls.iter" span —
 // swaps evaluated, improvements taken, and the round-end E-cost in
@@ -259,8 +233,8 @@ func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, se
 	var stats pruneStats
 
 	// scanPos fills costs[c] with the exact cost of replacing chosen[pos]
-	// by c for every out-of-set c in the scan set, and +Inf for candidates
-	// certified non-improving (prune) or outside the neighborhood (approx).
+	// by c for every out-of-set c, and +Inf for candidates the bound
+	// certifies non-improving.
 	var cost float64
 	var scanPos func(pos int) error
 	if ds.ev != nil {
@@ -271,27 +245,8 @@ func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, se
 			if ds.prune {
 				ev.SetThreshold(ds.base, cost)
 			}
-			if ds.gr != nil {
-				// Approx scan set: neighborhoods of the current centers,
-				// plus the pivots as global probes.
-				for i := range ds.mark {
-					ds.mark[i] = false
-				}
-				for _, ch := range chosen {
-					for _, nb := range ds.gr.Neighbors(ch) {
-						ds.mark[nb] = true
-					}
-				}
-				for _, p := range ds.ix.Pivots() {
-					ds.mark[p] = true
-				}
-			}
 			return par.ForWorker(ctx, len(candidates), workers, func(w, c int) {
 				if inSet[c] {
-					return
-				}
-				if ds.gr != nil && !ds.mark[c] {
-					costs[c] = math.Inf(1)
 					return
 				}
 				costs[c] = ev.EvalSwap(ds.base, ds.scratches[w], c)
@@ -332,9 +287,6 @@ func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, se
 		for c := range candidates {
 			if inSet[c] {
 				continue
-			}
-			if ds.gr != nil && !ds.mark[c] {
-				continue // outside the approx scan set: never considered
 			}
 			stats.scanned++
 			if math.IsInf(costs[c], 1) {

@@ -43,28 +43,23 @@ func (p *pruneTally) rate() float64 {
 	return float64(p.pruned) / float64(p.scanned)
 }
 
-// RunR4 records the candidate-index quality/speed curve behind DESIGN.md
-// §11 — the harness counterpart of BenchmarkCandIndexScan. One fixed
-// instance is solved with the exact oracle (CandIndexOff), then with safe
-// pruning, then with the approximate neighborhood scan across a degree
-// sweep. The recorded axes per setting: per-solve time, prune rate
+// RunR4 records the prune-rate and speed of the pruned swap scan behind
+// DESIGN.md §11 — the harness counterpart of BenchmarkCandIndexScan. One
+// fixed instance is solved with the unpruned scan (the reference), then
+// with pruning. The recorded axes per setting: per-solve time, prune rate
 // (fraction of scan entries the t*·G∞ bound skipped), and cost ratio
-// against the oracle trajectory.
+// against the unpruned trajectory.
 //
 // The invariant checked for Pass: the pruned run's centers cost exactly
-// the oracle's (bit-identical trajectories — the safety claim); approximate
-// runs only record their ratio, which is quality data, not a correctness
-// gate.
+// the unpruned run's (bit-identical trajectories — the safety claim).
 func RunR4(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed + 900))
-	rep := &Report{ID: "R4", Description: "candidate index — prune-rate and quality/speed curve vs the exact scan", Pass: true}
+	rep := &Report{ID: "R4", Description: "pruned swap scan — prune rate and speed vs the unpruned scan", Pass: true}
 
 	n, k := 300, 6
-	degreeSweep := []int{4, 8, 16}
 	if cfg.Quick {
 		n, k = 100, 4
-		degreeSweep = []int{4, 8}
 	}
 	pts, err := gen.GaussianClusters(rng, n, 3, 2, 5, 1, 0.4)
 	if err != nil {
@@ -72,55 +67,43 @@ func RunR4(cfg Config) (*Report, error) {
 	}
 
 	tab := &Table{
-		Title:  fmt.Sprintf("candidate index quality/speed (n=%d, m=%d, k=%d): oracle vs prune vs approx (degree sweep)", n, 3*n, k),
-		Header: []string{"mode", "degree", "ms/solve", "speedup", "prune rate", "cost ratio"},
-	}
-	type setting struct {
-		mode   core.CandidateIndexMode
-		degree int
-	}
-	settings := []setting{{core.CandIndexOff, 0}, {core.CandIndexPrune, 0}}
-	for _, d := range degreeSweep {
-		settings = append(settings, setting{core.CandIndexApprox, d})
+		Title:  fmt.Sprintf("pruned swap scan (n=%d, m=%d, k=%d): unpruned vs pruned", n, 3*n, k),
+		Header: []string{"mode", "ms/solve", "speedup", "prune rate", "cost ratio"},
 	}
 	var exactCost float64
 	var exactDur time.Duration
-	for _, st := range settings {
+	for _, disablePrune := range []bool{true, false} {
 		tally := &pruneTally{}
 		ctx := obs.NewContext(cfg.context(), tally)
-		// A fresh compile per setting: each run pays its own index build, so
-		// the timings answer "what does this knob cost end to end".
+		// A fresh compile per setting: each run pays its own evaluator
+		// build, so the timings answer "what does pruning save end to end".
 		c, err := core.Compile[geom.Vec](ctx, metricspace.Euclidean{}, pts, nil)
 		if err != nil {
 			return nil, err
 		}
 		t0 := time.Now()
 		_, cost, err := core.SolveUnassignedLSCompiled(ctx, c, k, core.LocalSearchOptions{
-			Parallelism:    cfg.Parallelism,
-			CandidateIndex: st.mode,
-			GraphDegree:    st.degree,
+			Parallelism:  cfg.Parallelism,
+			DisablePrune: disablePrune,
 		})
 		dur := time.Since(t0)
 		if err != nil {
 			return nil, err
 		}
-		if st.mode == core.CandIndexOff {
+		mode := "prune"
+		if disablePrune {
+			mode = "off"
 			exactCost, exactDur = cost, dur
-		}
-		if st.mode == core.CandIndexPrune && cost != exactCost {
+		} else if cost != exactCost {
 			rep.Pass = false
 		}
-		deg := "-"
-		if st.degree > 0 {
-			deg = fmt.Sprint(st.degree)
-		}
-		tab.Addf(st.mode.String(), deg, float64(dur.Microseconds())/1000,
+		tab.Addf(mode, float64(dur.Microseconds())/1000,
 			float64(exactDur.Microseconds())/float64(dur.Microseconds()), tally.rate(), cost/exactCost)
 	}
 	rep.Tables = append(rep.Tables, tab)
 	rep.Notes = append(rep.Notes,
-		"invariant: the prune row's cost ratio is exactly 1 (bit-identical trajectory); approx ratios are recorded, not gated",
-		"prune rate: share of the scanned candidates the t*·G∞ bound skipped (approx: inside its neighborhood scan set)",
+		"invariant: the prune row's cost ratio is exactly 1 (bit-identical trajectory)",
+		"prune rate: share of the scanned candidates the t*·G∞ bound skipped",
 		"make bench-index measures the same axes on the n=m=1000 acceptance instance")
 	return rep, nil
 }

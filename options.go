@@ -16,25 +16,6 @@ type Rule = core.Rule
 // (Euclidean only) or SurrogateOneCenter.
 type Surrogate = core.Surrogate
 
-// CandidateIndexMode selects how SolveUnassigned's neighborhood scan uses
-// the instance's candidate index: CandIndexPrune (the default) keeps the
-// scan exact while skipping candidates a triangle-inequality lower bound
-// certifies as non-improving, and CandIndexApprox restricts the scan to the
-// candidate neighborhood graph of the current centers. See
-// WithCandidateIndex.
-type CandidateIndexMode = core.CandidateIndexMode
-
-const (
-	// CandIndexDefault defers to the surrounding configuration (a request
-	// inherits its solver's mode; a solver defaults to CandIndexPrune).
-	CandIndexDefault = core.CandIndexDefault
-	// CandIndexPrune enables provably safe pruning: trajectories are
-	// bit-identical to scanning every candidate.
-	CandIndexPrune = core.CandIndexPrune
-	// CandIndexApprox enables the neighborhood-graph restricted scan.
-	CandIndexApprox = core.CandIndexApprox
-)
-
 // solverConfig is the resolved configuration a Solver carries. Rule and
 // surrogate track whether they were set explicitly so the solver can default
 // them per-space: expected point + EP in Euclidean space (the paper's
@@ -46,7 +27,6 @@ type solverConfig struct {
 	seed         int64
 	maxIter      int
 	noSwapCache  bool
-	candIndex    CandidateIndexMode
 	tracer       obs.Tracer
 }
 
@@ -150,32 +130,6 @@ func WithMaxIter(n int) Option {
 // Costs and swap trajectories are bit-identical either way.
 func WithSwapCache(enabled bool) Option {
 	return func(c *solverConfig) { c.noSwapCache = !enabled }
-}
-
-// WithCandidateIndex selects how SolveUnassigned's neighborhood scan prunes
-// and restricts its candidates (default CandIndexPrune):
-//
-//   - CandIndexPrune — exact results, bit-identical trajectories to the
-//     unpruned scan (pinned by tests and a fuzz target): each scan position
-//     skips every candidate whose t*·G∞ lower bound already reaches the
-//     incumbent cost, where t* is the split of the exact E[max] sweep and
-//     G∞ the total point mass — typically the large majority of the m
-//     candidates, each skipped after reading a handful of atoms.
-//   - CandIndexApprox — each scan position examines only the union of the
-//     current centers' k-NN graph neighborhoods plus P maxmin-seeded
-//     pivots as global probes, with the same bound inside that set. Faster
-//     on large candidate sets, but the descent may settle on a different
-//     (slightly worse) local optimum; DESIGN.md §11 records the
-//     quality/speed trade. An explicit opt-in, never a default.
-//
-// Approximate mode's pivots and graph are memoized on the compiled
-// instance and byte-accounted: 4·P bytes and 4·K·m bytes (DESIGN.md §11) —
-// visible to CacheBytes, dropped by DropCaches and the serving layer's
-// LRU, and rebuilt bit-identically after eviction. WithSwapCache(false)
-// disables pruning along with the evaluator the bound reads from; the
-// oracle path scans everything.
-func WithCandidateIndex(m CandidateIndexMode) Option {
-	return func(c *solverConfig) { c.candIndex = m }
 }
 
 // WithTracer installs an observability tracer on the solver: every solve

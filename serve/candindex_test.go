@@ -1,10 +1,9 @@
 package serve_test
 
-// The candidate index under the serving layer: per-request mode selection,
-// bit-identical pruned trajectories across forced cache eviction (every
-// completed request on a 1-byte budget drops the index, so each solve
-// rebuilds it), and the prune counters' path from ls.prune spans through
-// Metrics into Collect.
+// The pruned swap scan under the serving layer: bit-identical trajectories
+// across forced cache eviction (every completed request on a 1-byte budget
+// drops the evaluator, so each solve rebuilds it), and the prune counters'
+// path from ls.prune spans through Metrics into Collect.
 
 import (
 	"context"
@@ -12,24 +11,25 @@ import (
 	"testing"
 
 	ukc "repro"
-	"repro/internal/core"
 	"repro/serve"
 )
 
 func TestServeCandidateIndexUnderEviction(t *testing.T) {
 	solver := ukc.NewSolver[ukc.Vec](ukc.WithMaxIter(50))
+	oracle := ukc.NewSolver[ukc.Vec](ukc.WithMaxIter(50), ukc.WithSwapCache(false))
 	insts := testInstances(t, 2)
 	const k = 3
 	ctx := context.Background()
 
-	// Direct reference on the oracle path, before any serving traffic.
+	// Direct reference on the from-scratch oracle path, before any serving
+	// traffic.
 	type ref struct {
 		centers []ukc.Vec
 		cost    float64
 	}
 	want := make([]ref, len(insts))
 	for i, inst := range insts {
-		centers, cost, err := solver.SolveUnassignedMode(ctx, inst, k, core.CandIndexOff)
+		centers, cost, err := oracle.SolveUnassigned(ctx, inst, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,21 +37,19 @@ func TestServeCandidateIndexUnderEviction(t *testing.T) {
 	}
 
 	// 1-byte budget: no cache survives a request, so every pruned solve
-	// rebuilds evaluator and index from scratch — the post-eviction rebuild
-	// must land on the same trajectory every time.
+	// rebuilds the evaluator from scratch — the post-eviction rebuild must
+	// land on the same trajectory every time.
 	srv := newTestServer(t, solver, insts, serve.WithCacheBudget(1))
 	for round := 0; round < 3; round++ {
 		for i := range insts {
 			name := fmt.Sprintf("inst-%d", i)
-			for _, mode := range []ukc.CandidateIndexMode{ukc.CandIndexDefault, ukc.CandIndexPrune, core.CandIndexOff} {
-				resp, err := srv.SolveUnassigned(ctx, serve.UnassignedRequest{Instance: name, K: k, Index: mode})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resp.Ecost != want[i].cost || !sameVecs(resp.Centers, want[i].centers) {
-					t.Fatalf("round %d %s mode %v: diverged from oracle (cost %g vs %g)",
-						round, name, mode, resp.Ecost, want[i].cost)
-				}
+			resp, err := srv.SolveUnassigned(ctx, serve.UnassignedRequest{Instance: name, K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Ecost != want[i].cost || !sameVecs(resp.Centers, want[i].centers) {
+				t.Fatalf("round %d %s: diverged from oracle (cost %g vs %g)",
+					round, name, resp.Ecost, want[i].cost)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,34 +61,48 @@ type latencyQuantiles struct {
 	TotalP50, TotalP99 time.Duration
 }
 
+// appendWindow appends the recorded window's (queue wait, execution)
+// pairs to dst.
+func (r *latencyRing) appendWindow(dst [][2]int64) [][2]int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append(dst, r.buf[:min(r.n, latWindow)]...)
+}
+
 // quantiles returns the p50/p99 over the recorded window (all zero when no
 // request has completed yet).
-func (r *latencyRing) quantiles() (q latencyQuantiles) {
-	r.mu.Lock()
-	n := r.n
-	if n > latWindow {
-		n = latWindow
+func (r *latencyRing) quantiles() latencyQuantiles {
+	return quantilesOf(r.appendWindow(nil))
+}
+
+// quantilesOf returns the p50/p99 of (queue wait, execution) samples, all
+// zero for none.
+func quantilesOf(samples [][2]int64) (q latencyQuantiles) {
+	n := len(samples)
+	if n == 0 {
+		return q
 	}
 	queue := make([]int64, n)
 	exec := make([]int64, n)
 	total := make([]int64, n)
-	for i := uint64(0); i < n; i++ {
-		queue[i] = r.buf[i][0]
-		exec[i] = r.buf[i][1]
-		total[i] = r.buf[i][0] + r.buf[i][1]
-	}
-	r.mu.Unlock()
-	if n == 0 {
-		return q
+	for i, s := range samples {
+		queue[i], exec[i], total[i] = s[0], s[1], s[0]+s[1]
 	}
 	rank := func(s []int64) (p50, p99 time.Duration) {
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		slices.Sort(s)
 		return time.Duration(s[(n-1)*50/100]), time.Duration(s[(n-1)*99/100])
 	}
 	q.QueueP50, q.QueueP99 = rank(queue)
 	q.ExecP50, q.ExecP99 = rank(exec)
 	q.TotalP50, q.TotalP99 = rank(total)
 	return q
+}
+
+// setOn copies the quantiles into m's latency fields.
+func (q latencyQuantiles) setOn(m *ShardMetrics) {
+	m.LatencyP50, m.LatencyP99 = q.TotalP50, q.TotalP99
+	m.QueueP50, m.QueueP99 = q.QueueP50, q.QueueP99
+	m.ExecP50, m.ExecP99 = q.ExecP50, q.ExecP99
 }
 
 // InstanceMetrics is one registered instance's cache view: the shard's last
@@ -130,11 +144,11 @@ type ShardMetrics struct {
 	Evictions   uint64
 
 	// PruneScanned / PrunePruned are the shard's swap-scan counters across
-	// SolveUnassigned requests with pruning enabled (the default):
-	// candidates considered, and the subset the t*·G∞ lower bound skipped
-	// without an exact evaluation; every other scanned candidate was
-	// evaluated. Their ratio (PruneRate) is the live measure of how much of
-	// the O(n·m) swap-scan wall the bound is absorbing.
+	// SolveUnassigned requests (every scan prunes unless the solver runs
+	// WithSwapCache(false)): candidates considered, and the subset the t*·G∞
+	// lower bound skipped without an exact evaluation; every other scanned
+	// candidate was evaluated. Their ratio (PruneRate) is the live measure
+	// of how much of the O(n·m) swap-scan wall the bound is absorbing.
 	PruneScanned uint64
 	PrunePruned  uint64
 
@@ -180,19 +194,19 @@ type Metrics struct {
 	// hygiene happens before a file is attributed to any shard.
 	SnapshotsQuarantined uint64
 	TempFilesSwept       uint64
+
+	// pooled holds the latency quantiles of every shard's window taken
+	// together, computed by Server.Metrics from the raw samples.
+	pooled latencyQuantiles
 }
 
-// Totals sums the per-shard snapshots (Shard = -1; latency quantiles are
-// the max across shards — a conservative "worst shard" view, since exact
-// cross-shard quantiles would need the raw samples). PerInstance stays nil:
-// instance rows belong to their shard.
+// Totals sums the per-shard snapshots (Shard = -1). Its latency quantiles
+// are those of the pooled samples of every shard's window, as Server.Metrics
+// took them, not a combination of the per-shard quantiles. PerInstance
+// stays nil: instance rows belong to their shard.
 func (m Metrics) Totals() ShardMetrics {
 	t := ShardMetrics{Shard: -1}
-	maxDur := func(dst *time.Duration, v time.Duration) {
-		if v > *dst {
-			*dst = v
-		}
-	}
+	m.pooled.setOn(&t)
 	for _, s := range m.Shards {
 		t.Instances += s.Instances
 		t.QueueDepth += s.QueueDepth
@@ -211,12 +225,6 @@ func (m Metrics) Totals() ShardMetrics {
 		t.Evictions += s.Evictions
 		t.PruneScanned += s.PruneScanned
 		t.PrunePruned += s.PrunePruned
-		maxDur(&t.LatencyP50, s.LatencyP50)
-		maxDur(&t.LatencyP99, s.LatencyP99)
-		maxDur(&t.QueueP50, s.QueueP50)
-		maxDur(&t.QueueP99, s.QueueP99)
-		maxDur(&t.ExecP50, s.ExecP50)
-		maxDur(&t.ExecP99, s.ExecP99)
 	}
 	return t
 }

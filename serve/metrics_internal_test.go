@@ -3,6 +3,8 @@ package serve
 import (
 	"testing"
 	"time"
+
+	ukc "repro"
 )
 
 // TestLatencyRingEmpty pins the no-traffic snapshot: every quantile is zero
@@ -61,5 +63,29 @@ func TestLatencyRingWrap(t *testing.T) {
 	}
 	if got := r.n; got != 500+latWindow {
 		t.Fatalf("recorded count = %d, want %d", got, 500+latWindow)
+	}
+}
+
+// TestTotalsPoolShardWindows pins that the cross-shard latency quantiles
+// are quantiles of the pooled samples: nine 1 ms executions on one shard
+// and one 100 ms execution on the other have a pooled p50 of 1 ms, while
+// the slower shard's own p50 is 100 ms.
+func TestTotalsPoolShardWindows(t *testing.T) {
+	s, err := New(ukc.NewSolver[ukc.Vec](), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 9; i++ {
+		s.shards[0].lat.record(0, time.Millisecond)
+	}
+	s.shards[1].lat.record(0, 100*time.Millisecond)
+	m := s.Metrics()
+	if got := m.Shards[1].ExecP50; got != 100*time.Millisecond {
+		t.Fatalf("shard 1 ExecP50 = %v, want 100ms", got)
+	}
+	tot := m.Totals()
+	if tot.ExecP50 != time.Millisecond || tot.LatencyP50 != time.Millisecond {
+		t.Fatalf("Totals ExecP50/LatencyP50 = %v/%v, want the pooled 1ms/1ms", tot.ExecP50, tot.LatencyP50)
 	}
 }

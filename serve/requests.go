@@ -178,17 +178,10 @@ func (s *Server[P]) EcostSweep(ctx context.Context, req EcostSweepRequest[P]) (E
 }
 
 // UnassignedRequest asks for the unassigned-objective local search
-// (Solver.SolveUnassigned) on a registered instance. Index selects the
-// candidate-index mode for this request: the zero value
-// (ukc.CandIndexDefault) defers to the server solver's WithCandidateIndex
-// option — safe pruning unless the operator chose otherwise — while
-// ukc.CandIndexPrune / CandIndexApprox override it per request. Prune keeps
-// answers bit-identical to the unindexed scan; Approx trades exact
-// trajectories for neighborhood-restricted scans.
+// (Solver.SolveUnassigned) on a registered instance.
 type UnassignedRequest struct {
 	Instance string
 	K        int
-	Index    ukc.CandidateIndexMode
 	Deadline time.Duration
 }
 
@@ -205,7 +198,7 @@ type UnassignedResponse[P any] struct {
 func (s *Server[P]) SolveUnassigned(ctx context.Context, req UnassignedRequest) (UnassignedResponse[P], error) {
 	var resp UnassignedResponse[P]
 	st, err := s.do(ctx, "solve_unassigned", req.Instance, req.Deadline, func(ctx context.Context, ent *entry[P]) error {
-		centers, cost, err := s.solver.SolveUnassignedMode(ctx, ent.inst, req.K, req.Index)
+		centers, cost, err := s.solver.SolveUnassigned(ctx, ent.inst, req.K)
 		if err != nil {
 			return err
 		}

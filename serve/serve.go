@@ -122,12 +122,12 @@ type entry[P any] struct {
 }
 
 // entryTracer funnels the spans of one registered instance into the shard's
-// metrics: cache-build spans (surrogate.build.*, evaluator.build,
-// candindex.build, candgraph.build) into the instance's build-duration
-// histogram, and the local-search prune summary (ls.prune) into the shard's
-// scan/prune counters. Everything else is ignored. A two-pointer struct
-// converts to obs.Tracer without allocating, and the histogram and counters
-// are lock-free, so the per-span cost is a name check plus a few atomics.
+// metrics: cache-build spans (surrogate.build.*, evaluator.build) into the
+// instance's build-duration histogram, and the local-search prune summary
+// (ls.prune) into the shard's scan/prune counters. Everything else is
+// ignored. A two-pointer struct converts to obs.Tracer without allocating,
+// and the histogram and counters are lock-free, so the per-span cost is a
+// name check plus a few atomics.
 type entryTracer[P any] struct {
 	ent *entry[P]
 	m   *shardCounters
@@ -135,8 +135,7 @@ type entryTracer[P any] struct {
 
 func (et entryTracer[P]) Span(name, _ string, _ time.Time, dur time.Duration, attrs []obs.Attr) {
 	switch {
-	case strings.HasPrefix(name, "surrogate.build") || name == "evaluator.build" ||
-		name == "candindex.build" || name == "candgraph.build":
+	case strings.HasPrefix(name, "surrogate.build") || name == "evaluator.build":
 		et.ent.buildDur.Observe(dur.Seconds())
 	case name == "ls.prune":
 		for _, a := range attrs {
@@ -681,13 +680,15 @@ func (s *Server[P]) enforceBudget(sh *shard[P]) {
 
 // Metrics returns a point-in-time snapshot of every shard: registry and
 // queue occupancy, cache accounting, the request counters, and latency
-// quantiles over the last latWindow requests.
+// quantiles over each shard's last latWindow requests and over all of
+// those windows pooled (Totals).
 func (s *Server[P]) Metrics() Metrics {
 	out := Metrics{
 		Shards:               make([]ShardMetrics, len(s.shards)),
 		SnapshotsQuarantined: s.quarantined.Load(),
 		TempFilesSwept:       s.tmpSwept.Load(),
 	}
+	var pooled [][2]int64
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		instances := len(sh.entries)
@@ -702,7 +703,8 @@ func (s *Server[P]) Metrics() Metrics {
 		}
 		sh.mu.Unlock()
 		sort.Slice(per, func(a, b int) bool { return per[a].Name < per[b].Name })
-		q := sh.lat.quantiles()
+		mark := len(pooled)
+		pooled = sh.lat.appendWindow(pooled)
 		out.Shards[i] = ShardMetrics{
 			Shard:        sh.id,
 			Instances:    instances,
@@ -722,15 +724,11 @@ func (s *Server[P]) Metrics() Metrics {
 			Evictions:    sh.m.evictions.Load(),
 			PruneScanned: sh.m.pruneScanned.Load(),
 			PrunePruned:  sh.m.prunePruned.Load(),
-			LatencyP50:   q.TotalP50,
-			LatencyP99:   q.TotalP99,
-			QueueP50:     q.QueueP50,
-			QueueP99:     q.QueueP99,
-			ExecP50:      q.ExecP50,
-			ExecP99:      q.ExecP99,
 			PerInstance:  per,
 		}
+		quantilesOf(pooled[mark:]).setOn(&out.Shards[i])
 	}
+	out.pooled = quantilesOf(pooled)
 	return out
 }
 

@@ -130,31 +130,20 @@ func (s *Solver[P]) Solve(ctx context.Context, inst Instance[P], k int) (ResultO
 // core.SolveUnassignedLSCompiled). Centers are drawn from the instance's candidate
 // set, defaulting to all point locations (including zero-probability ones —
 // pruning removes probability mass, not center sites). The distance-RV
-// cache behind the fast path and the candidate index pruning the scan
-// (WithCandidateIndex; safe pruning by default) are memoized in the
-// instance, so repeated calls rebuild nothing.
+// cache behind the fast path is memoized in the instance, so repeated calls
+// rebuild nothing, and each scan skips the candidates a t*·G∞ lower bound
+// certifies cannot improve, with the trajectory bit-identical to scanning
+// every candidate (WithSwapCache(false) is that oracle).
 func (s *Solver[P]) SolveUnassigned(ctx context.Context, inst Instance[P], k int) ([]P, float64, error) {
-	return s.SolveUnassignedMode(ctx, inst, k, CandIndexDefault)
-}
-
-// SolveUnassignedMode is SolveUnassigned with a per-call candidate-index
-// mode: CandIndexDefault defers to the solver's WithCandidateIndex option
-// (itself defaulting to CandIndexPrune), any other value overrides it for
-// this call only. The serving layer's per-request Index field routes here.
-func (s *Solver[P]) SolveUnassignedMode(ctx context.Context, inst Instance[P], k int, mode CandidateIndexMode) ([]P, float64, error) {
 	ctx = s.obsCtx(ctx)
 	c, err := inst.Compile(ctx)
 	if err != nil {
 		return nil, 0, err
 	}
-	if mode == CandIndexDefault {
-		mode = s.cfg.candIndex
-	}
 	return core.SolveUnassignedLSCompiled(ctx, c, k, core.LocalSearchOptions{
 		MaxIter:          s.cfg.maxIter,
 		Parallelism:      s.cfg.opts.Parallelism,
 		DisableSwapCache: s.cfg.noSwapCache,
-		CandidateIndex:   mode,
 	})
 }
 

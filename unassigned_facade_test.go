@@ -2,9 +2,12 @@ package ukc_test
 
 import (
 	"context"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	ukc "repro"
+	"repro/internal/gen"
 	"repro/internal/uncertain"
 )
 
@@ -152,5 +155,38 @@ func TestWithSwapCacheEquivalence(t *testing.T) {
 				t.Fatalf("center %d differs: %v vs %v", i, cachedC[i], oracleC[i])
 			}
 		}
+	}
+}
+
+// TestSolveUnassignedMatchesOracle pins the default scan, cached and pruned
+// by the t*·G∞ bound, to the from-scratch oracle of WithSwapCache(false) bit
+// for bit: the same centers and the same cost, in Euclidean space and in a
+// finite metric.
+func TestSolveUnassignedMatchesOracle(t *testing.T) {
+	t.Run("euclidean", func(t *testing.T) {
+		pts, err := gen.GaussianClusters(rand.New(rand.NewSource(4242)), 30, 3, 2, 3, 1, 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchesOracle(t, ukc.NewEuclideanInstance(pts), 3)
+	})
+	t.Run("finite", func(t *testing.T) {
+		matchesOracle(t, finiteInstance(t, 4243, 40, 25, 3), 3)
+	})
+}
+
+func matchesOracle[P any](t *testing.T, inst ukc.Instance[P], k int) {
+	t.Helper()
+	ctx := context.Background()
+	centers, cost, err := ukc.NewSolver[P]().SolveUnassigned(ctx, inst, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracleCenters, oracleCost, err := ukc.NewSolver[P](ukc.WithSwapCache(false)).SolveUnassigned(ctx, inst, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost != oracleCost || !reflect.DeepEqual(centers, oracleCenters) {
+		t.Fatalf("default: centers %v cost %v; oracle: centers %v cost %v", centers, cost, oracleCenters, oracleCost)
 	}
 }
