@@ -37,9 +37,11 @@ test-faults:
 # test-alloc-pins is the nightly allocation gate: the nil tracer and the
 # disabled flight recorder must add ZERO allocations to the paths they
 # instrument, and the warmed exact E-cost kernels (Arena.ExpectedMax,
-# Arena.ExpectedMaxFlat, Arena.ExpectedMaxMinFlat,
-# SwapEvaluator.PrepareBase and EvalSwap, unbounded and with a prune
-# threshold armed) must allocate nothing.
+# Arena.ExpectedMaxFlat, Arena.ExpectedMaxMinFlat, and
+# SwapEvaluator.PrepareBase and EvalSwap on planar, d = 3, finite-metric
+# and DistFunc instances, unbounded and with both prune certificates armed)
+# must allocate nothing, and a warm unassigned solve must take its scan
+# state from the pool instead of allocating it.
 # These tests run in `make test` too; the standalone target fails the
 # nightly loudly and in isolation if a change loses a nil guard or a
 # reused buffer.
@@ -53,10 +55,12 @@ fuzz-arena:
 	$(GO) test -fuzz FuzzOpen -fuzztime $(FUZZTIME) -run '^$$' ./internal/arena
 
 # fuzz-bound runs the prune-bound soundness fuzzer for $(FUZZTIME): random
-# metric instances, point masses skewed inside the validation tolerance,
-# through t*(c)·G∞ ≤ EvalSwap(base, c) + 1e-12 and "a candidate the armed
-# threshold skips costs ≥ cost₀·(1 − 1e-12)" — the inequalities the pruned
-# scan's bit-identical-trajectory claim rests on (nightly CI).
+# Euclidean (d ∈ {1, 2, 3}) and finite metric instances, point masses
+# skewed inside the validation tolerance, through t*(c)·G∞ ≤ EvalSwap(base,
+# c) + 1e-12, every point's expected-excess bound ≤ EvalSwap(base, c) +
+# 1e-12, and "a candidate the armed certificates skip costs ≥ cost₀·(1 −
+# 1e-12)" — the inequalities the pruned scan's bit-identical-trajectory
+# claim rests on (nightly CI).
 fuzz-bound:
 	$(GO) test -fuzz FuzzLowerBound -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 
@@ -69,7 +73,8 @@ fuzz-emax:
 
 # fuzz-dist runs the flat Euclidean distance kernel fuzzer for $(FUZZTIME):
 # random dimensions up to 8 and random finite coordinates, from ±0 to
-# magnitudes whose squares underflow or overflow, through geom.DistsFlat and
+# magnitudes whose squares underflow or overflow, through geom.DistsFlat,
+# geom.MinDistFlat (with and without its early-stop floor) and
 # geom.MinDistsFlat, checked bit for bit against geom.Dist (nightly CI).
 fuzz-dist:
 	$(GO) test -fuzz FuzzDistsFlat -fuzztime $(FUZZTIME) -run '^$$' ./internal/geom
@@ -83,10 +88,11 @@ bench:
 	$(GO) test -run '^$$' -benchmem -bench . . ./serve ./store ./obs
 
 # bench-index runs BenchmarkCandIndexScan/{off,prune} once on the
-# n=m=1000 acceptance instance and prints ns/scan, prune_rate and
-# cost_ratio per row. The off row is the unpruned cached scan and prune the
-# default pruned one, so the ns/scan ratio is the per-scan speedup on the
-# same instance and seeds. The bench itself fails when the prune rate drops
+# n=m=1000 acceptance instance and prints ns/scan, prune_rate (the t*·G∞
+# tier), excess_rate (the expected-excess tier) and cost_ratio per row.
+# The off row is the unpruned scan and prune the default pruned one, so
+# the ns/scan ratio is the per-scan speedup on the same instance and
+# seeds. The bench itself fails when the prune rate drops
 # below the 0.50 acceptance floor or a pruned trajectory diverges from the
 # unpruned one (cost_ratio must be exactly 1.0).
 bench-index:

@@ -458,11 +458,10 @@ var benchSink float64
 // incremental SwapEvaluator. n=200, m=200, k=8, z=4, single worker, so the
 // gap is algorithmic (no parallelism): the scratch path pays O(n·z·k)
 // metric calls per candidate, the incremental path a t* pass and a fused
-// min pass over cached columns. Both then run the same sweep. The
-// evaluator build is
-// outside the timed loop — it is paid once per solve and amortizes over
-// k·m·rounds evaluations. ReportAllocs pins the incremental scan at 0
-// allocs: EvalSwap and PrepareBase both reuse their scratch.
+// min pass that computes the candidate's atoms only where the base does
+// not settle them. Both then run the same sweep. ReportAllocs pins the
+// incremental scan at 0 allocs: EvalSwap and PrepareBase both reuse their
+// scratch.
 func BenchmarkSwapIncremental(b *testing.B) {
 	ctx := context.Background()
 	pts := benchEuclidean(b, 200, 4, 2)
@@ -505,7 +504,7 @@ func BenchmarkSwapIncremental(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		base, scratch := ev.NewBase(), ev.NewScratch()
+		base, scratch := new(core.SwapBase), new(core.SwapScratch)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -533,17 +532,19 @@ func clusterCompile(b *testing.B, seed int64, n, z int) *core.Compiled[geom.Vec]
 	return c
 }
 
-// BenchmarkEvaluatorBuild — the evaluator build an evicted instance pays on
-// every request (evict-churn's shape: n = 200, z = 4, m = 800 candidates,
-// one worker): DropCaches, then one m×N distance-column build from the
-// compiled coordinate column.
-func BenchmarkEvaluatorBuild(b *testing.B) {
+// BenchmarkSweepCold — one swap-neighborhood sweep from dropped caches, the
+// request an evicted instance serves on evict-churn (its shape: n = 200,
+// z = 4, m = 800 candidates, k = 2, one worker; run with -cpu 1): DropCaches,
+// then EcostSweepCompiled, whose evaluator computes every candidate's atoms
+// on demand and builds nothing first.
+func BenchmarkSweepCold(b *testing.B) {
 	ctx := context.Background()
 	c := clusterCompile(b, 11, 200, 4)
+	chosen := []int{0, len(c.CandidatesOrLocations()) / 2}
 	b.ReportAllocs()
 	for b.Loop() {
 		c.DropCaches()
-		if _, err := c.Evaluator(ctx, 1); err != nil {
+		if _, err := core.EcostSweepCompiled(ctx, c, chosen, 1, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -64,6 +64,13 @@ func TestHTTPStatusMapping(t *testing.T) {
 	if resp := do(http.MethodPut, "/v1/instances/c", `{nope`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad json: %d, want 400", resp.StatusCode)
 	}
+	// An instance document is strict too: the format has no candidates
+	// field, so a document carrying one is unprocessable rather than
+	// registered with every location as a candidate.
+	withCands := strings.TrimSuffix(strings.TrimSpace(doc), "}") + `,"candidates":[[9,9]]}`
+	if resp := do(http.MethodPut, "/v1/instances/d", withCands); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("document with an unknown field: %d, want 422", resp.StatusCode)
+	}
 	// A workload body is exactly one object of the request's fields: an
 	// unknown field (the retired "index" among them) or a second value
 	// after the object is a bad request, not a field silently ignored.

@@ -92,11 +92,12 @@ func (p *promCollector) promType(family string) string {
 	}
 }
 
+// labelEscaper is shared: a Replacer builds its lookup table on first use,
+// so one made per call would build it for every label of every scrape.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // renderLabels produces the sorted {k="v",...} block ("" when empty).
 func renderLabels(labels map[string]string) string {

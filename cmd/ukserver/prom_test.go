@@ -116,6 +116,15 @@ func TestPromLabelEscapeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEscapeLabelAllocs pins label escaping allocation-free for a value
+// with nothing to escape, the common case of every scrape: the escaper is
+// built once, not per label.
+func TestEscapeLabelAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { _ = escapeLabel("ls-17") }); allocs != 0 {
+		t.Fatalf("escapeLabel allocates %v times per call, want 0", allocs)
+	}
+}
+
 // TestPromExemplarRoundTrip pins the exemplar wire format: write renders
 // the OpenMetrics suffix, and the parser tolerates it — the sample's value
 // comes back intact with the exemplar discarded.

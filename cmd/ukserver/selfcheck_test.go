@@ -260,7 +260,7 @@ func warmRestartCheck(logger *slog.Logger, snapDir string, coldSolves map[string
 		if strings.HasPrefix(sp.Name, "compile.") {
 			return fmt.Errorf("compile span %q fired on the warm gateway", sp.Name)
 		}
-		if strings.HasPrefix(sp.Name, "surrogate.build") || sp.Name == "evaluator.build" {
+		if strings.HasPrefix(sp.Name, "surrogate.build") {
 			sawBuild = true
 		}
 	}

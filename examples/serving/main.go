@@ -28,14 +28,16 @@ func main() {
 
 	// A 2-shard server: each shard has its own worker pool, bounded queue
 	// and its own full cache budget (a process-wide ceiling of S × budget),
-	// so one hot instance cannot stall the rest. The 256 KiB per-shard
-	// budget is deliberately tight — watch the eviction counters below.
+	// so one hot instance cannot stall the rest. The caches are surrogate
+	// slices, 40 bytes per point here, and the 8 KiB per-shard budget is
+	// deliberately tight: it holds about two instances' worth — watch the
+	// eviction counters below.
 	solver := ukc.NewSolver[ukc.Vec](ukc.WithMaxIter(4))
 	srv, err := serve.New(solver,
 		serve.WithShards(2),
 		serve.WithWorkersPerShard(2),
 		serve.WithQueueDepth(128),
-		serve.WithCacheBudget(256<<10),
+		serve.WithCacheBudget(8<<10),
 		serve.WithDefaultDeadline(5*time.Second),
 	)
 	if err != nil {
@@ -112,15 +114,17 @@ func main() {
 	_, err = srv.SolveUnassigned(ctx, serve.UnassignedRequest{Instance: "grid-0", K: 3, Deadline: time.Nanosecond})
 	fmt.Printf("1ns-deadline request: %v\n", err)
 
-	// The unassigned local search builds the dominant cache: the 8·m·N
-	// distance-RV evaluator (~460 KB for grid-0) — well over the 256 KiB
-	// budget, so the byte-budget LRU drops caches right after the request
-	// completes. The answer is unaffected; a repeat rebuilds lazily.
+	// The unassigned local search keeps no distance table: it computes
+	// candidate distances where it reads them, and caches only its seeds'
+	// 1-center surrogates. The budget may evict them after the request
+	// completes; the answer is unaffected, and a repeat rebuilds lazily.
+	before := srv.Metrics().Totals()
 	un, err := srv.SolveUnassigned(ctx, serve.UnassignedRequest{Instance: "grid-0", K: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("unassigned solve on grid-0: ecost %.4f (evaluator built, then evicted by the budget)\n", un.Ecost)
+	after := srv.Metrics().Totals()
+	fmt.Printf("unassigned solve on grid-0: ecost %.4f (evictions during the request: %d)\n", un.Ecost, after.Evictions-before.Evictions)
 
 	// The metrics snapshot: queue occupancy, cache accounting against the
 	// budget, warm-cache hit rate and latency quantiles, per shard.

@@ -48,15 +48,14 @@ func TestCacheBytesFormula(t *testing.T) {
 		t.Fatalf("after P̄ build: CacheBytes = %d, want %d", got, want)
 	}
 
-	// The evaluator adds exactly 8·m·N (one 8-byte distance per
-	// candidate/atom pair) — the dominant term DESIGN.md §4a calls out.
-	if _, err := c.Evaluator(ctx, 1); err != nil {
+	// An unassigned solve adds only its seeds' 1-center surrogate slice:
+	// the swap evaluator stores no distances, so nothing else is cached.
+	if _, _, err := core.SolveUnassignedLSCompiled(ctx, c, 3, core.LocalSearchOptions{MaxIter: 3}); err != nil {
 		t.Fatal(err)
 	}
-	m := int64(len(c.CandidatesOrLocations()))
-	want += 8 * m * int64(c.NumAtoms())
+	want += int64(c.NumPoints()) * perElem
 	if got := c.CacheBytes(); got != want {
-		t.Fatalf("after evaluator build: CacheBytes = %d, want %d", got, want)
+		t.Fatalf("after an unassigned solve: CacheBytes = %d, want %d", got, want)
 	}
 }
 
@@ -76,7 +75,7 @@ func TestDropCachesReleasesAndRebuildsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.CacheBytes() == 0 {
-		t.Fatal("CacheBytes = 0 after solves that build surrogates and the evaluator")
+		t.Fatal("CacheBytes = 0 after solves that build surrogates")
 	}
 
 	c.DropCaches()

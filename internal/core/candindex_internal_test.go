@@ -12,14 +12,16 @@ import (
 	"repro/internal/uncertain"
 )
 
-// boundInstance compiles a random Euclidean instance with all point
-// locations as candidates and point masses skewed inside the validation
-// tolerance, returning everything the bound check needs.
+// boundInstance compiles a random Euclidean instance in d ∈ {1, 2, 3}
+// dimensions — every atom loop of the evaluator's flat path — with all
+// point locations as candidates and point masses skewed inside the
+// validation tolerance, returning everything the bound check needs.
 func boundInstance(t testing.TB, rng *rand.Rand) (*Compiled[geom.Vec], []uncertain.Point[geom.Vec], []geom.Vec) {
 	t.Helper()
 	n := 4 + rng.Intn(12)
 	z := 1 + rng.Intn(4)
-	pts, err := gen.GaussianClusters(rng, n, z, 2, 3, 1, 0.5)
+	d := 1 + rng.Intn(3)
+	pts, err := gen.GaussianClusters(rng, n, z, d, 3, 1, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +34,15 @@ func boundInstance(t testing.TB, rng *rand.Rand) (*Compiled[geom.Vec], []uncerta
 	return c, pts, cands
 }
 
-// checkLowerBound asserts the prune certificate is sound on one compiled
-// instance, for every scan position of a chosen set and every candidate c:
+// checkLowerBound asserts both prune certificates are sound on one compiled
+// instance, for every scan position of a chosen set and every candidate c,
+// against candidate c's atoms recomputed with distsTo:
 //
-//   - tStar is exactly max_i min_f min(base_f, col_f), and
+//   - tStar is exactly max_i min_f min(base_f, d_f(c)), and
 //     t*(c)·G∞ ≤ EvalSwap(base, c) + 1e-12·scale;
+//   - for every point i, the expected-excess bound
+//     (G∞/m̃_i)·(Σ_f p_f·max(t*, v_f) − max(0, mass_i − 1)·vmax_i)
+//     ≤ EvalSwap(base, c) + 1e-12·scale, with v_f = min(base_f, d_f(c));
 //   - with the threshold armed at cost₀ — the chosen set's cost, and the
 //     exact cost of a few candidates, so decisions land on the boundary —
 //     EvalSwap returns the exact cost bit for bit, or +Inf only for a
@@ -49,28 +55,47 @@ func checkLowerBound[P any](t testing.TB, c *Compiled[P], chosen []int, rng *ran
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, s := ev.NewBase(), ev.NewScratch()
-	m := len(c.CandidatesOrLocations())
+	base, s := new(SwapBase), new(SwapScratch)
+	cands := c.CandidatesOrLocations()
+	m := len(cands)
+	gInf := c.lay.Mass()
+	atoms := make([]float64, c.NumAtoms())
 	exact := make([]float64, m)
 	for pos := range chosen {
 		ev.PrepareBase(base, chosen, pos)
 		for cd := 0; cd < m; cd++ {
 			exact[cd] = ev.EvalSwap(base, s, cd)
+			tol := 1e-12 * math.Max(1, math.Abs(exact[cd]))
+			c.distsTo(atoms, 0, cands[cd])
 			want := math.Inf(-1)
 			for i := 0; i+1 < len(c.offsets); i++ {
 				pm := math.Inf(1)
 				for f := c.offsets[i]; f < c.offsets[i+1]; f++ {
-					pm = min(pm, base.vals[f], ev.cols[cd][f])
+					pm = min(pm, base.vals[f], atoms[f])
 				}
 				want = max(want, pm)
 			}
-			ts := ev.tStar(base, ev.cols[cd])
+			ts := ev.tStar(base, cd)
 			if ts != want {
 				t.Fatalf("pos %d cand %d: tStar %.17g, want %.17g", pos, cd, ts, want)
 			}
-			if lb, tol := ts*ev.gInf, 1e-12*math.Max(1, math.Abs(exact[cd])); lb > exact[cd]+tol {
+			if lb := ts * gInf; lb > exact[cd]+tol {
 				t.Fatalf("pos %d cand %d: t*·G∞ %.17g > exact %.17g (excess %g, G∞ = %.17g)",
-					pos, cd, lb, exact[cd], lb-exact[cd], ev.gInf)
+					pos, cd, lb, exact[cd], lb-exact[cd], gInf)
+			}
+			for i := 0; i+1 < len(c.offsets); i++ {
+				mass, sum, top := 0.0, 0.0, ts
+				for f := c.offsets[i]; f < c.offsets[i+1]; f++ {
+					w := max(ts, min(base.vals[f], atoms[f]))
+					mass += c.probs[f]
+					sum += c.probs[f] * w
+					top = max(top, w)
+				}
+				lb := gInf / min(1, mass) * (sum - max(0, mass-1)*top)
+				if lb > exact[cd]+tol {
+					t.Fatalf("pos %d cand %d point %d: expected-excess bound %.17g > exact %.17g (mass %.17g)",
+						pos, cd, i, lb, exact[cd], mass)
+				}
 			}
 		}
 		thresholds := []float64{exact[chosen[pos]]}
@@ -137,9 +162,10 @@ func TestLowerBoundSoundFinite(t *testing.T) {
 }
 
 // TestSweepReusesPreparedState pins the EcostSweep micro-opt: with the
-// evaluator, base and scratches already built, the per-sweep work allocates
-// only the result rows — the descent's trailing sweep pays no PrepareBase
-// re-setup beyond what the rows themselves cost.
+// base and scratches already built, the per-sweep work allocates only the
+// result rows — the descent's trailing sweep pays no PrepareBase re-setup
+// and no per-candidate allocation for the on-demand atoms beyond what the
+// rows themselves cost.
 func TestSweepReusesPreparedState(t *testing.T) {
 	rng := rand.New(rand.NewSource(702))
 	c, _, cands := boundInstance(t, rng)
@@ -148,8 +174,8 @@ func TestSweepReusesPreparedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := ev.NewBase()
-	scratches := []*SwapScratch{ev.NewScratch()}
+	base := new(SwapBase)
+	scratches := []*SwapScratch{new(SwapScratch)}
 	k := 3
 	if k > len(cands) {
 		k = len(cands)
@@ -174,8 +200,8 @@ func TestSweepReusesPreparedState(t *testing.T) {
 	}
 
 	// Per position: the result row and the scan closure (PrepareBase reuses
-	// the base's sort scratch); plus the outer result slice. No evaluator,
-	// base or scratch construction — that is the reuse.
+	// the base's sort scratch and center buffers); plus the outer result
+	// slice. No base or scratch construction — that is the reuse.
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := ecostSweepRows(ctx, ev, base, scratches, chosen, 1); err != nil {
 			t.Fatal(err)

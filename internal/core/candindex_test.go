@@ -208,10 +208,11 @@ func (a *attrTracer) Span(name, _ string, _ time.Time, _ time.Duration, attrs []
 }
 
 // TestPruneSpanEvidence proves pruning actually happens and is accounted:
-// the ls.prune span fires once per descent with scanned > 0 and pruned > 0
-// on a clustered instance, and every scanned candidate is either pruned or
-// a bound failure: pruned + bound_failures = scanned. With DisablePrune it
-// does not fire.
+// the ls.prune span fires once per descent with scanned > 0, pruned > 0 and
+// excess > 0 on a clustered instance, and every scanned candidate is
+// pruned by the t*·G∞ bound, skipped by the expected-excess certificate,
+// or a bound failure: pruned + excess + bound_failures = scanned. With
+// DisablePrune it does not fire.
 func TestPruneSpanEvidence(t *testing.T) {
 	tr := &attrTracer{}
 	ctx := obs.NewContext(context.Background(), tr)
@@ -232,7 +233,7 @@ func TestPruneSpanEvidence(t *testing.T) {
 	if len(spans) != 2 {
 		t.Fatalf("ls.prune fired %d times, want 2 (one per seed descent)", len(spans))
 	}
-	var scanned, pruned, failures int64
+	var scanned, pruned, excess, failures int64
 	for _, attrs := range spans {
 		for _, a := range attrs {
 			switch a.Key {
@@ -240,10 +241,12 @@ func TestPruneSpanEvidence(t *testing.T) {
 				scanned += a.Val
 			case "pruned":
 				pruned += a.Val
+			case "excess":
+				excess += a.Val
 			case "bound_failures":
 				failures += a.Val
 			default:
-				t.Fatalf("ls.prune attribute %q, want scanned, pruned, bound_failures", a.Key)
+				t.Fatalf("ls.prune attribute %q, want scanned, pruned, excess, bound_failures", a.Key)
 			}
 		}
 	}
@@ -253,8 +256,11 @@ func TestPruneSpanEvidence(t *testing.T) {
 	if pruned <= 0 {
 		t.Fatalf("pruned = %d, want > 0 (bound never fired on a clustered instance)", pruned)
 	}
-	if pruned+failures != scanned {
-		t.Fatalf("pruned %d + bound_failures %d != scanned %d", pruned, failures, scanned)
+	if excess <= 0 {
+		t.Fatalf("excess = %d, want > 0 (certificate never fired on a clustered instance)", excess)
+	}
+	if pruned+excess+failures != scanned {
+		t.Fatalf("pruned %d + excess %d + bound_failures %d != scanned %d", pruned, excess, failures, scanned)
 	}
 	// DisablePrune is the reference the trajectory-equality tests compare
 	// against, so it must really scan unpruned: no ls.prune span.
@@ -308,4 +314,80 @@ func TestPruneMassDeficitK1(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameTrajectory[geom.Vec](t, euclid, "default", centers, ref, cost, refCost)
+}
+
+// TestPruneExcessMassDeficit pins the expected-excess certificate's G∞/m̃_i
+// factor. As in TestPruneMassDeficitK1, 99 points near the origin each
+// carry mass 1 − 1e-10, so G∞ ≈ 1 − 9.9e-9, but the far point at (100, 0)
+// has mass exactly 1: its own m̃ is 1, and only the other points' deficits
+// lower the cost, about G∞·d(far, c). Moving the center from (0, 0) to
+// (5e-7, 0) improves it by 5e-9 relative, past the 1e-9 slack, and t*·G∞
+// is below the incumbent's cost, so the excess tier decides. Without the
+// factor the far point's bound would be d(far, c) ≈ 99.9999995 itself,
+// above the incumbent's ≈ 99.999999, and the improving swap would be
+// skipped. The default scan must land where the unpruned one does.
+func TestPruneExcessMassDeficit(t *testing.T) {
+	ctx := context.Background()
+	const p = 0.3333333333
+	site := func(x, y float64) uncertain.Point[geom.Vec] {
+		loc := geom.Vec{x, y}
+		return uncertain.Point[geom.Vec]{Locs: []geom.Vec{loc, loc, loc}, Probs: []float64{p, p, p}}
+	}
+	pts := []uncertain.Point[geom.Vec]{site(-1, 0), {Locs: []geom.Vec{{100, 0}}, Probs: []float64{1}}}
+	for j := 0; j < 98; j++ {
+		pts = append(pts, site(-0.5+0.01*float64(j%10), -0.5+0.01*float64(j/10)))
+	}
+	cands := []geom.Vec{{0, 0}, {5e-7, 0}}
+	for j := 0; j < 20; j++ {
+		a := 2 * math.Pi * float64(j) / 20
+		cands = append(cands, geom.Vec{1000 * math.Cos(a), 1000 * math.Sin(a)})
+	}
+	c, err := core.Compile[geom.Vec](ctx, euclid, pts, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, refCost, err := core.SolveUnassignedLSCompiled(ctx, c, 1, core.LocalSearchOptions{DisablePrune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if euclid.Dist(ref[0], geom.Vec{5e-7, 0}) != 0 {
+		t.Fatalf("unpruned center %v, want (5e-7, 0)", ref[0])
+	}
+	centers, cost, err := core.SolveUnassignedLSCompiled(ctx, c, 1, core.LocalSearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTrajectory[geom.Vec](t, euclid, "default", centers, ref, cost, refCost)
+}
+
+// TestPruneExcessMassSurplus pins the certificate's max(0, mass_i − 1)·vmax_i
+// term. One point has atoms a = (0, 0) and b = (10, 0) with masses
+// 0.5 + 0.89e-9 and 0.5 + 1e-10, 1 + 0.99e-9 in all, which the kernel clamps
+// to 1. With the center at b the cost is 10·(1 − p_b); swapping in a costs
+// 10·(1 − p_a), better by 1.98e-9 relative, past the 1e-9 slack. The
+// unclamped Σ_f p_f·v_f of a is 10·p_b, above the incumbent's cost: only
+// the surplus term, 10·0.99e-9, brings a's bound under it. Armed at the
+// incumbent's cost, EvalSwap must still return a's exact cost.
+func TestPruneExcessMassSurplus(t *testing.T) {
+	ctx := context.Background()
+	pts := []uncertain.Point[geom.Vec]{{Locs: []geom.Vec{{0, 0}, {10, 0}}, Probs: []float64{0.5 + 0.89e-9, 0.5 + 1e-10}}}
+	c, err := core.Compile[geom.Vec](ctx, euclid, pts, []geom.Vec{{10, 0}, {0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := c.Evaluator(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, s := new(core.SwapBase), new(core.SwapScratch)
+	ev.PrepareBase(base, []int{0}, 0)
+	cost0 := ev.EvalSwap(base, s, 0)
+	want := ev.EvalSwap(base, s, 1)
+	if !(want < cost0*(1-1e-9)) {
+		t.Fatalf("swap cost %.17g does not improve on %.17g past the slack", want, cost0)
+	}
+	ev.SetThreshold(base, cost0)
+	if got := ev.EvalSwap(base, s, 1); got != want {
+		t.Fatalf("armed at %.17g: EvalSwap = %.17g, exact %.17g", cost0, got, want)
+	}
 }

@@ -78,26 +78,27 @@ func (m *memo[T]) drop() {
 //   - validation (uncertain.ValidateSet, plus CommonDim in Euclidean space —
 //     the only ValidateSet call site in this package);
 //   - pruning of zero-probability atoms, so every downstream consumer sees
-//     the same support (the swap cache and the from-scratch paths used to
-//     disagree on this);
+//     the same support (the swap evaluator and the from-scratch paths used
+//     to disagree on this);
 //   - the flat structure-of-arrays atom layout — one arena of N = Σ_i z_i
 //     locations, probabilities and point indices with per-point offsets —
-//     which internal/emax consumes directly (Arena.ExpectedMaxFlat) and the
-//     swap-cache build reuses without re-flattening;
+//     which internal/emax consumes directly (Arena.ExpectedMaxFlat, and
+//     through the layout Arena.ExpectedMaxMinFlat);
 //   - N, max z_i and (in Euclidean space) the common coordinate dimension.
 //
 // On top of the flat model a Compiled memoizes the derived state repeated
 // solves share: both surrogate kinds (expected points P̄ and 1-centers P̃,
-// continuous and candidate-restricted) and the n×m distance-RV swap
-// evaluator, each built lazily on first use behind a mutex and immutable
-// afterwards, so a second solve of the same instance performs zero metric
-// calls for surrogate construction and zero evaluator rebuilds.
+// continuous and candidate-restricted), each built lazily on first use
+// behind a mutex and immutable afterwards, so a second solve of the same
+// instance performs zero metric calls for surrogate construction. Compile
+// also builds the sweep's emax.Layout and G∞ (O(n)), which every swap
+// evaluator shares; no distance table is ever built.
 //
 // In Euclidean space the arena owns its coordinates: Compile copies the
 // pruned atoms' coordinates once into one row-major column xy (atom f at
 // xy[f·d:(f+1)·d]) and re-slices every location into it, so each
 // coordinate is stored once and mutating the input points afterwards does
-// not reach the instance. The evaluator build and the exact E-costs
+// not reach the instance. The swap evaluator and the exact E-costs
 // compute atom distances from xy with internal/geom's flat loops, which
 // repeat geom.Dist's arithmetic and so return bit-identical values; every
 // other space calls Space.Dist per atom.
@@ -106,8 +107,7 @@ func (m *memo[T]) drop() {
 // and everything else is written once at compile time. Callers must not
 // mutate the slices it returns. Memory: the flat arena is
 // N·(sizeof(P) + 8 + 4) bytes plus 4·(n+1) offset bytes, plus the 8·d·N
-// coordinate column in Euclidean space; the memoized swap evaluator adds
-// 8·m·N bytes when (and only when) a swap-cache path is first exercised.
+// coordinate column in Euclidean space and the layout's 32·n bytes.
 type Compiled[P any] struct {
 	space metricspace.Space[P]
 	pts   []uncertain.Point[P] // pruned views into the flat arena
@@ -120,21 +120,21 @@ type Compiled[P any] struct {
 	ptIdx   []int32   // atom f -> owning point index (inverse of offsets)
 	allLocs []P       // every input location incl. p=0 ones; aliases locs when nothing was pruned
 
+	lay         *emax.Layout // the atoms' masses and owners, for the swap evaluator's sweep
 	maxZ        int
 	dim         int // common coordinate dimension (Euclidean only, else 0)
 	isEuclidean bool
 
-	surrEP     memo[[]P]               // expected points P̄
-	surrOCFree memo[[]P]               // continuous 1-centers P̃ (Euclidean, no candidates)
-	surrOCCand memo[[]P]               // 1-centers P̃ over CandidatesOrLocations()
-	evCache    memo[*SwapEvaluator[P]] // n×m distance-RV table over CandidatesOrLocations()
-	ciCache    memo[*CandIndex]        // maxmin pivots at DefaultIndexPivots (benchmark only)
+	surrEP     memo[[]P]        // expected points P̄
+	surrOCFree memo[[]P]        // continuous 1-centers P̃ (Euclidean, no candidates)
+	surrOCCand memo[[]P]        // 1-centers P̃ over CandidatesOrLocations()
+	ciCache    memo[*CandIndex] // maxmin pivots at DefaultIndexPivots (benchmark only)
 
 	builds atomic.Uint64 // completed cache builds (see CacheBuilds)
 }
 
 // CacheBuilds returns the number of memoized-cache builds (surrogate
-// slices, the swap evaluator) completed over this instance's lifetime —
+// slices, the CandIndex pivots) completed over this instance's lifetime —
 // a monotonic counter that never decreases, not even on DropCaches, and
 // whose increments are atomic with build completion (bumped under the
 // memo mutex). Serving layers snapshot it around a request to classify
@@ -255,6 +255,7 @@ func Compile[P any](ctx context.Context, space metricspace.Space[P], pts []uncer
 	if len(c.locs) < uncertain.TotalLocations(pts) {
 		c.allLocs = uncertain.AllLocations(pts)
 	}
+	c.lay = emax.NewLayout(c.probs, c.offsets, c.ptIdx)
 	fsp.Int("atoms", len(c.probs))
 	fsp.Int("pruned", uncertain.TotalLocations(pts)-len(c.probs))
 	fsp.Int("max_z", c.maxZ)
@@ -293,7 +294,7 @@ func (c *Compiled[P]) Points() []uncertain.Point[P] { return c.pts }
 func (c *Compiled[P]) NumPoints() int { return len(c.pts) }
 
 // NumAtoms returns N = Σ_i |{j : p_ij > 0}|, the pruned total support size —
-// the length of the flat arena and of every distance-RV column.
+// the length of the flat arena.
 func (c *Compiled[P]) NumAtoms() int { return len(c.probs) }
 
 // MaxZ returns max_i z_i over the pruned supports.
@@ -347,12 +348,28 @@ func (c *Compiled[P]) FlatAtoms() (locs []P, probs []float64, offsets, ptIdx []i
 // space. Callers must not mutate it.
 func (c *Compiled[P]) Coords() []float64 { return c.xy }
 
-// distsTo sets dst[j] = d(locs[lo+j], q) for every j in range dst: one
-// geom.DistsFlat pass over the coordinate column in Euclidean space, one
-// Space.Dist call per atom elsewhere. Both give the same bits.
+// distsTo sets dst[j] = d(locs[lo+j], q) for every j in range dst.
 func (c *Compiled[P]) distsTo(dst []float64, lo int, q P) {
+	c.distsToVec(dst, lo, q, c.vec(q))
+}
+
+// vec returns q's coordinates in Euclidean space and nil elsewhere: the
+// qv argument of distsToVec and minDistTo, which a caller reusing q
+// asserts once.
+func (c *Compiled[P]) vec(q P) geom.Vec {
+	if c.xy == nil {
+		return nil
+	}
+	return any(q).(geom.Vec)
+}
+
+// distsToVec is distsTo given qv = c.vec(q). It and minDistTo hold the
+// per-space choice of atom distance loop: geom's flat kernels over the
+// coordinate column in Euclidean space, one Space.Dist call per atom
+// elsewhere. Both give the same bits.
+func (c *Compiled[P]) distsToVec(dst []float64, lo int, q P, qv geom.Vec) {
 	if c.xy != nil {
-		geom.DistsFlat(dst, c.xy[lo*c.dim:], c.dim, any(q).(geom.Vec))
+		geom.DistsFlat(dst, c.xy[lo*c.dim:], c.dim, qv)
 		return
 	}
 	for j, loc := range c.locs[lo : lo+len(dst)] {
@@ -360,8 +377,28 @@ func (c *Compiled[P]) distsTo(dst []float64, lo int, q P) {
 	}
 }
 
+// minDistTo returns the least d(locs[f], q) over atoms f in [lo, hi)
+// (+Inf for an empty range), or a value at most floor once one atom is
+// within floor of q, given qv = c.vec(q). In Euclidean space it is the
+// least squared distance and one Sqrt (geom.MinDistFlat), which is the
+// least distance bit for bit.
+func (c *Compiled[P]) minDistTo(lo, hi int, q P, qv geom.Vec, floor float64) float64 {
+	if c.xy != nil {
+		return geom.MinDistFlat(c.xy[lo*c.dim:hi*c.dim], c.dim, qv, floor)
+	}
+	best := math.Inf(1)
+	for _, loc := range c.locs[lo:hi] {
+		if v := c.space.Dist(loc, q); v < best {
+			if best = v; v <= floor {
+				break
+			}
+		}
+	}
+	return best
+}
+
 // minDistsTo sets dst[j] = min over qs of d(locs[lo+j], q), dispatching
-// like distsTo.
+// like distsToVec.
 func (c *Compiled[P]) minDistsTo(dst []float64, lo int, qs []P) {
 	if c.xy != nil {
 		geom.MinDistsFlat(dst, c.xy[lo*c.dim:], c.dim, any(qs).([]geom.Vec))
@@ -471,27 +508,12 @@ func (c *Compiled[P]) Surrogates(ctx context.Context, s Surrogate, candidates []
 	}
 }
 
-// Evaluator returns the instance's memoized incremental swap evaluator over
-// CandidatesOrLocations(): the n×m distance-RV table is built once
-// (parallelized over candidates on `workers` goroutines) and shared by every
-// later SolveUnassignedLSCompiled / EcostSweepCompiled call on this
-// instance. The evaluator is immutable and goroutine-safe; per-scan state
-// lives in caller-owned SwapBase/SwapScratch values. Memory: 8·m·N bytes,
-// held for the lifetime of the Compiled — use the DisableSwapCache /
-// WithSwapCache(false) escape hatch to avoid building it.
+// Evaluator returns an incremental swap evaluator over
+// CandidatesOrLocations(). It precomputes nothing: candidate distances are
+// computed on demand and the layout was built at compile time, so ctx and
+// workers are unused and every call returns a fresh O(1) value.
 func (c *Compiled[P]) Evaluator(ctx context.Context, workers int) (*SwapEvaluator[P], error) {
-	return c.evCache.get(&c.builds, func() (*SwapEvaluator[P], error) {
-		sp := obs.StartSpan(obs.FromContext(ctx), "evaluator.build")
-		ev, err := newSwapEvaluatorCompiled(ctx, c, c.CandidatesOrLocations(), workers)
-		if err != nil {
-			return nil, err
-		}
-		sp.Int("candidates", len(ev.cols))
-		sp.Int("atoms", ev.NumAtoms())
-		sp.Int64("bytes", ev.Bytes())
-		sp.End()
-		return ev, nil
-	})
+	return newSwapEvaluator(c)
 }
 
 // CandIndex returns P pivots seeded maxmin over CandidatesOrLocations().
@@ -562,14 +584,11 @@ func (c *Compiled[P]) surrogateElemBytes() int64 {
 //   - each built surrogate slice (P̄, continuous P̃, candidate P̃) costs
 //     n·sizeof(P), plus the 8·d coordinate payload per element in Euclidean
 //     space;
-//   - the distance-RV swap evaluator costs 8·m·N bytes — one float64
-//     distance per (candidate, atom) pair — the dominant term for any
-//     nontrivial candidate set;
-//   - the CandIndex pivots cost 4·P bytes — small next to the evaluator,
-//     but metered all the same so eviction accounting stays exact.
+//   - the CandIndex pivots cost 4·P bytes, metered so eviction accounting
+//     stays exact.
 //
-// The compiled arena itself (flat atoms, offsets, pruned point views) is
-// NOT counted: it is the instance's identity, not a cache, and DropCaches
+// The compiled arena itself (flat atoms, offsets, pruned point views, the
+// layout) is NOT counted: it is the instance's identity, not a cache, and DropCaches
 // keeps it. Serving layers use CacheBytes as the eviction weight of a
 // byte-budget LRU over registered instances.
 func (c *Compiled[P]) CacheBytes() int64 {
@@ -585,30 +604,25 @@ func (c *Compiled[P]) CacheBytes() int64 {
 	if _, ok := c.surrOCCand.peek(); ok {
 		total += n * eb
 	}
-	if ev, ok := c.evCache.peek(); ok && ev != nil {
-		total += ev.Bytes()
-	}
 	if ix, ok := c.ciCache.peek(); ok && ix != nil {
 		total += ix.Bytes()
 	}
 	return total
 }
 
-// DropCaches releases every memoized cache — both surrogate kinds, the
-// distance-RV swap evaluator and the CandIndex pivots — returning
-// CacheBytes to zero while keeping the compiled arena (validation, pruning
-// and flattening are never redone).
+// DropCaches releases every memoized cache — both surrogate kinds and the
+// CandIndex pivots — returning CacheBytes to zero while keeping the
+// compiled arena (validation, pruning and flattening are never redone).
 // The next solve that needs a dropped cache rebuilds it lazily and, because
 // every build is deterministic, produces bit-identical results to a solve
 // against the never-dropped caches. In-flight consumers holding a
-// previously returned surrogate slice or evaluator keep valid immutable
-// references; the memory is reclaimed when the last holder lets go. Safe to
-// call concurrently with solves.
+// previously returned surrogate slice keep valid immutable references; the
+// memory is reclaimed when the last holder lets go. Safe to call
+// concurrently with solves.
 func (c *Compiled[P]) DropCaches() {
 	c.surrEP.drop()
 	c.surrOCFree.drop()
 	c.surrOCCand.drop()
-	c.evCache.drop()
 	c.ciCache.drop()
 }
 
@@ -694,10 +708,7 @@ var ecostPool = sync.Pool{New: func() any { return new(ecostScratch) }}
 // returns it with ecostPool.Put.
 func getEcostScratch(n int) *ecostScratch {
 	s := ecostPool.Get().(*ecostScratch)
-	if cap(s.vals) < n {
-		s.vals = make([]float64, n)
-	}
-	s.vals = s.vals[:n]
+	s.vals = resize(s.vals, n)
 	return s
 }
 
@@ -710,8 +721,8 @@ type flatScratch[P any] struct {
 }
 
 // newFlatScratches allocates one from-scratch evaluation scratch per worker
-// slot, each sized for k centers and the instance's atom count — the shared
-// setup of the oracle local-search descent and the uncached sweep.
+// slot, each sized for k centers and the instance's atom count, for the
+// from-scratch sweep.
 func (c *Compiled[P]) newFlatScratches(k, workers int) []*flatScratch[P] {
 	scr := make([]*flatScratch[P], workers)
 	for w := range scr {
@@ -721,7 +732,8 @@ func (c *Compiled[P]) newFlatScratches(k, workers int) []*flatScratch[P] {
 }
 
 // ecostUnassignedFlat is the scratch-reusing sequential unassigned E-cost —
-// the inner-loop evaluator of the from-scratch local-search and sweep paths.
+// the inner-loop evaluator of the from-scratch sweep and the tests'
+// from-scratch descent.
 // vals must have length NumAtoms(); vals and arena are overwritten and may
 // be reused across calls. Value-identical to EcostUnassigned, but it keeps
 // one Space.Dist call per atom and center in every space: it is the oracle

@@ -193,8 +193,8 @@ func TestZeroProbAtomCostConsistency(t *testing.T) {
 		t.Fatalf("EcostUnassigned with zero atoms = %g, oracle = %g", gotU, wantU)
 	}
 
-	// Cached (distance-RV table) and from-scratch sweep paths must agree, bit
-	// for bit, on the pruned support.
+	// Incremental and from-scratch sweep paths must agree, bit for bit, on
+	// the pruned support.
 	cands := uncertain.AllLocations(pts)
 	chosen := []int{0, 4}
 	cached, err := core.EcostSweepCompiled(ctx, compile(t, euclid, pts, cands), chosen, 2, false)
@@ -213,23 +213,23 @@ func TestZeroProbAtomCostConsistency(t *testing.T) {
 		}
 	}
 
-	// Local search: identical trajectories with and without the cache on the
-	// zero-atom instance.
+	// Local search: the incremental, pruned descent follows the from-scratch
+	// oracle's trajectory on the zero-atom instance.
 	for _, k := range []int{1, 2} {
 		fast, fastCost, err := core.SolveUnassignedLSCompiled(ctx, compile(t, euclid, pts, cands), k, core.LocalSearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, oracleCost, err := core.SolveUnassignedLSCompiled(ctx, compile(t, euclid, pts, cands), k, core.LocalSearchOptions{DisableSwapCache: true})
+		oracle, oracleCost, err := core.SolveUnassignedScratch(ctx, compile(t, euclid, pts, cands), k, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fastCost != oracleCost {
-			t.Fatalf("k=%d: cached cost %.17g vs oracle %.17g", k, fastCost, oracleCost)
+			t.Fatalf("k=%d: incremental cost %.17g vs oracle %.17g", k, fastCost, oracleCost)
 		}
 		for i := range fast {
 			if geom.Dist(fast[i], oracle[i]) != 0 {
-				t.Fatalf("k=%d: cached center %d = %v, oracle %v", k, i, fast[i], oracle[i])
+				t.Fatalf("k=%d: incremental center %d = %v, oracle %v", k, i, fast[i], oracle[i])
 			}
 		}
 	}
@@ -352,9 +352,10 @@ func (s countingSpace) Dist(a, b int) float64 {
 }
 
 // TestSurrogateAndEvaluatorCacheReuse pins the observability criterion: the
-// second request for surrogates (and for the swap evaluator) on one
-// compiled instance performs ZERO metric calls — everything is served from
-// the memoized cache.
+// second request for surrogates on one compiled instance performs ZERO
+// metric calls — it is served from the memoized cache — and a swap
+// evaluator request performs none at all, because the evaluator
+// precomputes nothing: its distances are computed where a scan reads them.
 func TestSurrogateAndEvaluatorCacheReuse(t *testing.T) {
 	ctx := context.Background()
 	var calls atomic.Int64
@@ -389,23 +390,17 @@ func TestSurrogateAndEvaluatorCacheReuse(t *testing.T) {
 		t.Fatal("second surrogate request returned a different slice")
 	}
 
-	if _, err := c.Evaluator(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
-	after = calls.Load()
-	ev1, err := c.Evaluator(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev2, err := c.Evaluator(ctx, 8)
-	if err != nil {
-		t.Fatal(err)
+	builds := c.CacheBuilds()
+	for _, workers := range []int{1, 2, 8} {
+		if _, err := c.Evaluator(ctx, workers); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := calls.Load(); got != after {
-		t.Fatalf("repeat evaluator requests made %d metric calls, want 0", got-after)
+		t.Fatalf("evaluator requests made %d metric calls, want 0", got-after)
 	}
-	if ev1 != ev2 {
-		t.Fatal("repeat evaluator requests returned different evaluators")
+	if got := c.CacheBuilds(); got != builds {
+		t.Fatalf("evaluator requests completed %d cache builds, want 0", got-builds)
 	}
 }
 

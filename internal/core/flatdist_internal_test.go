@@ -28,9 +28,11 @@ func sameBits(a, b []float64) bool {
 // metricspace.Euclidean{}, whose distances come from the coordinate column
 // through internal/geom's flat loops, and under a DistFunc wrapping
 // geom.Dist, which takes the generic Space.Dist path. Every consumer of the
-// flat loops — the evaluator columns, both exact E-costs, the sweep matrix
-// and the local search — must agree bit for bit, for d ∈ {1, 2, 3} (both
-// sides of the planar case) and sequential and parallel workers.
+// flat loops — the atom rows and least atom distances the evaluator reads
+// (distsToVec, minDistTo), checked against distsTo, both exact E-costs,
+// the sweep matrix and the local search — must agree bit for bit, for
+// d ∈ {1, 2, 3} (both sides of the planar case) and sequential and
+// parallel workers.
 func TestFlatDistancesMatchSpaceDist(t *testing.T) {
 	ctx := context.Background()
 	generic := metricspace.DistFunc[geom.Vec](geom.Dist)
@@ -57,17 +59,33 @@ func TestFlatDistancesMatchSpaceDist(t *testing.T) {
 			}
 			cands := flat.CandidatesOrLocations()
 
-			ev1, err := flat.Evaluator(ctx, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ev2, err := viaDist.Evaluator(ctx, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for cd := range cands {
-				if !sameBits(ev1.cols[cd], ev2.cols[cd]) {
-					t.Fatalf("d=%d workers=%d: evaluator column %d differs", d, workers, cd)
+				want := make([]float64, flat.NumAtoms())
+				flat.distsTo(want, 0, cands[cd])
+				viaDistAtoms := make([]float64, len(want))
+				viaDist.distsTo(viaDistAtoms, 0, cands[cd])
+				if !sameBits(want, viaDistAtoms) {
+					t.Fatalf("d=%d workers=%d: distsTo of candidate %d differs", d, workers, cd)
+				}
+				for i := range flat.NumPoints() {
+					lo, hi := int(flat.offsets[i]), int(flat.offsets[i+1])
+					for name, c := range map[string]*Compiled[geom.Vec]{"Euclidean": flat, "DistFunc": viaDist} {
+						q := cands[cd]
+						got := make([]float64, hi-lo)
+						c.distsToVec(got, lo, q, c.vec(q))
+						if !sameBits(got, want[lo:hi]) {
+							t.Fatalf("d=%d workers=%d %s: candidate %d point %d atoms %v, distsTo %v",
+								d, workers, name, cd, i, got, want[lo:hi])
+						}
+						least := math.Inf(1)
+						for _, v := range got {
+							least = min(least, v)
+						}
+						if m := c.minDistTo(lo, hi, q, c.vec(q), -1); math.Float64bits(m) != math.Float64bits(least) {
+							t.Fatalf("d=%d workers=%d %s: candidate %d point %d least atom %.17g, want %.17g",
+								d, workers, name, cd, i, m, least)
+						}
+					}
 				}
 			}
 

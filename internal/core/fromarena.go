@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/emax"
 	"repro/internal/metricspace"
 	"repro/internal/uncertain"
 )
@@ -24,10 +25,10 @@ import (
 // xy[f·dim:(f+1)·dim], and nil in any other space. allLocs is the
 // CandidatesOrLocations default (all input locations including
 // zero-probability ones) and may be the locs slice itself when nothing was
-// pruned; cands may be nil. The memoized caches (surrogates, swap
-// evaluator) start empty and rebuild lazily exactly as after a Compile —
-// which is what keeps a frozen-then-opened instance's solves bit-identical
-// to the in-memory one.
+// pruned; cands may be nil. The memoized surrogate caches start empty and
+// rebuild lazily exactly as after a Compile, and the swap evaluator's
+// layout is rebuilt from the columns, O(n) — which is what keeps a
+// frozen-then-opened instance's solves bit-identical to the in-memory one.
 func FromArena[P any](space metricspace.Space[P], locs []P, xy, probs []float64, offsets, ptIdx []int32, allLocs, cands []P, dim, maxZ int) (*Compiled[P], error) {
 	if space == nil {
 		return nil, fmt.Errorf("core: nil space")
@@ -73,5 +74,6 @@ func FromArena[P any](space metricspace.Space[P], locs []P, xy, probs []float64,
 			Probs: probs[start:end:end],
 		}
 	}
+	c.lay = emax.NewLayout(probs, offsets, ptIdx)
 	return c, nil
 }

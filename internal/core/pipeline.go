@@ -100,7 +100,7 @@ func vecAsP[P any](v geom.Vec) P { return any(v).(P) }
 // Solve compiles the point set per call. Callers that solve one instance
 // repeatedly should Compile once and call SolveCompiled (which is what the
 // public Instance/Solver API does) to share the validated flat model and the
-// memoized surrogate/evaluator caches across solves.
+// memoized surrogate caches across solves.
 func Solve[P any](ctx context.Context, space metricspace.Space[P], pts []uncertain.Point[P], candidates []P, k int, opts Options) (Result[P], error) {
 	if space == nil {
 		return Result[P]{}, fmt.Errorf("core: nil space")

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/emax"
+	"repro/internal/geom"
 	"repro/internal/par"
 	"repro/obs"
 )
@@ -16,115 +18,124 @@ import (
 // objective Ecost(C) = E[max_i min_{c∈C} d(X_i, c)] over center sets drawn
 // from a fixed candidate set.
 //
-// Construction reuses the compiled instance's flat atom layout (the N
-// support atoms, zero-probability ones pruned at compile time) and caches,
-// for every candidate c, the column of distances d(loc_f, c) over all
-// atoms — the n×m table of per-point distance RVs — computed once, in
-// parallel over candidates, and immutable afterwards: no later evaluation
-// calls the metric.
+// It stores no distances: a candidate's atom distances d(loc_f, c) are
+// computed where a scan reads them, through the compiled instance's atom
+// loops (Compiled.distsToVec and minDistTo), so every atom has the bits the
+// from-scratch E-cost sees. Its per-instance state is the compiled
+// instance's emax.Layout and G∞, so it costs O(1) to make.
 //
 // A neighborhood scan factors through PrepareBase, which fixes one scan
 // position's base — each atom's min distance over the k−1 unchanged
 // centers — in a caller-owned SwapBase. EvalSwap(c) then finds the split
-// t*(c) of the emax sweep and runs one fused min(base, column c) pass into
-// it (emax.Arena.ExpectedMaxMinFlat), reading column c only for the points
-// the base does not settle; no allocations in steady state. Every
-// realization's max is at least t*, so Ecost ≥ t*·G∞ for the total point
-// mass G∞: SetThreshold turns that into a prune certificate.
+// t*(c) of the emax sweep and runs one fused min(base, d(·, c)) pass into
+// it (emax.Arena.ExpectedMaxMinFlat), computing candidate c's atoms only
+// for the points the base does not settle; no allocations in steady
+// state. SetThreshold arms two prune certificates (DESIGN §11): Ecost ≥
+// t*·G∞, checked in the t* pass, and a per-point expected-excess bound,
+// checked in the fused pass before its sort and sweep.
 //
-// The evaluator is immutable and safe to share across goroutines and
-// solves (Compiled.Evaluator memoizes one per instance); scan state lives
-// in caller-owned values, one SwapBase per scan and one SwapScratch per
-// worker. EvalSwap sweeps the same per-atom distances EcostUnassigned
-// computes from scratch, so cached and from-scratch costs are
-// bit-identical.
-//
-// Memory: 8·m·N bytes, one float64 per (candidate, atom) pair, e.g. ~64 MB
-// for n = m = 1000, z = 8. LocalSearchOptions.DisableSwapCache
-// (ukc.WithSwapCache(false)) falls back to the from-scratch scan when that
-// is too much.
+// The evaluator is immutable and safe to share across goroutines; scan
+// state lives in caller-owned values, one SwapBase (O(N + n)) per scan and
+// one SwapScratch per worker. EvalSwap sweeps the same per-atom distances
+// EcostUnassigned computes from scratch, so incremental and from-scratch
+// costs are bit-identical.
 type SwapEvaluator[P any] struct {
-	offsets []int32      // point i owns atoms offsets[i]:offsets[i+1]
-	lay     *emax.Layout // the atoms' masses and owners, for the sweep
-	gInf    float64      // G∞ = Π_i min(1, mass_i), the mass the sweep reaches
-	cols    [][]float64
+	c     *Compiled[P]
+	cands []P
+	vc    []geom.Vec // Euclidean: the candidates' coordinates; nil elsewhere
 }
 
 // SwapBase is the per-scan-position state of a neighborhood scan, written
-// by PrepareBase and SetThreshold and read by EvalSwap. It must not be
-// written concurrently with reads; a scan prepares the base once, then fans
-// EvalSwap out over candidates.
+// by PrepareBase and SetThreshold and read by EvalSwap. A zero SwapBase is
+// ready to use: PrepareBase grows its buffers to the evaluator's shape and
+// reuses them afterwards, so one base can serve evaluators of different
+// instances. It must not be written concurrently with reads; a scan
+// prepares the base once, then fans EvalSwap out over candidates.
 type SwapBase struct {
 	vals  []float64 // atom f -> min distance over the unchanged centers
+	dist  []float64 // scratch: one unchanged center's atom distances
 	ptMin []float64 // point i -> baseMin_i, min of vals over its atoms
 	ptMax []float64 // point i -> max of vals over its atoms
 	order []int32   // points by descending ptMin
 	theta float64   // candidates with t* ≥ theta are certified; +Inf = none
+	cost0 float64   // the expected-excess certificate's cost₀; +Inf = none
 }
 
-// SwapScratch is the per-worker mutable state of EvalSwap, its sweep arena;
+// SwapScratch is the per-worker mutable state of EvalSwap: its sweep arena,
+// and the number of candidates the expected-excess certificate skipped
+// since the caller last zeroed excess. A zero SwapScratch is ready to use;
 // a neighborhood scan hands each worker slot its own.
 type SwapScratch struct {
-	arena emax.Arena
+	arena  emax.Arena
+	excess int
 }
 
-// newSwapEvaluatorCompiled builds the candidate columns over a compiled
-// instance's flat atom arena — no re-validation, no re-flattening.
-func newSwapEvaluatorCompiled[P any](ctx context.Context, c *Compiled[P], candidates []P, workers int) (*SwapEvaluator[P], error) {
-	if ctx == nil {
-		ctx = context.Background()
+// scanState is the reusable memory of one solve's or sweep's scans: the
+// base, one scratch per worker, and a descent's per-candidate cost and
+// membership rows. Its buffers grow to the largest instance served.
+type scanState struct {
+	base      SwapBase
+	scratches []*SwapScratch
+	costs     []float64
+	inSet     []bool
+}
+
+// scanPool recycles scan state across solves, sweeps and instances, so a
+// warm scan allocates none of it.
+var scanPool = sync.Pool{New: func() any { return new(scanState) }}
+
+// getScanState takes a pooled scanState with at least workers scratches;
+// the caller returns it with scanPool.Put once no worker reads it.
+func getScanState(workers int) *scanState {
+	st := scanPool.Get().(*scanState)
+	for len(st.scratches) < workers {
+		st.scratches = append(st.scratches, new(SwapScratch))
 	}
-	if len(candidates) == 0 {
+	return st
+}
+
+// newSwapEvaluator returns the evaluator over CandidatesOrLocations().
+func newSwapEvaluator[P any](c *Compiled[P]) (*SwapEvaluator[P], error) {
+	cands := c.CandidatesOrLocations()
+	if len(cands) == 0 {
 		return nil, fmt.Errorf("core: SwapEvaluator needs candidates")
 	}
-	e := &SwapEvaluator[P]{
-		offsets: c.offsets,
-		lay:     emax.NewLayout(c.probs, c.offsets, c.ptIdx),
-		cols:    make([][]float64, len(candidates)),
-	}
-	e.gInf = e.lay.Mass()
-	// One allocation per column: a single m·N block, freed and rebuilt on
-	// every eviction, measured a higher GC heap goal and peak RSS (DESIGN §4).
-	err := par.For(ctx, len(candidates), workers, func(cd int) {
-		col := make([]float64, c.NumAtoms())
-		c.distsTo(col, 0, candidates[cd])
-		e.cols[cd] = col
-	})
-	if err != nil {
-		return nil, err
+	e := &SwapEvaluator[P]{c: c, cands: cands}
+	if c.xy != nil {
+		e.vc = any(cands).([]geom.Vec)
 	}
 	return e, nil
 }
 
-// NumAtoms returns N, the number of positive-probability support atoms —
-// the per-candidate column length of the cache.
-func (e *SwapEvaluator[P]) NumAtoms() int { return int(e.offsets[len(e.offsets)-1]) }
-
-// Bytes returns the size of the distance table, 8·m·N bytes.
-func (e *SwapEvaluator[P]) Bytes() int64 { return 8 * int64(len(e.cols)) * int64(e.NumAtoms()) }
-
-// NewBase returns a fresh per-scan base sized for this evaluator.
-func (e *SwapEvaluator[P]) NewBase() *SwapBase {
-	n := len(e.offsets) - 1
-	return &SwapBase{
-		vals:  make([]float64, e.NumAtoms()),
-		ptMin: make([]float64, n),
-		ptMax: make([]float64, n),
-		order: make([]int32, n),
-		theta: math.Inf(1),
+// vec returns candidate c's coordinates in Euclidean space, nil elsewhere:
+// Compiled.vec of it, asserted once per evaluator.
+func (e *SwapEvaluator[P]) vec(c int) geom.Vec {
+	if e.vc == nil {
+		return nil
 	}
+	return e.vc[c]
 }
 
-// NewScratch returns a fresh per-worker scratch.
-func (e *SwapEvaluator[P]) NewScratch() *SwapScratch { return &SwapScratch{} }
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
 // PrepareBase fixes the scan position: it computes every atom's min
 // distance over chosen[j] for j ≠ pos (+Inf when k = 1) and each point's
 // minimum and maximum of those into the caller-owned base, orders the
-// points by that minimum, descending, and clears the prune threshold.
-// Cost: O(N·(k−1)) plus an O(n log n) sort, amortized over the whole
-// candidate scan; allocation-free.
+// points by that minimum, descending, and disarms both certificates.
+// Cost: O(N·(k−1)) distances plus an O(n log n) sort, amortized over the
+// whole candidate scan; allocation-free once b has served a shape this
+// large.
 func (e *SwapEvaluator[P]) PrepareBase(b *SwapBase, chosen []int, pos int) {
+	n, atoms := e.c.NumPoints(), e.c.NumAtoms()
+	b.vals, b.dist = resize(b.vals, atoms), resize(b.dist, atoms)
+	b.ptMin, b.ptMax, b.order = resize(b.ptMin, n), resize(b.ptMax, n), resize(b.order, n)
 	bv := b.vals
 	for f := range bv {
 		bv[f] = math.Inf(1)
@@ -133,14 +144,16 @@ func (e *SwapEvaluator[P]) PrepareBase(b *SwapBase, chosen []int, pos int) {
 		if j == pos {
 			continue
 		}
-		for f, v := range e.cols[c] {
+		e.c.distsToVec(b.dist, 0, e.cands[c], e.vec(c))
+		for f, v := range b.dist {
 			if v < bv[f] {
 				bv[f] = v
 			}
 		}
 	}
-	lo := e.offsets[0]
-	for i, hi := range e.offsets[1:] {
+	offsets := e.c.offsets
+	lo := offsets[0]
+	for i, hi := range offsets[1:] {
 		mn, mx := math.Inf(1), math.Inf(-1)
 		for _, v := range bv[lo:hi] {
 			mn, mx = min(mn, v), max(mx, v)
@@ -149,35 +162,36 @@ func (e *SwapEvaluator[P]) PrepareBase(b *SwapBase, chosen []int, pos int) {
 		lo = hi
 	}
 	slices.SortFunc(b.order, func(x, y int32) int { return cmp.Compare(b.ptMin[y], b.ptMin[x]) })
-	b.theta = math.Inf(1)
+	b.theta, b.cost0 = math.Inf(1), math.Inf(1)
 }
 
-// SetThreshold arms the prepared base's prune certificate for an incumbent
-// cost cost₀: until the next PrepareBase, EvalSwap returns +Inf for every
-// candidate whose t* reaches θ = cost₀/G∞, whose cost is then at least
-// t*·G∞ ≥ cost₀ up to roundoff far below a relative 1e-12.
+// SetThreshold arms the prepared base's prune certificates for an
+// incumbent cost cost₀: until the next PrepareBase, EvalSwap returns +Inf
+// for every candidate whose t* reaches θ = cost₀/G∞, and for every
+// candidate one of whose points has an expected excess over t* that bounds
+// its cost at or above cost₀ (emax.Arena.ExpectedMaxMinFlat). Either way
+// its cost is at least cost₀ up to roundoff far below a relative 1e-12.
 func (e *SwapEvaluator[P]) SetThreshold(b *SwapBase, cost0 float64) {
-	b.theta = cost0 / e.gInf
+	b.theta, b.cost0 = cost0/e.c.lay.Mass(), cost0
 }
 
-// tStar returns t* = max_i min(baseMin_i, min_f col_f) over point i's
-// atoms f, visiting points in descending baseMin order: once baseMin_i is
-// at most the running max no later point can raise it, and a point's atoms
-// are read only until one is at most the running max. It returns early,
-// with a partial max ≥ b.theta, as soon as the threshold certifies col.
-func (e *SwapEvaluator[P]) tStar(b *SwapBase, col []float64) float64 {
+// tStar returns t* = max_i min(baseMin_i, min_f d(loc_f, candidates[c]))
+// over point i's atoms f, visiting points in descending baseMin order:
+// once baseMin_i is at most the running max no later point can raise it,
+// and a point's atoms are computed only until one is within the running
+// max. It returns early, with a partial max ≥ b.theta, as soon as the
+// threshold certifies c.
+func (e *SwapEvaluator[P]) tStar(b *SwapBase, c int) float64 {
+	q, qv := e.cands[c], e.vec(c)
+	offsets := e.c.offsets
 	t := math.Inf(-1)
 	for _, i := range b.order {
 		m := b.ptMin[i]
 		if m <= t {
 			break
 		}
-		for _, v := range col[e.offsets[i]:e.offsets[i+1]] {
-			if v < m {
-				if m = v; m <= t {
-					break
-				}
-			}
+		if d := e.c.minDistTo(int(offsets[i]), int(offsets[i+1]), q, qv, t); d < m {
+			m = d
 		}
 		if m > t {
 			if t = m; t >= b.theta {
@@ -191,21 +205,28 @@ func (e *SwapEvaluator[P]) tStar(b *SwapBase, col []float64) float64 {
 // EvalSwap returns the exact unassigned E-cost of chosen with chosen[pos]
 // replaced by candidates[c], for the (chosen, pos) of the last PrepareBase
 // on b — bit-identical to Compiled.EcostUnassigned of that center set — or
-// +Inf when SetThreshold's certificate covers c. Allocation-free in steady
-// state; safe to call concurrently given distinct scratches.
+// +Inf when one of SetThreshold's certificates covers c; a skip by the
+// expected-excess certificate increments s.excess. Allocation-free in
+// steady state; safe to call concurrently given distinct scratches.
 func (e *SwapEvaluator[P]) EvalSwap(b *SwapBase, s *SwapScratch, c int) float64 {
-	col := e.cols[c]
-	t := e.tStar(b, col)
+	t := e.tStar(b, c)
 	if t >= b.theta {
 		return math.Inf(1)
 	}
-	return s.arena.ExpectedMaxMinFlat(e.lay, b.vals, col, b.ptMax, t)
+	q, qv := e.cands[c], e.vec(c)
+	v, cut := s.arena.ExpectedMaxMinFlat(e.c.lay, b.vals, b.ptMax, t, b.cost0, func(i int, dst []float64) {
+		e.c.distsToVec(dst, int(e.c.offsets[i]), q, qv)
+	})
+	if cut {
+		s.excess++
+	}
+	return v
 }
 
 // Cost returns the exact unassigned E-cost of the chosen candidate set
-// itself, through the same cached columns. It overwrites the caller's base
-// (base = chosen minus its first element, candidate = that element), so any
-// previously prepared base must be re-prepared afterwards.
+// itself, through the same on-demand atoms. It overwrites the caller's
+// base (base = chosen minus its first element, candidate = that element),
+// so any previously prepared base must be re-prepared afterwards.
 func (e *SwapEvaluator[P]) Cost(b *SwapBase, s *SwapScratch, chosen []int) float64 {
 	if len(chosen) == 0 {
 		return 0
@@ -220,13 +241,12 @@ func (e *SwapEvaluator[P]) Cost(b *SwapBase, s *SwapScratch, chosen []int) float
 // candidate c (indices into CandidatesOrLocations()). out[pos][chosen[pos]]
 // is the cost of the chosen set itself, and a column already in the set
 // yields the cost of the correspondingly shrunk set (duplicate centers
-// don't change a min). The instance's memoized evaluator (one O(m·N)
-// metric-call build per instance LIFETIME, not per sweep) serves all k·m
-// entries; the per-position scans fan out over `workers` goroutines with
-// bit-identical results and honor ctx. disableCache skips the 8·m·N-byte
-// distance-RV table and evaluates every entry from scratch (the memory
-// escape hatch, bit-identical to the cached values) without touching the
-// instance's cache.
+// don't change a min). The incremental evaluator serves all k·m entries
+// with no certificate armed, so every entry is exact; the per-position
+// scans fan out over `workers` goroutines with bit-identical results and
+// honor ctx. disableCache evaluates every entry from scratch instead,
+// through one Space.Dist call per atom and center: the oracle the tests
+// hold the evaluator to.
 func EcostSweepCompiled[P any](ctx context.Context, c *Compiled[P], chosen []int, workers int, disableCache bool) ([][]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -255,16 +275,13 @@ func EcostSweepCompiled[P any](ctx context.Context, c *Compiled[P], chosen []int
 		sp.End()
 		return out, nil
 	}
-	ev, err := c.Evaluator(ctx, workers)
+	ev, err := newSwapEvaluator(c)
 	if err != nil {
 		return nil, err
 	}
-	base := ev.NewBase()
-	scratches := make([]*SwapScratch, workers)
-	for w := range scratches {
-		scratches[w] = ev.NewScratch()
-	}
-	out, err := ecostSweepRows(ctx, ev, base, scratches, chosen, workers)
+	st := getScanState(workers)
+	out, err := ecostSweepRows(ctx, ev, &st.base, st.scratches, chosen, workers)
+	scanPool.Put(st)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +293,7 @@ func EcostSweepCompiled[P any](ctx context.Context, c *Compiled[P], chosen []int
 // caller-owned scan state, so the sweep itself allocates only its result
 // rows.
 func ecostSweepRows[P any](ctx context.Context, ev *SwapEvaluator[P], base *SwapBase, scratches []*SwapScratch, chosen []int, workers int) ([][]float64, error) {
-	m := len(ev.cols)
+	m := len(ev.cands)
 	out := make([][]float64, len(chosen))
 	for pos := range chosen {
 		ev.PrepareBase(base, chosen, pos)
@@ -291,10 +308,9 @@ func ecostSweepRows[P any](ctx context.Context, ev *SwapEvaluator[P], base *Swap
 	return out, nil
 }
 
-// ecostSweepFlatRows is the sweep without the distance-RV table: every
-// (position, candidate) entry is a from-scratch exact evaluation on the
-// caller's per-worker scratches (center buffer, flat distance values, sweep
-// arena).
+// ecostSweepFlatRows is the from-scratch sweep: every (position,
+// candidate) entry is an exact evaluation on the caller's per-worker
+// scratches (center buffer, flat distance values, sweep arena).
 func ecostSweepFlatRows[P any](ctx context.Context, c *Compiled[P], candidates []P, scr []*flatScratch[P], chosen []int, workers int) ([][]float64, error) {
 	base := make([]P, len(chosen))
 	for i, ch := range chosen {

@@ -60,7 +60,7 @@ func TestSwapEvaluatorMatchesRaw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, s := ev.NewBase(), ev.NewScratch()
+		base, s := new(core.SwapBase), new(core.SwapScratch)
 
 		centers := make([]geom.Vec, len(chosen))
 		for i, c := range chosen {
@@ -94,7 +94,8 @@ func TestSwapEvaluatorMatchesRaw(t *testing.T) {
 }
 
 // TestSwapEvaluatorFiniteMetric runs the same pinning on a finite metric
-// space — the cache must be metric-agnostic, not a Euclidean special case.
+// space — the evaluator must be metric-agnostic, not a Euclidean special
+// case.
 func TestSwapEvaluatorFiniteMetric(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(92))
@@ -106,7 +107,7 @@ func TestSwapEvaluatorFiniteMetric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, s := ev.NewBase(), ev.NewScratch()
+		base, s := new(core.SwapBase), new(core.SwapScratch)
 		centers := make([]int, len(chosen))
 		for i, c := range chosen {
 			centers[i] = cands[c]
@@ -172,7 +173,7 @@ func TestEcostSweepMatchesRaw(t *testing.T) {
 			}
 		}
 	}
-	// The cache-disabled escape hatch equals the cached sweep.
+	// The from-scratch sweep equals the incremental one.
 	scratch, err := core.EcostSweepCompiled(ctx, compile(t, euclid, pts, cands), chosen, 4, true)
 	if err != nil {
 		t.Fatal(err)
@@ -180,16 +181,16 @@ func TestEcostSweepMatchesRaw(t *testing.T) {
 	for pos := range first {
 		for c := range first[pos] {
 			if scratch[pos][c] != first[pos][c] {
-				t.Fatalf("scratch sweep[%d][%d] = %.17g vs cached %.17g", pos, c, scratch[pos][c], first[pos][c])
+				t.Fatalf("scratch sweep[%d][%d] = %.17g vs incremental %.17g", pos, c, scratch[pos][c], first[pos][c])
 			}
 		}
 	}
 }
 
-// TestUnassignedTrajectoryEquality proves old (from-scratch oracle) and new
-// (incremental cache) local search return the same centers and cost on
-// seeded instances with point masses skewed inside the validation
-// tolerance, for workers ∈ {1, 4, 8}.
+// TestUnassignedTrajectoryEquality proves the incremental, pruned local
+// search returns the from-scratch oracle's centers and cost on seeded
+// instances with point masses skewed inside the validation tolerance, for
+// workers ∈ {1, 4, 8}.
 func TestUnassignedTrajectoryEquality(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{101, 102, 103, 104, 105} {
@@ -203,38 +204,27 @@ func TestUnassignedTrajectoryEquality(t *testing.T) {
 		cands := uncertain.AllLocations(pts)
 		k := 2 + rng.Intn(2)
 
-		type run struct {
-			centers []geom.Vec
-			cost    float64
+		ref, refCost, err := core.SolveUnassignedScratch(ctx, compile(t, euclid, pts, cands), k, 50)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var ref *run
 		for _, workers := range []int{1, 4, 8} {
-			for _, disable := range []bool{false, true} {
-				centers, cost, err := core.SolveUnassignedLSCompiled(ctx, compile(t, euclid, pts, cands), k, core.LocalSearchOptions{
-					MaxIter:          50,
-					Parallelism:      workers,
-					DisableSwapCache: disable,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref == nil {
-					ref = &run{centers, cost}
-					continue
-				}
-				if cost != ref.cost {
-					t.Fatalf("seed %d workers %d cache=%v: cost %.17g != ref %.17g",
-						seed, workers, !disable, cost, ref.cost)
-				}
-				if len(centers) != len(ref.centers) {
-					t.Fatalf("seed %d workers %d cache=%v: %d centers != %d",
-						seed, workers, !disable, len(centers), len(ref.centers))
-				}
-				for i := range centers {
-					if euclid.Dist(centers[i], ref.centers[i]) != 0 {
-						t.Fatalf("seed %d workers %d cache=%v: center %d = %v != ref %v",
-							seed, workers, !disable, i, centers[i], ref.centers[i])
-					}
+			centers, cost, err := core.SolveUnassignedLSCompiled(ctx, compile(t, euclid, pts, cands), k, core.LocalSearchOptions{
+				MaxIter:     50,
+				Parallelism: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cost != refCost {
+				t.Fatalf("seed %d workers %d: cost %.17g != oracle %.17g", seed, workers, cost, refCost)
+			}
+			if len(centers) != len(ref) {
+				t.Fatalf("seed %d workers %d: %d centers != %d", seed, workers, len(centers), len(ref))
+			}
+			for i := range centers {
+				if euclid.Dist(centers[i], ref[i]) != 0 {
+					t.Fatalf("seed %d workers %d: center %d = %v != oracle %v", seed, workers, i, centers[i], ref[i])
 				}
 			}
 		}

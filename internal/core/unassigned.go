@@ -20,22 +20,12 @@ type LocalSearchOptions struct {
 	// as in the sequential scan, and the winning swap is selected by the
 	// same deterministic left-to-right rule over the computed costs.
 	Parallelism int
-	// DisableSwapCache turns off the incremental SwapEvaluator (the
-	// n×m distance-RV cache plus per-position base precomputation) and
-	// falls back to from-scratch evaluation of every candidate swap — the
-	// cross-check oracle. The cache costs 8 bytes per (candidate, support
-	// atom) pair and, on a compiled instance, is memoized for the instance
-	// lifetime; disable it when m·Σz_i is too large to hold in memory.
-	// Costs are bit-identical to the cached path, and so are the swap
-	// trajectories (pinned by tests). Disabling the cache also disables
-	// pruning (the bound reads the cached columns), so the oracle path
-	// stays pure.
-	DisableSwapCache bool
-	// DisablePrune makes the cached scan evaluate every candidate instead of
-	// skipping those whose t*·G∞ lower bound certifies they cannot beat the
-	// incumbent. Trajectories are bit-identical either way; the unpruned
-	// cached scan exists as the reference the trajectory-equality tests,
-	// harness R4 and `make bench-index` measure pruning against.
+	// DisablePrune makes the scan evaluate every candidate instead of
+	// skipping those its two certificates — the t*·G∞ lower bound and the
+	// expected excess over t* — show cannot beat the incumbent.
+	// Trajectories are bit-identical either way; the unpruned scan exists
+	// as the reference the trajectory-equality tests, harness R4 and `make
+	// bench-index` measure pruning against.
 	DisablePrune bool
 }
 
@@ -63,14 +53,14 @@ func (o LocalSearchOptions) Workers() int {
 // against the global optimum.
 //
 // Repeated calls on one Compiled reuse its memoized 1-center surrogates
-// (the seeds) and — unless DisableSwapCache — its memoized distance-RV
-// evaluator, so only the descent itself is paid per solve. Unless
-// DisablePrune, the scan additionally skips every candidate whose t*·G∞
-// lower bound certifies it cannot beat the incumbent — the trajectory is
-// bit-identical to the unpruned scan (see swapDescent) while typically
-// evaluating a small fraction of the neighborhood. The neighborhood scan checks ctx between chunks and aborts
-// with ctx.Err(); Parallelism > 1 fans the scan out over a worker pool with
-// bit-identical results.
+// (the seeds) and its layout; candidate distances are computed on demand,
+// so a solve allocates O(N + n) scan state and no distance table. Unless
+// DisablePrune, the scan skips every candidate its certificates show
+// cannot beat the incumbent — the trajectory is bit-identical to the
+// unpruned scan (see swapDescent) while typically evaluating a small
+// fraction of the neighborhood. The neighborhood scan checks ctx between
+// chunks and aborts with ctx.Err(); Parallelism > 1 fans the scan out over
+// a worker pool with bit-identical results.
 func SolveUnassignedLSCompiled[P any](ctx context.Context, c *Compiled[P], k int, opts LocalSearchOptions) ([]P, float64, error) {
 	chosen, cost, err := solveUnassignedLS(ctx, c, k, opts)
 	if err != nil {
@@ -89,28 +79,22 @@ func selectCandidates[P any](candidates []P, idx []int) []P {
 }
 
 // descentState is the scan state shared by every descent of one solve: the
-// evaluator with its per-scan base and per-worker scratches, whether the
-// bound prunes, and — on the oracle path — the per-worker from-scratch
-// scratches. Allocated once per solve; both seed descents reuse it.
+// evaluator, the pooled scan buffers, and whether the certificates prune.
+// Both seed descents reuse it.
 type descentState[P any] struct {
 	workers int
-
-	// Cached path (ev != nil).
-	ev        *SwapEvaluator[P]
-	base      *SwapBase
-	scratches []*SwapScratch
-	prune     bool // the t*·G∞ bound skips certified candidates (not DisablePrune)
-
-	// Oracle path (ev == nil).
-	flat []*flatScratch[P]
+	ev      *SwapEvaluator[P]
+	st      *scanState
+	prune   bool // SetThreshold arms both certificates (not DisablePrune)
 }
 
 // pruneStats aggregates one descent's scan accounting: candidates scanned
-// (not currently centers), candidates pruned by the bound without
-// evaluation, and bound failures (the bound did not certify the candidate,
-// which was evaluated exactly), so pruned + boundFail = scanned.
+// (not currently centers), candidates skipped by the t*·G∞ bound, those
+// skipped by the expected-excess certificate, and bound failures (neither
+// certified the candidate, which was evaluated exactly), so
+// pruned + excess + boundFail = scanned.
 type pruneStats struct {
-	scanned, pruned, boundFail int
+	scanned, pruned, excess, boundFail int
 }
 
 // solveUnassignedLS is the engine behind SolveUnassignedLSCompiled: build
@@ -144,32 +128,17 @@ func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts L
 	if err != nil {
 		return nil, 0, err
 	}
+	ds := &descentState[P]{workers: opts.Workers(), prune: !opts.DisablePrune}
+	if ds.ev, err = newSwapEvaluator(c); err != nil {
+		return nil, 0, err
+	}
+	ds.st = getScanState(ds.workers)
+	defer scanPool.Put(ds.st)
 	space := c.Space()
+	ds.st.costs = resize(ds.st.costs, len(candidates))
 	seeds := [][]int{
 		greedySeed(space, surr, candidates, k),
-		farthestFirstSeed(space, candidates, k),
-	}
-
-	// Pruning lives on the cached evaluator (the bound reads its columns),
-	// so DisableSwapCache forces the pure oracle: no cache, no pruning,
-	// from-scratch evaluations only.
-	ds := &descentState[P]{workers: opts.Workers()}
-	if opts.DisableSwapCache {
-		ds.flat = c.newFlatScratches(k, ds.workers)
-	} else {
-		// The distance-RV cache depends only on (pts, candidates), so the
-		// instance's memoized evaluator serves every seed's descent — and
-		// every later solve of the same instance.
-		ds.ev, err = c.Evaluator(ctx, ds.workers)
-		if err != nil {
-			return nil, 0, err
-		}
-		ds.base = ds.ev.NewBase()
-		ds.scratches = make([]*SwapScratch, ds.workers)
-		for w := range ds.scratches {
-			ds.scratches[w] = ds.ev.NewScratch()
-		}
-		ds.prune = !opts.DisablePrune
+		farthestFirstSeed(space, candidates, k, ds.st.costs),
 	}
 
 	// A later seed wins only by the swap rule's relative 1e-9, so last-bit
@@ -177,7 +146,7 @@ func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts L
 	var bestChosen []int
 	var bestCost float64
 	for _, seed := range seeds {
-		chosen, cost, err := swapDescent(ctx, c, candidates, seed, maxIter, ds)
+		chosen, cost, err := swapDescent(ctx, len(candidates), seed, maxIter, ds)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -189,35 +158,32 @@ func solveUnassignedLS[P any](ctx context.Context, c *Compiled[P], k int, opts L
 }
 
 // swapDescent runs best-improvement single-swap local search on the exact
-// unassigned cost from the given seed. Each neighborhood scan evaluates the
-// candidates on the worker pool, then applies the deterministic
-// left-to-right selection rule over the computed costs, so any worker count
-// yields the sequential trajectory.
+// unassigned cost over m candidates from the given seed. Each neighborhood
+// scan evaluates the candidates on the worker pool, then applies the
+// deterministic left-to-right selection rule over the computed costs, so
+// any worker count yields the sequential trajectory.
 //
-// With a non-nil evaluator the scan runs on the incremental path: one
-// PrepareBase per position, then a zero-metric-call, allocation-free
-// EvalSwap per candidate. With pruning on (the default) each position arms
-// SetThreshold with cost₀, the current solution's cost at scan entry, and
-// EvalSwap skips every candidate whose t* reaches cost₀/G∞. That pruning is
-// provably safe: the selection rule only accepts costs[c] < best·(1−1e-9)
-// with best ≤ cost₀, and the bound guarantees the exact cost of a pruned
-// candidate is ≥ cost₀ up to ~1e-12 roundoff — three orders of magnitude
-// inside the 1e-9 acceptance slack — so a pruned candidate could never have
-// been selected. Pruned candidates are marked +Inf, leaving the selection
-// rule untouched; trajectories are therefore bit-identical to the unpruned
-// scan, independent of worker count, pinned by tests. With ds.ev == nil it
-// evaluates every swap from scratch on the compiled flat layout (the
-// cross-check oracle), reusing per-worker center/value/arena scratch across
-// the whole descent.
+// The scan runs on the incremental path: one PrepareBase per position,
+// then an allocation-free EvalSwap per candidate. With pruning on (the
+// default) each position arms SetThreshold with cost₀, the current
+// solution's cost at scan entry, and EvalSwap skips every candidate one of
+// the two certificates bounds at or above cost₀. That pruning is provably
+// safe: the selection rule only accepts costs[c] < best·(1−1e-9) with
+// best ≤ cost₀, and a skipped candidate's exact cost is ≥ cost₀ up to
+// ~1e-12 roundoff — three orders of magnitude inside the 1e-9 acceptance
+// slack — so it could never have been selected. Skipped candidates are
+// marked +Inf, leaving the selection rule untouched; trajectories are
+// therefore bit-identical to the unpruned scan, independent of worker
+// count, pinned by tests.
 //
 // Instrumentation: each completed swap round reports an "ls.iter" span —
 // swaps evaluated, improvements taken, and the round-end E-cost in
 // micro-units, i.e. the cost trajectory — and the whole descent reports one
 // "ls.descent" span with the totals, plus one "ls.prune" span (candidates
-// scanned, pruned, bound failures) when pruning is on. With no tracer on
-// ctx every span is inert (zero allocations, no clock reads); the
-// per-candidate inner loop is never instrumented at all.
-func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, seed []int, maxIter int, ds *descentState[P]) ([]int, float64, error) {
+// scanned, pruned by t*·G∞, pruned by excess, bound failures) when pruning
+// is on. With no tracer on ctx every span is inert (zero allocations, no
+// clock reads); the per-candidate inner loop is never instrumented at all.
+func swapDescent[P any](ctx context.Context, m int, seed []int, maxIter int, ds *descentState[P]) ([]int, float64, error) {
 	workers := ds.workers
 	if workers < 1 {
 		workers = 1
@@ -225,56 +191,34 @@ func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, se
 	tracer := obs.FromContext(ctx)
 	dsp := obs.StartSpan(tracer, "ls.descent")
 	chosen := append([]int(nil), seed...)
-	inSet := make(map[int]bool, len(chosen))
+	st := ds.st
+	st.inSet, st.costs = resize(st.inSet, m), resize(st.costs, m)
+	inSet, costs, base, scratches := st.inSet, st.costs, &st.base, st.scratches
+	clear(inSet)
 	for _, c := range chosen {
 		inSet[c] = true
 	}
-	costs := make([]float64, len(candidates))
 	var stats pruneStats
+	ev := ds.ev
+	cost := ev.Cost(base, scratches[0], chosen)
 
 	// scanPos fills costs[c] with the exact cost of replacing chosen[pos]
-	// by c for every out-of-set c, and +Inf for candidates the bound
-	// certifies non-improving.
-	var cost float64
-	var scanPos func(pos int) error
-	if ds.ev != nil {
-		ev := ds.ev
-		cost = ev.Cost(ds.base, ds.scratches[0], chosen)
-		scanPos = func(pos int) error {
-			ev.PrepareBase(ds.base, chosen, pos)
-			if ds.prune {
-				ev.SetThreshold(ds.base, cost)
-			}
-			return par.ForWorker(ctx, len(candidates), workers, func(w, c int) {
-				if inSet[c] {
-					return
-				}
-				costs[c] = ev.EvalSwap(ds.base, ds.scratches[w], c)
-			})
+	// by c for every out-of-set c, and +Inf for candidates a certificate
+	// skips; eval is its per-candidate step, made once per descent.
+	eval := func(w, c int) {
+		if !inSet[c] {
+			costs[c] = ev.EvalSwap(base, scratches[w], c)
 		}
-	} else {
-		scr := ds.flat
-		cent := scr[0].centers[:len(chosen)]
-		for i, c := range chosen {
-			cent[i] = candidates[c]
+	}
+	scanPos := func(pos int) error {
+		ev.PrepareBase(base, chosen, pos)
+		if ds.prune {
+			ev.SetThreshold(base, cost)
 		}
-		cost = cm.ecostUnassignedFlat(cent, scr[0].vals, &scr[0].arena)
-		base := make([]P, len(chosen))
-		scanPos = func(pos int) error {
-			for i, c := range chosen {
-				base[i] = candidates[c]
-			}
-			return par.ForWorker(ctx, len(candidates), workers, func(w, c int) {
-				if inSet[c] {
-					return
-				}
-				s := scr[w]
-				cent := s.centers[:len(chosen)]
-				copy(cent, base)
-				cent[pos] = candidates[c]
-				costs[c] = cm.ecostUnassignedFlat(cent, s.vals, &s.arena)
-			})
+		for _, s := range scratches {
+			s.excess = 0
 		}
+		return par.ForWorker(ctx, m, workers, eval)
 	}
 
 	// countScan folds one position's outcome into the descent's prune
@@ -284,17 +228,24 @@ func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, se
 		if !ds.prune {
 			return
 		}
-		for c := range candidates {
-			if inSet[c] {
+		skipped := 0
+		for c, in := range inSet {
+			if in {
 				continue
 			}
 			stats.scanned++
 			if math.IsInf(costs[c], 1) {
-				stats.pruned++
+				skipped++
 			} else {
 				stats.boundFail++
 			}
 		}
+		excess := 0
+		for _, s := range scratches {
+			excess += s.excess
+		}
+		stats.pruned += skipped - excess
+		stats.excess += excess
 	}
 
 	iters, totalSwaps, totalTaken := 0, 0, 0
@@ -310,10 +261,10 @@ func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, se
 				return nil, 0, err
 			}
 			countScan()
-			swaps += len(candidates) - len(chosen)
+			swaps += m - len(chosen)
 			bestC, bestCost := -1, cost
-			for c := range candidates {
-				if inSet[c] {
+			for c, in := range inSet {
+				if in {
 					continue
 				}
 				if costs[c] < bestCost*(1-1e-9) {
@@ -322,8 +273,7 @@ func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, se
 			}
 			if bestC >= 0 {
 				chosen[pos] = bestC
-				delete(inSet, old)
-				inSet[bestC] = true
+				inSet[old], inSet[bestC] = false, true
 				cost = bestCost
 				taken++
 				improved = true
@@ -345,6 +295,7 @@ func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, se
 		psp := obs.StartSpan(tracer, "ls.prune")
 		psp.Int("scanned", stats.scanned)
 		psp.Int("pruned", stats.pruned)
+		psp.Int("excess", stats.excess)
 		psp.Int("bound_failures", stats.boundFail)
 		psp.End()
 	}
@@ -357,10 +308,11 @@ func swapDescent[P any](ctx context.Context, cm *Compiled[P], candidates []P, se
 	return chosen, cost, nil
 }
 
-// farthestFirstSeed is Gonzalez over the candidate set itself.
-func farthestFirstSeed[P any](space metricspace.Space[P], candidates []P, k int) []int {
+// farthestFirstSeed is Gonzalez over the candidate set itself; dist is
+// its scratch, one float per candidate.
+func farthestFirstSeed[P any](space metricspace.Space[P], candidates []P, k int, dist []float64) []int {
 	chosen := []int{0}
-	dist := make([]float64, len(candidates))
+	dist = dist[:len(candidates)]
 	for i := range dist {
 		dist[i] = space.Dist(candidates[i], candidates[0])
 	}

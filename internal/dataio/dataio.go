@@ -70,14 +70,33 @@ func WriteEuclidean(w io.Writer, pts []uncertain.Point[geom.Vec]) error {
 	return enc.Encode(doc)
 }
 
+// decodeDocument decodes r, which must hold exactly one JSON document
+// with only the document's fields: an unknown field (a "candidates" list
+// the format has no place for, say) and any data after the document are
+// errors, so an instance is never loaded with part of its input ignored.
+func decodeDocument(r io.Reader, doc *document) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(doc); err != nil {
+		return fmt.Errorf("dataio: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			return fmt.Errorf("dataio: data after the document")
+		}
+		return fmt.Errorf("dataio: data after the document: %w", err)
+	}
+	return nil
+}
+
 // decodeEuclidean parses the document shape and performs the structural
 // checks JSON cannot express (coordinate finiteness, dimension agreement).
 // Probability validation is left to the caller's single pass (ValidateSet
 // or core.Compile).
 func decodeEuclidean(r io.Reader) ([]uncertain.Point[geom.Vec], error) {
 	var doc document
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("dataio: %w", err)
+	if err := decodeDocument(r, &doc); err != nil {
+		return nil, err
 	}
 	if doc.Kind != KindEuclidean {
 		return nil, fmt.Errorf("dataio: kind %q, want %q", doc.Kind, KindEuclidean)
@@ -161,8 +180,8 @@ func WriteFinite(w io.Writer, space *metricspace.Finite, pts []uncertain.Point[i
 // single pass.
 func decodeFinite(r io.Reader) (*metricspace.Finite, []uncertain.Point[int], error) {
 	var doc document
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, nil, fmt.Errorf("dataio: %w", err)
+	if err := decodeDocument(r, &doc); err != nil {
+		return nil, nil, err
 	}
 	if doc.Kind != KindFinite {
 		return nil, nil, fmt.Errorf("dataio: kind %q, want %q", doc.Kind, KindFinite)

@@ -88,6 +88,8 @@ func TestReadEuclideanRejections(t *testing.T) {
 		"bad probs":     `{"kind":"euclidean","dim":1,"points":[{"locs":[[1]],"probs":[0.4]}]}`,
 		"empty locs":    `{"kind":"euclidean","dim":1,"points":[{"locs":[],"probs":[]}]}`,
 		"nonfinite loc": `{"kind":"euclidean","dim":1,"points":[{"locs":[[1e999]],"probs":[1]}]}`,
+		"unknown field": `{"kind":"euclidean","points":[{"locs":[[1,2]],"probs":[1]}],"candidates":[[9,9]]}`,
+		"trailing data": `{"kind":"euclidean","points":[{"locs":[[1,2]],"probs":[1]}]} {"kind":"euclidean"}`,
 	}
 	for name, doc := range cases {
 		if _, err := ReadEuclidean(strings.NewReader(doc)); err == nil {
@@ -105,6 +107,8 @@ func TestReadFiniteRejections(t *testing.T) {
 		"vertex oob":       `{"kind":"finite","metric":[[0]],"finite_points":[{"locs":[3],"probs":[1]}]}`,
 		"negative vertex":  `{"kind":"finite","metric":[[0]],"finite_points":[{"locs":[-1],"probs":[1]}]}`,
 		"probs not normal": `{"kind":"finite","metric":[[0]],"finite_points":[{"locs":[0],"probs":[0.5]}]}`,
+		"unknown field":    `{"kind":"finite","metric":[[0]],"finite_points":[{"locs":[0],"probs":[1]}],"candidates":[0]}`,
+		"trailing data":    `{"kind":"finite","metric":[[0]],"finite_points":[{"locs":[0],"probs":[1]}]} x`,
 	}
 	for name, doc := range cases {
 		if _, _, err := ReadFinite(strings.NewReader(doc)); err == nil {
@@ -141,6 +145,8 @@ func TestReadCompiledLoaders(t *testing.T) {
 	for name, doc := range map[string]string{
 		"bad probs":     `{"kind":"euclidean","dim":1,"points":[{"locs":[[1]],"probs":[0.4]}]}`,
 		"nonfinite loc": `{"kind":"euclidean","dim":1,"points":[{"locs":[[1e999]],"probs":[1]}]}`,
+		"unknown field": `{"kind":"euclidean","points":[{"locs":[[1,2]],"probs":[1]}],"candidates":[[9,9]]}`,
+		"trailing data": `{"kind":"euclidean","points":[{"locs":[[1,2]],"probs":[1]}]} {"kind":"euclidean"}`,
 	} {
 		if _, err := ReadEuclideanCompiled(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s accepted by compiled loader", name)

@@ -90,10 +90,11 @@ func (r RV) Sample(rng *rand.Rand) float64 {
 
 // Arena carries the reusable scratch buffers of repeated expected-max
 // evaluations: the flattened atoms of ExpectedMax, the per-RV CDF and
-// log-CDF state, the live set of ExpectedMaxFlat and its sort scratch. A
-// zero Arena is ready to use; buffers grow to the high-water mark of the
-// evaluations run through it and are reused afterwards, so steady-state
-// evaluations of same-shaped inputs do not allocate. An Arena is not safe
+// log-CDF state, the live set of ExpectedMaxFlat and its sort scratch, and
+// the per-RV atom buffer of ExpectedMaxMinFlat. A zero Arena is ready to
+// use; buffers grow to the high-water mark of the evaluations run through
+// it and are reused afterwards, so steady-state evaluations of same-shaped
+// inputs do not allocate. An Arena is not safe
 // for concurrent use; give each worker its own.
 type Arena struct {
 	vals     []float64
@@ -103,6 +104,7 @@ type Arena struct {
 	logCdf   []float64
 	liveVals []float64
 	liveIdx  []int32
+	atoms    []float64 // one RV's b values in ExpectedMaxMinFlat
 	sorter   Sorter
 }
 
@@ -222,12 +224,17 @@ func (a *Arena) ExpectedMaxFlat(vals, probs []float64, rvIdx []int32, nRVs int) 
 // Layout is the static half of ExpectedMaxMinFlat's input: atom f has
 // probability probs[f] and belongs to RV rvIdx[f], RV i owns atoms
 // offsets[i]:offsets[i+1], and full/fullLog hold each RV's whole mass
-// F_i(∞), clamped at 1 and summed in atom order, with its log. Immutable.
+// F_i(∞), clamped at 1 and summed in atom order, with its log. ratio and
+// over are the per-RV constants of the expected-excess certificate.
+// Immutable; O(n) beside the caller's atom columns.
 type Layout struct {
 	probs          []float64
 	offsets, rvIdx []int32
 	full, fullLog  []float64
-	mass           float64 // Π_i F_i(∞)
+	ratio          []float64 // G∞/F_i(∞)
+	over           []float64 // max(0, mass_i − 1), the mass F_i's clamp discards
+	mass           float64   // G∞ = Π_i F_i(∞)
+	maxZ           int       // the most atoms any RV owns
 }
 
 // NewLayout builds the layout of RVs i ∈ [0, len(offsets)−1) over the
@@ -235,14 +242,20 @@ type Layout struct {
 func NewLayout(probs []float64, offsets, rvIdx []int32) *Layout {
 	n := max(len(offsets)-1, 0)
 	l := &Layout{probs: probs, offsets: offsets, rvIdx: rvIdx,
-		full: make([]float64, n), fullLog: make([]float64, n), mass: 1}
+		full: make([]float64, n), fullLog: make([]float64, n),
+		ratio: make([]float64, n), over: make([]float64, n), mass: 1}
 	for i := range l.full {
 		p := 0.0
 		for _, q := range probs[offsets[i]:offsets[i+1]] {
 			p += q
 		}
+		l.over[i] = max(p-1, 0)
 		l.full[i], l.fullLog[i] = clampLog(p)
 		l.mass *= l.full[i]
+		l.maxZ = max(l.maxZ, int(offsets[i+1]-offsets[i]))
+	}
+	for i, m := range l.full {
+		l.ratio[i] = l.mass / m
 	}
 	return l
 }
@@ -252,32 +265,55 @@ func NewLayout(probs []float64, offsets, rvIdx []int32) *Layout {
 func (l *Layout) Mass() float64 { return l.mass }
 
 // ExpectedMaxMinFlat returns ExpectedMaxFlat over l's atoms for the values
-// v_f = min(av[f], bv[f]) (bv[f] only where strictly smaller) without
-// materializing them. The caller supplies tStar = max_i min_f v_f, the
-// split ExpectedMaxFlat finds in its first pass, and aMax[i], the max of
-// av over RV i's atoms. An RV with aMax[i] ≤ t* has every atom at or below
-// t*, so it takes F_i(∞) from l without a read; every other RV folds its
-// atoms ≤ t* into F_i(t*) and gathers the rest into the live set, in atom
-// order. With log G(t*) summed in RV order and the shared sweep, that is
+// v_f = min(av[f], b_f) (b_f only where strictly smaller) without
+// materializing them, or +Inf with cut set once the expected-excess
+// certificate below shows the result is at least cost0. The caller supplies tStar =
+// max_i min_f v_f, the split ExpectedMaxFlat finds in its first pass, and
+// aMax[i], the max of av over RV i's atoms. An RV with aMax[i] ≤ t* has
+// every atom at or below t*, so it takes F_i(∞) from l without reading b;
+// for every other RV, atoms(i, dst) writes b over RV i's atoms into dst
+// (len(dst) = its atom count), and the fold adds its atoms ≤ t* into
+// F_i(t*) and gathers the rest into the live set, in atom order. With
+// log G(t*) summed in RV order and the shared sweep, that is
 // ExpectedMaxFlat's arithmetic: the results are equal bit for bit. A
-// warmed arena allocates nothing.
-func (a *Arena) ExpectedMaxMinFlat(l *Layout, av, bv, aMax []float64, tStar float64) float64 {
+// warmed arena allocates nothing, provided atoms does not escape.
+//
+// The certificate (DESIGN.md §11 has the proof). With w_f = max(t*, v_f),
+// m̃_i = min(1, mass_i) and vmax_i = max_f w_f, the sweep's result is at
+// least, for every RV i,
+//
+//	(G∞/m̃_i)·(Σ_f p_f·w_f − max(0, mass_i − 1)·vmax_i),
+//
+// because the clamped CDF product H it climbs satisfies
+// H(t) ≤ min(1, F_i(t))·G∞/m̃_i, and the clamp of a surplus mass costs at
+// most (mass_i − 1)·(vmax_i − t*). The fold returns +Inf and cut = true,
+// before the sort and the sweep, as soon as one checked RV's bound reaches
+// cost0 (pass +Inf to disarm it); an RV with aMax[i] ≤ t* would give
+// t*·G∞ and is not checked. A result of +Inf with cut false is the sweep's.
+func (a *Arena) ExpectedMaxMinFlat(l *Layout, av, aMax []float64, tStar, cost0 float64, atoms func(i int, dst []float64)) (v float64, cut bool) {
 	if len(l.probs) == 0 {
-		return 0
+		return 0, false
 	}
 	nRVs := len(l.full)
 	cdf, logCdf := a.rvState(nRVs)
 	aMax = aMax[:nRVs]
+	if cap(a.atoms) < l.maxZ {
+		a.atoms = make([]float64, l.maxZ)
+	}
 	liveVals, liveIdx := a.liveVals[:0], a.liveIdx[:0]
 	s, c := 0.0, 0.0
 	lo := l.offsets[0]
 	for i, hi := range l.offsets[1:] {
 		p, lg := l.full[i], l.fullLog[i]
 		if aMax[i] > tStar {
+			bv := a.atoms[:hi-lo]
+			atoms(i, bv)
 			p = 0
-			for f := lo; f < hi; f++ {
+			up, top := 0.0, tStar // Σ p_f·v_f over the live atoms, and vmax_i
+			for j, w := range bv {
+				f := lo + int32(j)
 				v := av[f]
-				if w := bv[f]; w < v {
+				if w < v {
 					v = w
 				}
 				if v <= tStar {
@@ -285,7 +321,15 @@ func (a *Arena) ExpectedMaxMinFlat(l *Layout, av, bv, aMax []float64, tStar floa
 				} else {
 					liveVals = append(liveVals, v)
 					liveIdx = append(liveIdx, f)
+					up += l.probs[f] * v
+					if v > top {
+						top = v
+					}
 				}
+			}
+			if l.ratio[i]*(tStar*p+up-l.over[i]*top) >= cost0 {
+				a.liveVals, a.liveIdx = liveVals, liveIdx
+				return math.Inf(1), true
 			}
 			p, lg = clampLog(p)
 		}
@@ -296,7 +340,7 @@ func (a *Arena) ExpectedMaxMinFlat(l *Layout, av, bv, aMax []float64, tStar floa
 		lo = hi
 	}
 	a.liveVals, a.liveIdx = liveVals, liveIdx
-	return a.sweep(tStar, s, c, l.probs, l.rvIdx, nRVs)
+	return a.sweep(tStar, s, c, l.probs, l.rvIdx, nRVs), false
 }
 
 // rvState returns the arena's per-RV CDF and log-CDF state for n RVs.

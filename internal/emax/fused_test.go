@@ -44,6 +44,13 @@ func newMinPair(av, bv, probs []float64, offsets []int32) minPair {
 	return p
 }
 
+// fused runs ExpectedMaxMinFlat on a, handing it bv one RV at a time.
+func (p minPair) fused(a *Arena, cost0 float64) (float64, bool) {
+	return a.ExpectedMaxMinFlat(p.lay, p.av, p.aMax, p.tStar, cost0, func(i int, dst []float64) {
+		copy(dst, p.bv[p.lay.offsets[i]:p.lay.offsets[i+1]])
+	})
+}
+
 // randMinPair draws n RVs of 1..zMax atoms. Values come from a quarter
 // grid with ±0 and duplicates (so atoms tie within and across RVs and with
 // t*); av is sometimes +Inf, the empty base of a one-center scan, and the
@@ -110,8 +117,11 @@ func TestExpectedMaxMinFlatMatchesFlat(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		n, zMax := 1+rng.Intn(30), 1+rng.Intn(6)
 		p := randMinPair(rng, n, zMax, trial%3 == 0, trial%5 == 0)
-		got := fused.ExpectedMaxMinFlat(p.lay, p.av, p.bv, p.aMax, p.tStar)
+		got, cut := p.fused(&fused, math.Inf(1))
 		want := flat.ExpectedMaxFlat(p.vals, p.probs, p.rvIdx, n)
+		if cut {
+			t.Fatalf("trial %d (n=%d): the disarmed certificate cut", trial, n)
+		}
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d (n=%d): ExpectedMaxMinFlat %.17g, ExpectedMaxFlat %.17g", trial, n, got, want)
 		}
@@ -132,18 +142,77 @@ func TestExpectedMaxMinFlatMatchesFlat(t *testing.T) {
 	if below == 0 || above == 0 || whole == 0 {
 		t.Fatalf("live sets: %d below and %d at or above the insertion cutoff, %d whole RVs; want all three", below, above, whole)
 	}
-	if got := fused.ExpectedMaxMinFlat(NewLayout(nil, []int32{0}, nil), nil, nil, nil, 0); got != 0 {
-		t.Errorf("no atoms: %g, want 0", got)
+	if got, cut := fused.ExpectedMaxMinFlat(NewLayout(nil, []int32{0}, nil), nil, nil, 0, 0, nil); got != 0 || cut {
+		t.Errorf("no atoms: %g (cut %v), want 0", got, cut)
 	}
 }
 
-// TestLayoutMass pins Mass to Π_i min(1, Σ of RV i's probs), over skewed
-// masses on both sides of 1.
+// TestExpectedMaxMinFlatExcessSound drives the expected-excess
+// certificate over the same generator, thresholds at, just above and just
+// below each exact result: an armed call returns the unarmed result bit for
+// bit with cut unset, or +Inf with cut set only when that result is at
+// least cost0 up to 1e-12 relative. Negative values, ±0, +Inf base values
+// and masses on both sides of 1 all occur; the certificate must fire on
+// some trials.
+func TestExpectedMaxMinFlatExcessSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(173))
+	var a Arena
+	fired := 0
+	for trial := 0; trial < 2000; trial++ {
+		n, zMax := 1+rng.Intn(30), 1+rng.Intn(6)
+		p := randMinPair(rng, n, zMax, trial%3 == 0, trial%5 == 0)
+		exact, _ := p.fused(&a, math.Inf(1))
+		scale := math.Max(1, math.Abs(exact))
+		for _, cost0 := range []float64{exact, exact + 1e-9*scale, exact - 1e-9*scale, exact + scale*rng.Float64()} {
+			got, cut := p.fused(&a, cost0)
+			if cut {
+				fired++
+				if !math.IsInf(got, 1) {
+					t.Fatalf("trial %d (n=%d): cut with result %g, want +Inf", trial, n, got)
+				}
+				if exact < cost0-1e-12*scale {
+					t.Fatalf("trial %d (n=%d): certified at cost0 %.17g, exact %.17g", trial, n, cost0, exact)
+				}
+			} else if math.Float64bits(got) != math.Float64bits(exact) {
+				t.Fatalf("trial %d (n=%d): armed %.17g, unarmed %.17g", trial, n, got, exact)
+			}
+		}
+	}
+	if fired == 0 {
+		t.Fatal("the certificate never fired")
+	}
+}
+
+// TestExpectedMaxMinFlatInfNotCut pins the cut flag to the certificate: a
+// live atom at +Inf, an overflowed distance, makes the exact result +Inf
+// and the certificate's expression NaN, so an armed call returns the
+// sweep's +Inf with cut unset rather than reporting a skip.
+func TestExpectedMaxMinFlatInfNotCut(t *testing.T) {
+	inf := math.Inf(1)
+	p := newMinPair([]float64{inf, inf}, []float64{inf, 1}, []float64{0.5, 0.5}, []int32{0, 2})
+	var a Arena
+	for _, cost0 := range []float64{inf, 5} {
+		if got, cut := p.fused(&a, cost0); !math.IsInf(got, 1) || cut {
+			t.Fatalf("cost0 %g: %g (cut %v), want +Inf from the sweep", cost0, got, cut)
+		}
+	}
+}
+
+// TestLayoutMass pins Mass to Π_i min(1, Σ of RV i's probs), and the
+// certificate's per-RV constants, over skewed masses on both sides of 1.
 func TestLayoutMass(t *testing.T) {
 	probs := []float64{0.5, 0.5 - 1e-10, 0.25, 0.75 + 1e-10, 1 - 2e-10}
 	l := NewLayout(probs, []int32{0, 2, 4, 5}, []int32{0, 0, 1, 1, 2})
 	if got, want := l.Mass(), (1-1e-10)*(1-2e-10); math.Abs(got-want) > 1e-16 {
 		t.Fatalf("Mass = %.17g, want %.17g", got, want)
+	}
+	// The certificate's constants: only RV 1 has surplus mass, and its
+	// clamped mass is 1, so its ratio is G∞ itself.
+	if l.over[0] != 0 || l.over[2] != 0 || math.Abs(l.over[1]-1e-10) > 1e-16 {
+		t.Fatalf("over = %v, want [0 1e-10 0]", l.over)
+	}
+	if l.ratio[1] != l.Mass() || l.ratio[0] != l.Mass()/l.full[0] {
+		t.Fatalf("ratio = %v, want G∞/F_i(∞)", l.ratio)
 	}
 }
 
@@ -154,9 +223,9 @@ func TestExpectedMaxMinFlatAllocs(t *testing.T) {
 	for _, wide := range []bool{false, true} {
 		p := randMinPair(rng, 50, 5, wide, false)
 		var a Arena
-		want := a.ExpectedMaxMinFlat(p.lay, p.av, p.bv, p.aMax, p.tStar)
+		want, _ := p.fused(&a, math.Inf(1))
 		allocs := testing.AllocsPerRun(100, func() {
-			if got := a.ExpectedMaxMinFlat(p.lay, p.av, p.bv, p.aMax, p.tStar); got != want {
+			if got, _ := p.fused(&a, math.Inf(1)); got != want {
 				t.Fatalf("warm ExpectedMaxMinFlat = %g, first call %g", got, want)
 			}
 		})

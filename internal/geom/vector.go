@@ -251,6 +251,45 @@ func MinDistsFlat(dst, xy []float64, d int, qs []Vec) {
 	}
 }
 
+// MinDistFlat returns the least Dist(xy[j·d:(j+1)·d], q) over the
+// len(xy)/d points of xy (+Inf when xy is empty): the least squared
+// distance and one Sqrt, so it is bit-identical to the least Dist, like
+// MinDistsFlat. It stops early, returning a value at most floor, once one
+// point is within floor of q; a negative floor never stops it. It checks
+// q's dimension as DistsFlat does.
+func MinDistFlat(xy []float64, d int, q Vec, floor float64) float64 {
+	checkFlatDim(d, q)
+	// Sqrt(fl(floor²)) is floor whenever floor² is a normal number, so a
+	// squared distance at most fl(floor²) is a distance at most floor.
+	// Below the normal range only 0 is certain.
+	stop := -1.0
+	if floor >= 0 {
+		if stop = floor * floor; stop < 0x1p-1022 {
+			stop = 0
+		}
+	}
+	best := math.Inf(1)
+	if d == 2 {
+		qx, qy := q[0], q[1]
+		for j := 0; j < len(xy)/2; j++ {
+			if s := distSq2(xy[2*j]-qx, xy[2*j+1]-qy); s < best {
+				if best = s; s <= stop {
+					break
+				}
+			}
+		}
+		return math.Sqrt(best)
+	}
+	for j := 0; j < len(xy)/max(d, 1); j++ {
+		if s := distSq(xy[j*d:(j+1)*d], q); s < best {
+			if best = s; s <= stop {
+				break
+			}
+		}
+	}
+	return math.Sqrt(best)
+}
+
 // Dist1 returns the L1 (Manhattan) distance between v and w.
 func Dist1(v, w Vec) float64 {
 	checkDim(v, w)

@@ -351,7 +351,9 @@ func checkFlatKernels(t *testing.T, xy []float64, d int, qs []Vec) (overflow, un
 	dst := make([]float64, n)
 	for _, q := range qs {
 		DistsFlat(dst, xy, d, q)
+		least := math.Inf(1)
 		for j, got := range dst {
+			least = min(least, got)
 			p := Vec(xy[j*d : (j+1)*d])
 			want := Dist(p, q)
 			if math.Float64bits(got) != math.Float64bits(want) {
@@ -362,6 +364,23 @@ func checkFlatKernels(t *testing.T, xy []float64, d int, qs []Vec) (overflow, un
 			}
 			if got == 0 && !p.Equal(q, 0) {
 				underflow++
+			}
+		}
+		if got := MinDistFlat(xy, d, q, -1); math.Float64bits(got) != math.Float64bits(least) {
+			t.Fatalf("d=%d: MinDistFlat(%v) = %v, least Dist = %v", d, q, got, least)
+		}
+		// With a floor, the exact least distance whenever it is above the
+		// floor, and a value at most the floor otherwise: floors at, just
+		// around and far from every distance.
+		for _, dd := range dst {
+			for _, floor := range []float64{dd, math.Nextafter(dd, 0), math.Nextafter(dd, math.Inf(1)), dd / 2, 2 * dd, 0} {
+				got := MinDistFlat(xy, d, q, floor)
+				if least > floor && math.Float64bits(got) != math.Float64bits(least) {
+					t.Fatalf("d=%d: MinDistFlat(%v, floor %v) = %v, least Dist = %v", d, q, floor, got, least)
+				}
+				if least <= floor && got > floor {
+					t.Fatalf("d=%d: MinDistFlat(%v, floor %v) = %v above the floor, least Dist = %v", d, q, floor, got, least)
+				}
 			}
 		}
 	}
@@ -381,9 +400,10 @@ func checkFlatKernels(t *testing.T, xy []float64, d int, qs []Vec) (overflow, un
 	return overflow, underflow
 }
 
-// TestFlatKernelsBitIdentical pins DistsFlat and MinDistsFlat to Dist bit
-// for bit on both sides of the planar case, over ±0 coordinates,
-// coincident points, and magnitudes whose squares underflow and overflow.
+// TestFlatKernelsBitIdentical pins DistsFlat, MinDistFlat and MinDistsFlat
+// to Dist bit for bit on both sides of the planar case, over ±0
+// coordinates, coincident points, and magnitudes whose squares underflow
+// and overflow.
 func TestFlatKernelsBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for _, d := range []int{1, 2, 3, 5} {
@@ -446,9 +466,10 @@ func TestFlatKernelsPanicOnDimensionMismatch(t *testing.T) {
 	}
 }
 
-// FuzzDistsFlat checks DistsFlat and MinDistsFlat against Dist bit for bit
-// on random dimensions up to 8 and random finite coordinates from ±0 up to
-// magnitudes whose squares overflow (nightly: make fuzz-dist).
+// FuzzDistsFlat checks DistsFlat, MinDistFlat and MinDistsFlat against
+// Dist bit for bit on random dimensions up to 8 and random finite
+// coordinates from ±0 up to magnitudes whose squares overflow (nightly:
+// make fuzz-dist).
 func FuzzDistsFlat(f *testing.F) {
 	f.Add([]byte{1, 3, 2, 0, 1, 7, 255, 3, 128, 4, 9})
 	f.Add([]byte{2, 4, 2, 10, 200, 30, 40, 90, 80, 1, 2, 3, 4, 200, 100, 7, 8})

@@ -75,8 +75,9 @@ func RunR4(cfg Config) (*Report, error) {
 	for _, disablePrune := range []bool{true, false} {
 		tally := &pruneTally{}
 		ctx := obs.NewContext(cfg.context(), tally)
-		// A fresh compile per setting: each run pays its own evaluator
-		// build, so the timings answer "what does pruning save end to end".
+		// A fresh compile per setting: each run pays its own compile and
+		// surrogates, so the timings answer "what does pruning save end to
+		// end".
 		c, err := core.Compile[geom.Vec](ctx, metricspace.Euclidean{}, pts, nil)
 		if err != nil {
 			return nil, err

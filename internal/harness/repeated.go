@@ -15,7 +15,7 @@ import (
 // BenchmarkRepeatedSolve: one fixed instance is solved R times with cycling
 // k, once through the cold path (a fresh compile per solve — the old
 // per-call behavior) and once through the amortized path (compile once,
-// share the flat model and the memoized surrogate/evaluator caches). As R
+// share the flat model and the memoized surrogate caches). As R
 // grows, the amortized per-solve time approaches the k-dependent stages
 // alone; the invariant checked is that repeated solving never gets slower
 // per solve and that both paths return identical costs (the bit-identity
@@ -91,8 +91,9 @@ func RunR3(cfg Config) (*Report, error) {
 	}
 	rep.Tables = append(rep.Tables, kcTab)
 
-	// The unassigned objective: the 8·m·N distance-RV evaluator is the
-	// dominant build, paid per solve cold and once per instance amortized.
+	// The unassigned objective: the compile and the seeds' 1-center
+	// surrogates are paid per solve cold and once per instance amortized;
+	// the swap evaluator builds nothing either way.
 	unTab := &Table{
 		Title:  "unassigned local search (smaller n): per-solve ms over R repeated solves",
 		Header: []string{"R", "cold ms/solve", "amortized ms/solve", "speedup"},

@@ -71,7 +71,7 @@ func NewHistogram(bounds ...float64) *Histogram {
 
 // DurationBuckets is the bucket layout (in seconds) the serving layer uses
 // for cache-build and request durations: 100µs to ~30s, roughly
-// geometrically spaced — wide enough for a cold evaluator build on a large
+// geometrically spaced — wide enough for a cold surrogate build on a large
 // instance, fine enough to separate a warm microsecond path from a rebuild.
 func DurationBuckets() []float64 {
 	return []float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 30}

@@ -54,7 +54,7 @@ func Micros(key string, v float64) Attr { return Attr{Key: key, Val: int64(v * 1
 // must be goroutine-safe: the solver's worker pools report concurrently.
 //
 // name identifies the instrumented region (e.g. "compile.validate",
-// "evaluator.build", "ls.iter" — DESIGN.md §8 lists the vocabulary);
+// "surrogate.build.ep", "ls.iter" — DESIGN.md §8 lists the vocabulary);
 // instance is the serving-layer instance label when one is known ("" from
 // library use — wrap with WithInstance to stamp one); attrs is valid only
 // for the duration of the call and must be copied to be retained.

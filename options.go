@@ -26,7 +26,6 @@ type solverConfig struct {
 	surrogateSet bool
 	seed         int64
 	maxIter      int
-	noSwapCache  bool
 	tracer       obs.Tracer
 }
 
@@ -111,33 +110,12 @@ func WithMaxIter(n int) Option {
 	return func(c *solverConfig) { c.maxIter = n }
 }
 
-// WithSwapCache toggles the incremental swap evaluator behind
-// SolveUnassigned and EcostSweep's fast path (default true): the n×m table
-// of per-point, per-candidate distance RVs is built once per INSTANCE —
-// memoized in the instance's compiled representation and shared by every
-// later SolveUnassigned/EcostSweep call on it — making each candidate-swap
-// evaluation one O(Σz_i) min pass plus the exact sweep, with zero metric
-// calls and zero steady-state allocations.
-//
-// The cache costs 8 bytes per (candidate, support atom) pair — n·m·z
-// entries for n points of z locations and m candidates — and lives as long
-// as the instance's compiled representation (drop the Instance to release
-// it). WithSwapCache(false) falls back to from-scratch evaluation of every
-// swap without building or touching the instance cache: the right call when
-// m·Σz_i is too large to hold in memory (e.g. n = m = 10⁴, z = 8 is already
-// ~6.4 GB; n = m = 10⁵, z = 8 would need ~640 GB), or when pinning down a
-// discrepancy against the oracle path.
-// Costs and swap trajectories are bit-identical either way.
-func WithSwapCache(enabled bool) Option {
-	return func(c *solverConfig) { c.noSwapCache = !enabled }
-}
-
 // WithTracer installs an observability tracer on the solver: every solve
 // stamps it into the request context, and the instrumented stages report
 // spans through it — compilation phases (compile.validate, compile.flatten),
-// memoized cache builds with their byte sizes (surrogate.build.*,
-// evaluator.build — these fire once per instance lifetime, or again after a
-// serving-layer eviction), the solve pipeline phases (solve.surrogates,
+// memoized cache builds with their byte sizes (surrogate.build.* — these
+// fire once per instance lifetime, or again after a serving-layer
+// eviction), the solve pipeline phases (solve.surrogates,
 // solve.certain, solve.assign, solve.ecost), the swap sweep ("sweep"), and
 // the local-search descent (ls.descent, plus one ls.iter per round carrying
 // swaps evaluated, improvements taken and the E-cost trajectory in

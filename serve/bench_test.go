@@ -140,9 +140,9 @@ func BenchmarkServeOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkServeUnassignedWarm — the heaviest cacheable workload through
-// the server: unassigned local search, where the warm path reuses the
-// memoized 8·m·N distance-RV evaluator across every request.
+// BenchmarkServeUnassignedWarm — the heaviest workload through the server:
+// unassigned local search, where the warm path reuses the memoized 1-center
+// surrogates (the seeds) across every request.
 func BenchmarkServeUnassignedWarm(b *testing.B) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(23))

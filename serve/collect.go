@@ -18,10 +18,12 @@ import (
 //     *.quarantine, and stale *.ukc.tmp write temporaries removed at
 //     startup;
 //   - cache_events_total{shard,event} — event ∈ hit, miss, eviction;
-//   - prune_total{shard,event} — event ∈ scanned, pruned: swap-scan
-//     accounting across pruning-enabled SolveUnassigned requests; every
-//     scanned candidate is either pruned by the t*·G∞ bound or evaluated
-//     (pruned/scanned is the live prune rate);
+//   - prune_total{shard,event} — event ∈ scanned, pruned, excess:
+//     swap-scan accounting across pruning-enabled SolveUnassigned
+//     requests; every scanned candidate is pruned by the t*·G∞ bound
+//     (pruned), skipped by the expected-excess certificate before its
+//     sweep (excess), or evaluated (pruned/scanned is the live prune
+//     rate);
 //   - instances, queue_depth, queue_capacity, cache_bytes,
 //     cache_budget_bytes{shard} — gauges;
 //   - latency_seconds{shard,stage,quantile} — stage ∈ queue, exec, total;
@@ -63,6 +65,7 @@ func (s *Server[P]) Collect(fn func(name string, labels map[string]string, value
 		}
 		pr("scanned", sh.PruneScanned)
 		pr("pruned", sh.PrunePruned)
+		pr("excess", sh.PruneExcess)
 
 		gauge := func(name string, v float64) {
 			fn(name, map[string]string{"shard": shard}, v)

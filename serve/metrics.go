@@ -25,9 +25,11 @@ type shardCounters struct {
 
 	// Swap-scan prune accounting, fed by the ls.prune spans the entry
 	// tracer observes on SolveUnassigned requests: candidates considered by
-	// pruning-enabled scans, and the subset the t*·G∞ bound skipped.
+	// pruning-enabled scans, the subset the t*·G∞ bound skipped, and the
+	// subset the expected-excess certificate skipped.
 	pruneScanned atomic.Uint64
 	prunePruned  atomic.Uint64
+	pruneExcess  atomic.Uint64
 }
 
 // latWindow is the per-shard latency sample size: large enough for stable
@@ -107,7 +109,7 @@ func (q latencyQuantiles) setOn(m *ShardMetrics) {
 
 // InstanceMetrics is one registered instance's cache view: the shard's last
 // byte accounting of its memoized caches and the distribution of its
-// cache-build durations (surrogate and evaluator builds — each fires once
+// cache-build durations (surrogate builds — each fires once
 // per instance lifetime, or again after a byte-budget eviction forces a
 // lazy rebuild, so a populated histogram on a long-lived instance is a
 // direct read on eviction churn).
@@ -143,14 +145,16 @@ type ShardMetrics struct {
 	CacheMisses uint64
 	Evictions   uint64
 
-	// PruneScanned / PrunePruned are the shard's swap-scan counters across
-	// SolveUnassigned requests (every scan prunes unless the solver runs
-	// WithSwapCache(false)): candidates considered, and the subset the t*·G∞
-	// lower bound skipped without an exact evaluation; every other scanned
-	// candidate was evaluated. Their ratio (PruneRate) is the live measure
-	// of how much of the O(n·m) swap-scan wall the bound is absorbing.
+	// PruneScanned / PrunePruned / PruneExcess are the shard's swap-scan
+	// counters across SolveUnassigned requests: candidates considered, the
+	// subset the t*·G∞ lower bound skipped without an exact evaluation, and
+	// the subset the expected-excess certificate skipped before its sweep;
+	// every other scanned candidate was evaluated. PrunePruned/PruneScanned
+	// (PruneRate) is the live measure of how much of the O(n·m) swap-scan
+	// wall the first bound is absorbing.
 	PruneScanned uint64
 	PrunePruned  uint64
+	PruneExcess  uint64
 
 	LatencyP50 time.Duration
 	LatencyP99 time.Duration
@@ -225,6 +229,7 @@ func (m Metrics) Totals() ShardMetrics {
 		t.Evictions += s.Evictions
 		t.PruneScanned += s.PruneScanned
 		t.PrunePruned += s.PrunePruned
+		t.PruneExcess += s.PruneExcess
 	}
 	return t
 }

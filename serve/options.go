@@ -76,8 +76,8 @@ func WithQueueDepth(d int) Option {
 	return func(c *config) { c.queueDepth = d }
 }
 
-// WithCacheBudget bounds the bytes of memoized derived state (surrogates +
-// distance-RV swap evaluators, metered by Compiled.CacheBytes — DESIGN.md
+// WithCacheBudget bounds the bytes of memoized derived state (the
+// surrogate slices, metered by Compiled.CacheBytes — DESIGN.md
 // §4a) each shard may hold across its registered instances; 0 (the
 // default) disables eviction. When a completed request pushes a shard over
 // budget, the least-recently-used instances' caches are dropped

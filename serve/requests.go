@@ -141,9 +141,9 @@ func (s *Server[P]) Ecost(ctx context.Context, req EcostRequest[P]) (EcostRespon
 }
 
 // EcostSweepRequest asks for the full single-swap neighborhood matrix of a
-// center set on the exact unassigned objective (Solver.EcostSweep) — the
-// heaviest cacheable workload: its k·m evaluations all run on the
-// instance's memoized distance-RV evaluator.
+// center set on the exact unassigned objective (Solver.EcostSweep): k·m
+// exact evaluations on the incremental swap evaluator, which computes
+// candidate distances on demand and caches nothing.
 type EcostSweepRequest[P any] struct {
 	Instance string
 	Centers  []P

@@ -8,9 +8,9 @@
 // eagerly, so registration is also validation), then many concurrent
 // callers issue typed requests — Solve, Assign, Ecost, EcostSweep,
 // SolveUnassigned — against them by name. The expensive per-instance state
-// (the flat arena, both surrogate kinds, the 8·m·N-byte distance-RV swap
-// evaluator) is built once and shared by every request, which is what makes
-// serving heavy repeated traffic cheap (DESIGN.md §4a, §7).
+// (the flat arena and both surrogate kinds) is built once and shared by
+// every request, which is what makes serving heavy repeated traffic cheap
+// (DESIGN.md §4a, §7).
 //
 // Each shard enforces:
 //
@@ -122,10 +122,9 @@ type entry[P any] struct {
 }
 
 // entryTracer funnels the spans of one registered instance into the shard's
-// metrics: cache-build spans (surrogate.build.*, evaluator.build) into the
-// instance's build-duration histogram, and the local-search prune summary
-// (ls.prune) into the shard's scan/prune counters. Everything else is
-// ignored. A two-pointer struct converts to obs.Tracer without allocating,
+// metrics: cache-build spans (surrogate.build.*) into the instance's
+// build-duration histogram, and the local-search prune summary (ls.prune)
+// into the shard's scan/prune counters. Everything else is ignored. A two-pointer struct converts to obs.Tracer without allocating,
 // and the histogram and counters are lock-free, so the per-span cost is a
 // name check plus a few atomics.
 type entryTracer[P any] struct {
@@ -135,7 +134,7 @@ type entryTracer[P any] struct {
 
 func (et entryTracer[P]) Span(name, _ string, _ time.Time, dur time.Duration, attrs []obs.Attr) {
 	switch {
-	case strings.HasPrefix(name, "surrogate.build") || name == "evaluator.build":
+	case strings.HasPrefix(name, "surrogate.build"):
 		et.ent.buildDur.Observe(dur.Seconds())
 	case name == "ls.prune":
 		for _, a := range attrs {
@@ -144,6 +143,8 @@ func (et entryTracer[P]) Span(name, _ string, _ time.Time, dur time.Duration, at
 				et.m.pruneScanned.Add(uint64(a.Val))
 			case "pruned":
 				et.m.prunePruned.Add(uint64(a.Val))
+			case "excess":
+				et.m.pruneExcess.Add(uint64(a.Val))
 			}
 		}
 	}
@@ -625,7 +626,7 @@ func runGuarded(fn func(ctx context.Context) error, ctx context.Context) (err er
 // the least-recently-used entries are selected as victims under sh.mu
 // (optimistically accounted as dropped), and their DropCaches calls run
 // AFTER the mutex is released — a drop can block on the memo mutex of an
-// in-flight cache build (potentially a long evaluator construction), and
+// in-flight cache build (potentially a long surrogate construction), and
 // that wait must stall only this worker, never the shard's admission,
 // registry or metrics paths. Dropping is result-transparent (deterministic
 // lazy rebuild) and never invalidates in-flight consumers, which hold
@@ -724,6 +725,7 @@ func (s *Server[P]) Metrics() Metrics {
 			Evictions:    sh.m.evictions.Load(),
 			PruneScanned: sh.m.pruneScanned.Load(),
 			PrunePruned:  sh.m.prunePruned.Load(),
+			PruneExcess:  sh.m.pruneExcess.Load(),
 			PerInstance:  per,
 		}
 		quantilesOf(pooled[mark:]).setOn(&out.Shards[i])

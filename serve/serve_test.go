@@ -276,7 +276,7 @@ func TestServeEvictionThenSolveEqualsNeverEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The request built the evaluator, then the budget evicted it.
+	// The request built its seeds' surrogates, then the budget evicted them.
 	if got := srv.Metrics().Totals(); got.Evictions == 0 || got.CacheBytes != 0 {
 		t.Fatalf("after first request: evictions=%d cacheBytes=%d, want eviction to zero", got.Evictions, got.CacheBytes)
 	}

@@ -181,7 +181,7 @@ func TestWithSnapshotDirWarmStart(t *testing.T) {
 		if strings.HasPrefix(sp.Name, "compile.") {
 			t.Fatalf("compile span %q fired on warm start", sp.Name)
 		}
-		if strings.HasPrefix(sp.Name, "surrogate.build") || sp.Name == "evaluator.build" {
+		if strings.HasPrefix(sp.Name, "surrogate.build") {
 			sawBuild = true
 		}
 	}

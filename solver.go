@@ -129,11 +129,11 @@ func (s *Solver[P]) Solve(ctx context.Context, inst Instance[P], k int) (ResultO
 // defines this version but gives no algorithm; see
 // core.SolveUnassignedLSCompiled). Centers are drawn from the instance's candidate
 // set, defaulting to all point locations (including zero-probability ones —
-// pruning removes probability mass, not center sites). The distance-RV
-// cache behind the fast path is memoized in the instance, so repeated calls
-// rebuild nothing, and each scan skips the candidates a t*·G∞ lower bound
-// certifies cannot improve, with the trajectory bit-identical to scanning
-// every candidate (WithSwapCache(false) is that oracle).
+// pruning removes probability mass, not center sites). Candidate distances
+// are computed on demand, so a solve holds O(N + n) scan state and no
+// distance table, and each scan skips the candidates its certificates
+// (DESIGN §11) show cannot improve, with the trajectory bit-identical to
+// scanning every candidate.
 func (s *Solver[P]) SolveUnassigned(ctx context.Context, inst Instance[P], k int) ([]P, float64, error) {
 	ctx = s.obsCtx(ctx)
 	c, err := inst.Compile(ctx)
@@ -141,9 +141,8 @@ func (s *Solver[P]) SolveUnassigned(ctx context.Context, inst Instance[P], k int
 		return nil, 0, err
 	}
 	return core.SolveUnassignedLSCompiled(ctx, c, k, core.LocalSearchOptions{
-		MaxIter:          s.cfg.maxIter,
-		Parallelism:      s.cfg.opts.Parallelism,
-		DisableSwapCache: s.cfg.noSwapCache,
+		MaxIter:     s.cfg.maxIter,
+		Parallelism: s.cfg.opts.Parallelism,
 	})
 }
 
@@ -153,11 +152,10 @@ func (s *Solver[P]) SolveUnassigned(ctx context.Context, inst Instance[P], k int
 // locations); the returned matrix has
 // sweep[pos][c] = the exact E-cost of the snapped set with position pos
 // replaced by candidate c, and sweep[pos][snapped[pos]] is the cost of the
-// snapped set itself. The instance's memoized distance-RV cache serves all
-// k·m evaluations — one build per instance lifetime, shared with
-// SolveUnassigned — unless WithSwapCache(false) selected the from-scratch
-// path; the scans run on the solver's worker pool with bit-identical
-// results and honor ctx.
+// snapped set itself. The incremental evaluator of SolveUnassigned serves
+// all k·m evaluations exactly, with candidate distances computed on demand;
+// the scans run on the solver's worker pool with bit-identical results and
+// honor ctx.
 func (s *Solver[P]) EcostSweep(ctx context.Context, inst Instance[P], centers []P) (sweep [][]float64, snapped []int, err error) {
 	if len(centers) == 0 {
 		return nil, nil, fmt.Errorf("ukc: EcostSweep with no centers")
@@ -171,7 +169,7 @@ func (s *Solver[P]) EcostSweep(ctx context.Context, inst Instance[P], centers []
 		return nil, nil, err
 	}
 	snapped = c.SnapToCandidates(centers)
-	sweep, err = core.EcostSweepCompiled(ctx, c, snapped, core.Options{Parallelism: s.cfg.opts.Parallelism}.Workers(), s.cfg.noSwapCache)
+	sweep, err = core.EcostSweepCompiled(ctx, c, snapped, core.Options{Parallelism: s.cfg.opts.Parallelism}.Workers(), false)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -46,8 +46,9 @@ func TestWithTracerSolveSpans(t *testing.T) {
 	}
 }
 
-// TestWithTracerUnassignedSpans checks the local-search and evaluator-build
-// spans, including the descent summary attributes.
+// TestWithTracerUnassignedSpans checks the local-search spans, including
+// the descent summary attributes, and that no evaluator.build span fires:
+// the swap evaluator builds nothing.
 func TestWithTracerUnassignedSpans(t *testing.T) {
 	pts := demoPoints(t)
 	rec := &obs.Recorder{}
@@ -57,8 +58,8 @@ func TestWithTracerUnassignedSpans(t *testing.T) {
 	if _, _, err := solver.SolveUnassigned(context.Background(), inst, 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(rec.Named("evaluator.build")); got != 1 {
-		t.Errorf("evaluator.build recorded %d times, want 1", got)
+	if got := len(rec.Named("evaluator.build")); got != 0 {
+		t.Errorf("evaluator.build recorded %d times, want 0", got)
 	}
 	descents := rec.Named("ls.descent")
 	if len(descents) == 0 {
@@ -83,5 +84,8 @@ func TestWithTracerUnassignedSpans(t *testing.T) {
 	}
 	if got := len(rec.Named("sweep")); got != 1 {
 		t.Errorf("sweep recorded %d times, want 1", got)
+	}
+	if got := len(rec.Named("evaluator.build")); got != 0 {
+		t.Errorf("evaluator.build recorded %d times after a sweep, want 0", got)
 	}
 }

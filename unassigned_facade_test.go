@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	ukc "repro"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/uncertain"
 )
@@ -129,39 +130,11 @@ func TestSolverEcostSweep(t *testing.T) {
 	}
 }
 
-// TestWithSwapCacheEquivalence: the escape hatch returns the same centers
-// and cost as the default cached path through the public Solver.
-func TestWithSwapCacheEquivalence(t *testing.T) {
-	ctx := context.Background()
-	pts := demoPoints(t)
-	inst := ukc.NewEuclideanInstance(pts)
-	cachedC, cachedCost, err := ukc.NewSolver[ukc.Vec]().SolveUnassigned(ctx, inst, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracleC, oracleCost, err := ukc.NewSolver[ukc.Vec](ukc.WithSwapCache(false)).SolveUnassigned(ctx, inst, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := (cachedCost - oracleCost) / (1 + oracleCost); d > 1e-12 || d < -1e-12 {
-		t.Fatalf("cached cost %g, oracle cost %g", cachedCost, oracleCost)
-	}
-	if len(cachedC) != len(oracleC) {
-		t.Fatalf("%d centers vs %d", len(cachedC), len(oracleC))
-	}
-	for i := range cachedC {
-		for d := range cachedC[i] {
-			if cachedC[i][d] != oracleC[i][d] {
-				t.Fatalf("center %d differs: %v vs %v", i, cachedC[i], oracleC[i])
-			}
-		}
-	}
-}
-
-// TestSolveUnassignedMatchesOracle pins the default scan, cached and pruned
-// by the t*·G∞ bound, to the from-scratch oracle of WithSwapCache(false) bit
-// for bit: the same centers and the same cost, in Euclidean space and in a
-// finite metric.
+// TestSolveUnassignedMatchesOracle pins the default scan, pruned by both
+// certificates, to the unpruned scan (DisablePrune) bit for bit: the same
+// centers and the same cost, in Euclidean space and in a finite metric.
+// The cost must also equal Solver.EcostUnassigned of the returned centers,
+// the from-scratch exact E-cost, with ==.
 func TestSolveUnassignedMatchesOracle(t *testing.T) {
 	t.Run("euclidean", func(t *testing.T) {
 		pts, err := gen.GaussianClusters(rand.New(rand.NewSource(4242)), 30, 3, 2, 3, 1, 0.4)
@@ -178,15 +151,27 @@ func TestSolveUnassignedMatchesOracle(t *testing.T) {
 func matchesOracle[P any](t *testing.T, inst ukc.Instance[P], k int) {
 	t.Helper()
 	ctx := context.Background()
-	centers, cost, err := ukc.NewSolver[P]().SolveUnassigned(ctx, inst, k)
+	solver := ukc.NewSolver[P]()
+	centers, cost, err := solver.SolveUnassigned(ctx, inst, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracleCenters, oracleCost, err := ukc.NewSolver[P](ukc.WithSwapCache(false)).SolveUnassigned(ctx, inst, k)
+	c, err := inst.Compile(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracleCenters, oracleCost, err := core.SolveUnassignedLSCompiled(ctx, c, k, core.LocalSearchOptions{DisablePrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cost != oracleCost || !reflect.DeepEqual(centers, oracleCenters) {
-		t.Fatalf("default: centers %v cost %v; oracle: centers %v cost %v", centers, cost, oracleCenters, oracleCost)
+		t.Fatalf("default: centers %v cost %v; unpruned: centers %v cost %v", centers, cost, oracleCenters, oracleCost)
+	}
+	exact, err := solver.EcostUnassigned(ctx, inst, centers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost != exact {
+		t.Fatalf("returned cost %.17g, EcostUnassigned of its centers %.17g", cost, exact)
 	}
 }
