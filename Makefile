@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all vet fmt-check build test test-race test-faults test-alloc-pins fuzz-arena fuzz-bound fuzz-emax fuzz-dist bench bench-index bench-smoke examples check ci
+.PHONY: all vet fmt-check build test test-race test-faults test-alloc-pins fuzz-arena fuzz-bound fuzz-emax fuzz-fused fuzz-dist bench bench-index bench-smoke examples check ci
 
 all: check
 
@@ -36,12 +36,13 @@ test-faults:
 
 # test-alloc-pins is the nightly allocation gate: the nil tracer and the
 # disabled flight recorder must add ZERO allocations to the paths they
-# instrument, and the warmed exact E-cost kernels (Arena.ExpectedMax,
-# Arena.ExpectedMaxFlat, Arena.ExpectedMaxMinFlat, and
-# SwapEvaluator.PrepareBase and EvalSwap on planar, d = 3, finite-metric
-# and DistFunc instances, unbounded and with both prune certificates armed)
-# must allocate nothing, and a warm unassigned solve must take its scan
-# state from the pool instead of allocating it.
+# instrument, and the warmed exact E-cost kernels (Arena.ExpectedMax with
+# the layout its arena owns, Arena.ExpectedMaxFlat, Arena.ExpectedMaxMinFlat
+# with its visited-point bitset, and SwapEvaluator.PrepareBase and EvalSwap
+# on planar, d = 3, finite-metric and DistFunc instances, unbounded and
+# with both prune certificates armed) must allocate nothing, and a warm
+# unassigned solve must take its scan state from the pool instead of
+# allocating it.
 # These tests run in `make test` too; the standalone target fails the
 # nightly loudly and in isolation if a change loses a nil guard or a
 # reused buffer.
@@ -70,6 +71,15 @@ fuzz-bound:
 # relative (nightly CI).
 fuzz-emax:
 	$(GO) test -fuzz FuzzExpectedMaxFlat -fuzztime $(FUZZTIME) -run '^$$' ./internal/emax
+
+# fuzz-fused runs the fused swap kernel fuzzer for $(FUZZTIME): up to eight
+# RVs of up to four atoms, quarter-grid values with ±0 and ties, +Inf base
+# values and masses skewed within the validation tolerance, through
+# Arena.ExpectedMaxMinFlat, which must equal Arena.ExpectedMaxFlat on the
+# materialized minima bit for bit when disarmed and cut only when the exact
+# result reaches cost₀ up to 1e-12 relative when armed (nightly CI).
+fuzz-fused:
+	$(GO) test -fuzz '^FuzzExpectedMaxMinFlat$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/emax
 
 # fuzz-dist runs the flat Euclidean distance kernel fuzzer for $(FUZZTIME):
 # random dimensions up to 8 and random finite coordinates, from ±0 to

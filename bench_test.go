@@ -573,10 +573,10 @@ func BenchmarkEcostUnassigned(b *testing.B) {
 
 // BenchmarkRepeatedSolve — the PR-4 tentpole's amortization claim: solving
 // one instance repeatedly with varying k. "compiled" reuses one instance
-// (the compiled flat model, the memoized 1-center surrogates and the
-// distance-RV evaluator are built once, then shared by every solve);
-// "fresh" rebuilds a new instance per solve — the old per-call path. The
-// second-and-later solves of the compiled instance must be strictly faster.
+// (the compiled flat model, its emax layout and the memoized 1-center
+// surrogates are built once, then shared by every solve); "fresh" rebuilds
+// a new instance per solve — the old per-call path. The second-and-later
+// solves of the compiled instance must be strictly faster.
 func BenchmarkRepeatedSolve(b *testing.B) {
 	ctx := context.Background()
 	pts := benchEuclidean(b, 150, 4, 2)
@@ -606,8 +606,8 @@ func BenchmarkRepeatedSolve(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		run(b, func(int) ukc.Instance[ukc.Vec] { return ukc.NewEuclideanInstance(pts) })
 	})
-	// The unassigned objective is where the shared evaluator pays most: one
-	// n×m distance-RV build per instance lifetime instead of per solve.
+	// The unassigned objective reuses the compiled instance's 1-center
+	// seeds and layout; "fresh" recompiles and rebuilds its seeds per solve.
 	b.Run("unassigned-compiled", func(b *testing.B) {
 		shared := ukc.NewEuclideanInstance(pts)
 		if _, err := shared.Compile(ctx); err != nil {

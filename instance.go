@@ -29,8 +29,8 @@ type UncertainPoint[P any] = uncertain.Point[P]
 // Compiled is the immutable per-instance compiled representation every
 // pipeline consumes: the uncertain-point model validated, pruned of
 // zero-probability atoms, and flattened into one structure-of-arrays atom
-// arena, plus memoized per-instance caches (both surrogate kinds, the
-// distance-RV swap evaluator) that successive solves share. Obtain one with
+// arena with its emax layout, plus the memoized surrogate caches (both
+// kinds) that successive solves share. Obtain one with
 // Instance.Compile; every Solver method compiles implicitly on first use.
 // A Compiled is goroutine-safe and its caches live exactly as long as it
 // does — drop the instance to release them.

@@ -272,6 +272,47 @@ func TestPruneSpanEvidence(t *testing.T) {
 	}
 }
 
+// TestPruneSpanOverflowCountsBoundFailures pins the prune accounting to
+// where each tier fires. Point 0's atom at (1e300, 1e300) is at distance
+// +Inf from every candidate, so every center set costs +Inf: θ = +Inf, the
+// expected-excess expression is NaN, and nothing can be certified. Every
+// scanned candidate was evaluated exactly and is a bound failure, although
+// its cost is +Inf like a skipped candidate's.
+func TestPruneSpanOverflowCountsBoundFailures(t *testing.T) {
+	tr := &attrTracer{}
+	ctx := obs.NewContext(context.Background(), tr)
+	pts := []uncertain.Point[geom.Vec]{
+		{Locs: []geom.Vec{{0, 0}, {1e300, 1e300}}, Probs: []float64{0.5, 0.5}},
+		{Locs: []geom.Vec{{1, 2}, {3, 1}}, Probs: []float64{0.5, 0.5}},
+		{Locs: []geom.Vec{{-4, 2}, {-2, 5}}, Probs: []float64{0.25, 0.75}},
+		{Locs: []geom.Vec{{6, -3}, {5, -6}}, Probs: []float64{0.5, 0.5}},
+	}
+	cands := []geom.Vec{{0, 0}, {1, 1}, {-3, 3}, {5, -5}, {2, 0}, {-1, -1}, {4, 4}, {0, 7}}
+	c, err := core.Compile[geom.Vec](ctx, euclid, pts, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cost, err := core.SolveUnassignedLSCompiled(ctx, c, 2, core.LocalSearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(cost, 1) {
+		t.Fatalf("cost = %g, want +Inf", cost)
+	}
+	spans := tr.spans["ls.prune"]
+	if len(spans) != 2 {
+		t.Fatalf("ls.prune fired %d times, want 2 (one per seed descent)", len(spans))
+	}
+	want := map[string]int64{"scanned": 12, "pruned": 0, "excess": 0, "bound_failures": 12}
+	for d, attrs := range spans {
+		for _, a := range attrs {
+			if a.Val != want[a.Key] {
+				t.Errorf("descent %d: %s = %d, want %d", d, a.Key, a.Val, want[a.Key])
+			}
+		}
+	}
+}
+
 // TestPruneMassDeficitK1 is the regression pin for pruning at k = 1 on
 // valid input whose point masses fall short of 1. Each of 100 points puts
 // three atoms at one site with p = 0.3333333333, so its mass is 1 − 1e-10

@@ -82,8 +82,8 @@ func (m *memo[T]) drop() {
 //     to disagree on this);
 //   - the flat structure-of-arrays atom layout — one arena of N = Σ_i z_i
 //     locations, probabilities and point indices with per-point offsets —
-//     which internal/emax consumes directly (Arena.ExpectedMaxFlat, and
-//     through the layout Arena.ExpectedMaxMinFlat);
+//     which internal/emax consumes directly through the emax.Layout over it
+//     (Arena.ExpectedMaxFlat and Arena.ExpectedMaxMinFlat);
 //   - N, max z_i and (in Euclidean space) the common coordinate dimension.
 //
 // On top of the flat model a Compiled memoizes the derived state repeated
@@ -91,8 +91,8 @@ func (m *memo[T]) drop() {
 // continuous and candidate-restricted), each built lazily on first use
 // behind a mutex and immutable afterwards, so a second solve of the same
 // instance performs zero metric calls for surrogate construction. Compile
-// also builds the sweep's emax.Layout and G∞ (O(n)), which every swap
-// evaluator shares; no distance table is ever built.
+// also builds the emax.Layout with G∞ and log G∞ (O(n)), which every exact
+// E-cost and swap evaluator shares; no distance table is ever built.
 //
 // In Euclidean space the arena owns its coordinates: Compile copies the
 // pruned atoms' coordinates once into one row-major column xy (atom f at
@@ -120,7 +120,7 @@ type Compiled[P any] struct {
 	ptIdx   []int32   // atom f -> owning point index (inverse of offsets)
 	allLocs []P       // every input location incl. p=0 ones; aliases locs when nothing was pruned
 
-	lay         *emax.Layout // the atoms' masses and owners, for the swap evaluator's sweep
+	lay         *emax.Layout // the atoms' masses and owners and log G∞, for every exact E-cost
 	maxZ        int
 	dim         int // common coordinate dimension (Euclidean only, else 0)
 	isEuclidean bool
@@ -667,7 +667,7 @@ func (c *Compiled[P]) EcostAssigned(ctx context.Context, centers []P, assign []i
 	}); err != nil {
 		return 0, err
 	}
-	return s.arena.ExpectedMaxFlat(vals, c.probs, c.ptIdx, len(c.pts)), nil
+	return s.arena.ExpectedMaxFlat(c.lay, vals), nil
 }
 
 // EcostUnassigned returns the exact unassigned expected cost
@@ -690,7 +690,7 @@ func (c *Compiled[P]) EcostUnassigned(ctx context.Context, centers []P, workers 
 	}); err != nil {
 		return 0, err
 	}
-	return s.arena.ExpectedMaxFlat(vals, c.probs, c.ptIdx, len(c.pts)), nil
+	return s.arena.ExpectedMaxFlat(c.lay, vals), nil
 }
 
 // ecostScratch is the reusable state of one exact E-cost evaluation: the
@@ -740,5 +740,5 @@ func (c *Compiled[P]) newFlatScratches(k, workers int) []*flatScratch[P] {
 // the trajectory-equality tests hold the flat kernels to.
 func (c *Compiled[P]) ecostUnassignedFlat(centers []P, vals []float64, a *emax.Arena) float64 {
 	minDists(c.space, vals, c.locs, centers)
-	return a.ExpectedMaxFlat(vals, c.probs, c.ptIdx, len(c.pts))
+	return a.ExpectedMaxFlat(c.lay, vals)
 }

@@ -57,17 +57,19 @@ type SwapBase struct {
 	ptMin []float64 // point i -> baseMin_i, min of vals over its atoms
 	ptMax []float64 // point i -> max of vals over its atoms
 	order []int32   // points by descending ptMin
+	byMax []int32   // points by descending ptMax
 	theta float64   // candidates with t* ≥ theta are certified; +Inf = none
 	cost0 float64   // the expected-excess certificate's cost₀; +Inf = none
 }
 
 // SwapScratch is the per-worker mutable state of EvalSwap: its sweep arena,
-// and the number of candidates the expected-excess certificate skipped
-// since the caller last zeroed excess. A zero SwapScratch is ready to use;
-// a neighborhood scan hands each worker slot its own.
+// and the numbers of candidates the t*·G∞ bound (pruned) and the
+// expected-excess certificate (excess) skipped since the caller last zeroed
+// them. A zero SwapScratch is ready to use; a neighborhood scan hands each
+// worker slot its own.
 type SwapScratch struct {
-	arena  emax.Arena
-	excess int
+	arena          emax.Arena
+	pruned, excess int
 }
 
 // scanState is the reusable memory of one solve's or sweep's scans: the
@@ -128,14 +130,15 @@ func resize[T any](s []T, n int) []T {
 // PrepareBase fixes the scan position: it computes every atom's min
 // distance over chosen[j] for j ≠ pos (+Inf when k = 1) and each point's
 // minimum and maximum of those into the caller-owned base, orders the
-// points by that minimum, descending, and disarms both certificates.
-// Cost: O(N·(k−1)) distances plus an O(n log n) sort, amortized over the
-// whole candidate scan; allocation-free once b has served a shape this
-// large.
+// points by that minimum and by that maximum, both descending, and
+// disarms both certificates. Cost: O(N·(k−1)) distances plus the two
+// sorts, amortized over the whole candidate scan; allocation-free once b
+// has served a shape this large.
 func (e *SwapEvaluator[P]) PrepareBase(b *SwapBase, chosen []int, pos int) {
 	n, atoms := e.c.NumPoints(), e.c.NumAtoms()
 	b.vals, b.dist = resize(b.vals, atoms), resize(b.dist, atoms)
-	b.ptMin, b.ptMax, b.order = resize(b.ptMin, n), resize(b.ptMax, n), resize(b.order, n)
+	b.ptMin, b.ptMax = resize(b.ptMin, n), resize(b.ptMax, n)
+	b.order, b.byMax = resize(b.order, n), resize(b.byMax, n)
 	bv := b.vals
 	for f := range bv {
 		bv[f] = math.Inf(1)
@@ -158,10 +161,11 @@ func (e *SwapEvaluator[P]) PrepareBase(b *SwapBase, chosen []int, pos int) {
 		for _, v := range bv[lo:hi] {
 			mn, mx = min(mn, v), max(mx, v)
 		}
-		b.ptMin[i], b.ptMax[i], b.order[i] = mn, mx, int32(i)
+		b.ptMin[i], b.ptMax[i], b.order[i], b.byMax[i] = mn, mx, int32(i), int32(i)
 		lo = hi
 	}
 	slices.SortFunc(b.order, func(x, y int32) int { return cmp.Compare(b.ptMin[y], b.ptMin[x]) })
+	slices.SortFunc(b.byMax, func(x, y int32) int { return cmp.Compare(b.ptMax[y], b.ptMax[x]) })
 	b.theta, b.cost0 = math.Inf(1), math.Inf(1)
 }
 
@@ -206,15 +210,17 @@ func (e *SwapEvaluator[P]) tStar(b *SwapBase, c int) float64 {
 // replaced by candidates[c], for the (chosen, pos) of the last PrepareBase
 // on b — bit-identical to Compiled.EcostUnassigned of that center set — or
 // +Inf when one of SetThreshold's certificates covers c; a skip by the
-// expected-excess certificate increments s.excess. Allocation-free in
-// steady state; safe to call concurrently given distinct scratches.
+// t*·G∞ bound increments s.pruned and one by the expected-excess
+// certificate s.excess. Allocation-free in steady state; safe to call
+// concurrently given distinct scratches.
 func (e *SwapEvaluator[P]) EvalSwap(b *SwapBase, s *SwapScratch, c int) float64 {
 	t := e.tStar(b, c)
 	if t >= b.theta {
+		s.pruned++
 		return math.Inf(1)
 	}
 	q, qv := e.cands[c], e.vec(c)
-	v, cut := s.arena.ExpectedMaxMinFlat(e.c.lay, b.vals, b.ptMax, t, b.cost0, func(i int, dst []float64) {
+	v, cut := s.arena.ExpectedMaxMinFlat(e.c.lay, b.vals, b.ptMax, b.byMax, t, b.cost0, func(i int, dst []float64) {
 		e.c.distsToVec(dst, int(e.c.offsets[i]), q, qv)
 	})
 	if cut {

@@ -216,36 +216,29 @@ func swapDescent[P any](ctx context.Context, m int, seed []int, maxIter int, ds 
 			ev.SetThreshold(base, cost)
 		}
 		for _, s := range scratches {
-			s.excess = 0
+			s.pruned, s.excess = 0, 0
 		}
 		return par.ForWorker(ctx, m, workers, eval)
 	}
 
 	// countScan folds one position's outcome into the descent's prune
 	// accounting — serially, after the parallel scan, so the numbers are
-	// deterministic for any worker count.
+	// deterministic for any worker count. Each tier counts its own skips
+	// where it fires; every other scanned candidate, +Inf costs included,
+	// was evaluated exactly.
 	countScan := func() {
 		if !ds.prune {
 			return
 		}
-		skipped := 0
-		for c, in := range inSet {
-			if in {
-				continue
-			}
-			stats.scanned++
-			if math.IsInf(costs[c], 1) {
-				skipped++
-			} else {
-				stats.boundFail++
-			}
-		}
-		excess := 0
+		scanned, pruned, excess := m-len(chosen), 0, 0
 		for _, s := range scratches {
+			pruned += s.pruned
 			excess += s.excess
 		}
-		stats.pruned += skipped - excess
+		stats.scanned += scanned
+		stats.pruned += pruned
 		stats.excess += excess
+		stats.boundFail += scanned - pruned - excess
 	}
 
 	iters, totalSwaps, totalTaken := 0, 0, 0

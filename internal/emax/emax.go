@@ -12,21 +12,27 @@
 //	P(max_i D_i ≤ t) = Π_i F_i(t),   E[max] = Σ_k t_k · (G(t_k) − G(t_{k−1}))
 //
 // over the sorted union of support values t_k, with G = Π F_i. G is 0
-// below t* = max_i min D_i, so ExpectedMax splits the sum there: every atom
+// below t* = max_i min D_i, so the kernels split the sum there: every atom
 // at or below t* only feeds its RV's CDF F_i(t*) (summed in atom order, no
 // log, no sort), and only the atoms above t* — typically a few percent of
 // the N = Σ z_i atoms when the D_i are distances to nearby centers — are
 // sorted into the canonical (value, atom) order and swept, one Log per live
-// atom. The whole evaluation is O(N) plus the sort of the live set (an
-// insertion sort when it is short, a stable radix sort otherwise; see
-// Sorter), which is what makes the "exact empirical approximation ratio"
-// experiments feasible. A brute-force enumeration oracle and a Monte-Carlo
-// estimator are provided for cross-checking.
+// atom. An RV with no atom above t* is settled: F_i(t*) is its whole mass
+// F_i(∞). A Layout holds log G∞ = Σ_i log F_i(∞) once, and log G(t*) starts
+// there, each unsettled RV replacing its term log F_i(∞) by log F_i(t*), so
+// settled RVs cost no Log. A from-scratch evaluation is O(N) plus the sort
+// of the live set (an insertion sort when it is short, a stable radix sort
+// otherwise; see Sorter), which is what makes the "exact empirical
+// approximation ratio" experiments feasible; the fused kernel of the swap
+// evaluator visits only the RVs its fixed half leaves above t*. A
+// brute-force enumeration oracle and a Monte-Carlo estimator are provided
+// for cross-checking.
 package emax
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -89,22 +95,25 @@ func (r RV) Sample(rng *rand.Rand) float64 {
 }
 
 // Arena carries the reusable scratch buffers of repeated expected-max
-// evaluations: the flattened atoms of ExpectedMax, the per-RV CDF and
-// log-CDF state, the live set of ExpectedMaxFlat and its sort scratch, and
-// the per-RV atom buffer of ExpectedMaxMinFlat. A zero Arena is ready to
-// use; buffers grow to the high-water mark of the evaluations run through
-// it and are reused afterwards, so steady-state evaluations of same-shaped
-// inputs do not allocate. An Arena is not safe
+// evaluations: the flattened atoms and layout of ExpectedMax, the CDF and
+// log-CDF state of the unsettled RVs, the live set and its sort scratch,
+// and ExpectedMaxMinFlat's per-RV atom buffer and visited-RV bitset. A
+// zero Arena is ready to use; buffers grow to the high-water mark of the
+// evaluations run through it and are reused afterwards, so steady-state
+// evaluations of same-shaped inputs do not allocate. An Arena is not safe
 // for concurrent use; give each worker its own.
 type Arena struct {
 	vals     []float64
 	probs    []float64
+	offsets  []int32
 	rvIdx    []int32
+	lay      Layout // ExpectedMax's layout over probs, offsets and rvIdx
 	cdf      []float64
 	logCdf   []float64
 	liveVals []float64
 	liveIdx  []int32
 	atoms    []float64 // one RV's b values in ExpectedMaxMinFlat
+	visit    []uint64  // ExpectedMaxMinFlat's visited RVs, one bit each
 	sorter   Sorter
 }
 
@@ -119,13 +128,14 @@ func ExpectedMax(rvs []RV) (float64, error) {
 
 // ExpectedMax is the package-level ExpectedMax evaluated on the arena's
 // reusable buffers: identical validation, identical result. It validates
-// every RV, flattens the positive-probability atoms in RV order, then runs
-// ExpectedMaxFlat; a warmed arena allocates nothing.
+// every RV, flattens the positive-probability atoms in RV order into a
+// layout the arena owns, then runs ExpectedMaxFlat; a warmed arena
+// allocates nothing.
 func (a *Arena) ExpectedMax(rvs []RV) (float64, error) {
 	if len(rvs) == 0 {
 		return 0, nil
 	}
-	vals, probs, rvIdx := a.vals[:0], a.probs[:0], a.rvIdx[:0]
+	vals, probs, rvIdx, offsets := a.vals[:0], a.probs[:0], a.rvIdx[:0], append(a.offsets[:0], 0)
 	for i, r := range rvs {
 		if err := r.Validate(); err != nil {
 			return 0, fmt.Errorf("rv %d: %w", i, err)
@@ -137,16 +147,73 @@ func (a *Arena) ExpectedMax(rvs []RV) (float64, error) {
 				rvIdx = append(rvIdx, int32(i))
 			}
 		}
+		offsets = append(offsets, int32(len(vals)))
 	}
-	a.vals, a.probs, a.rvIdx = vals, probs, rvIdx
-	return a.ExpectedMaxFlat(vals, probs, rvIdx, len(rvs)), nil
+	a.vals, a.probs, a.rvIdx, a.offsets = vals, probs, rvIdx, offsets
+	a.lay.init(probs, offsets, rvIdx)
+	return a.ExpectedMaxFlat(&a.lay, vals), nil
 }
 
-// ExpectedMaxFlat computes E[max_i X_i] directly from a flat
-// structure-of-arrays atom layout: atom f has value vals[f] with probability
-// probs[f] and belongs to the random variable rvIdx[f] ∈ [0, nRVs). This is
-// the representation a compiled instance (internal/core.Compiled) holds, so
-// the evaluator consumes it without materializing per-RV slices.
+// Layout is the static half of the flat kernels' input: atom f has
+// probability probs[f] and belongs to RV rvIdx[f], RV i owns atoms
+// offsets[i]:offsets[i+1], and full/fullLog hold each RV's whole mass
+// F_i(∞), clamped at 1 and summed in atom order, with its log. logS + logC
+// is log G∞, the compensated RV-order sum of fullLog[i] over the RVs with
+// F_i(∞) < 1, where every kernel starts its log G(t*). ratio and over are
+// the per-RV constants of the expected-excess certificate. Immutable once
+// built; O(n) beside the caller's atom columns.
+type Layout struct {
+	probs          []float64
+	offsets, rvIdx []int32
+	full, fullLog  []float64
+	ratio          []float64 // G∞/F_i(∞)
+	over           []float64 // max(0, mass_i − 1), the mass F_i's clamp discards
+	mass           float64   // G∞ = Π_i F_i(∞)
+	logS, logC     float64   // log G∞ = logS + logC
+	maxZ           int       // the most atoms any RV owns
+}
+
+// NewLayout builds the layout of RVs i ∈ [0, len(offsets)−1) over the
+// given atoms; the slices are retained, not copied.
+func NewLayout(probs []float64, offsets, rvIdx []int32) *Layout {
+	l := new(Layout)
+	l.init(probs, offsets, rvIdx)
+	return l
+}
+
+// init makes l the layout of NewLayout(probs, offsets, rvIdx), reusing l's
+// per-RV buffers.
+func (l *Layout) init(probs []float64, offsets, rvIdx []int32) {
+	n := max(len(offsets)-1, 0)
+	*l = Layout{probs: probs, offsets: offsets, rvIdx: rvIdx,
+		full: resize(l.full, n), fullLog: resize(l.fullLog, n),
+		ratio: resize(l.ratio, n), over: resize(l.over, n), mass: 1}
+	for i := range l.full {
+		p := 0.0
+		for _, q := range probs[offsets[i]:offsets[i+1]] {
+			p += q
+		}
+		l.over[i] = max(p-1, 0)
+		l.full[i], l.fullLog[i] = clampLog(p)
+		if l.full[i] < 1 {
+			l.logS, l.logC = twoSum(l.logS, l.logC, l.fullLog[i])
+		}
+		l.mass *= l.full[i]
+		l.maxZ = max(l.maxZ, int(offsets[i+1]-offsets[i]))
+	}
+	for i, m := range l.full {
+		l.ratio[i] = l.mass / m
+	}
+}
+
+// Mass returns G∞ = Π_i F_i(∞), the total probability G reaches at the
+// end of a sweep: 1 up to the per-RV tolerance of ProbSumTol.
+func (l *Layout) Mass() float64 { return l.mass }
+
+// ExpectedMaxFlat computes E[max_i X_i] from a flat structure-of-arrays
+// atom column: atom f has value vals[f] and l's probability and RV. This is
+// the representation a compiled instance (internal/core.Compiled) holds,
+// so the evaluator consumes it without materializing per-RV slices.
 //
 // It is the validation-free fast path: the caller guarantees that values are
 // finite, probabilities are positive (zero-probability atoms pruned), and
@@ -158,125 +225,79 @@ func (a *Arena) ExpectedMax(rvs []RV) (float64, error) {
 //
 //	E[max] = t*·G(t*) + Σ_{t > t*} t·(G(t) − G(t⁻))
 //
-// One pass takes every RV's minimum and t*. A second adds each atom ≤ t*
-// into its RV's CDF (clamped at 1; no log, no ordering) and gathers the
-// atoms above t* — the live set. log G(t*) is summed once, over the RVs
-// with F_i(t*) ≠ 1, into a compensated sum. Only the live set is sorted
-// (Sorter) into the canonical (value, f) order — ascending by value, equal
-// values in ascending f — and swept, at one Log per live atom and one Exp
-// per distinct live value. The result therefore depends only on the atoms
-// in f order, never on a sort's tie-breaking.
-func (a *Arena) ExpectedMaxFlat(vals, probs []float64, rvIdx []int32, nRVs int) float64 {
-	if len(vals) == 0 {
+// One pass takes every RV's minimum and t*. A second, per RV, adds each
+// atom ≤ t* into F_i(t*) (no log, no ordering) and gathers the atoms above
+// t* — the live set. An RV with no live atom is settled: F_i(t*) = F_i(∞),
+// and it adds nothing more. log G(t*) starts at the layout's log G∞, and
+// each unsettled RV, in RV order, adds log F_i(t*) and then −log F_i(∞),
+// each only where its argument is below 1, to the compensated sum. Only
+// the live set is sorted (Sorter) into the canonical (value, f) order —
+// ascending by value, equal values in ascending f — and swept, at one Log
+// per live atom and one Exp per distinct live value. The result therefore
+// depends only on the atoms in f order, never on a sort's tie-breaking.
+func (a *Arena) ExpectedMaxFlat(l *Layout, vals []float64) float64 {
+	if len(l.probs) == 0 {
 		return 0
 	}
-	probs, rvIdx = probs[:len(vals)], rvIdx[:len(vals)]
-	cdf, logCdf := a.rvState(nRVs)
-
-	// Pass 1: per-RV minima (in cdf), then t* and a zeroed cdf.
-	for i := range cdf {
-		cdf[i] = math.Inf(1)
-	}
-	for f, v := range vals {
-		if r := rvIdx[f]; v < cdf[r] {
-			cdf[r] = v
-		}
-	}
+	vals = vals[:len(l.probs)]
+	// Pass 1: t* = max_i min_f vals[f], first-wins comparisons.
 	tStar := math.Inf(-1)
-	for i, m := range cdf {
+	lo := l.offsets[0]
+	for _, hi := range l.offsets[1:] {
+		m := math.Inf(1)
+		for _, v := range vals[lo:hi] {
+			if v < m {
+				m = v
+			}
+		}
 		if m > tStar {
 			tStar = m
 		}
-		cdf[i] = 0
+		lo = hi
 	}
 
-	// Pass 2: F_i(t*) from the atoms at or below t*; the rest are live.
+	// Pass 2: per RV, F_i(t*) and its live atoms; only an unsettled RV
+	// touches the log sum.
+	a.rvState(len(l.full))
 	liveVals, liveIdx := a.liveVals[:0], a.liveIdx[:0]
-	for f, v := range vals {
-		if v <= tStar {
-			cdf[rvIdx[f]] += probs[f]
-		} else {
-			liveVals = append(liveVals, v)
-			liveIdx = append(liveIdx, int32(f))
+	s, c := l.logS, l.logC
+	lo = l.offsets[0]
+	for i, hi := range l.offsets[1:] {
+		p, n0 := 0.0, len(liveVals)
+		for f := lo; f < hi; f++ {
+			if v := vals[f]; v <= tStar {
+				p += l.probs[f]
+			} else {
+				liveVals = append(liveVals, v)
+				liveIdx = append(liveIdx, f)
+			}
 		}
+		if len(liveVals) > n0 {
+			s, c = a.unsettle(l, i, p, s, c)
+		}
+		lo = hi
 	}
 	a.liveVals, a.liveIdx = liveVals, liveIdx
-
-	// log G(t*) = Σ_i log F_i(t*), every F_i(t*) > 0 since each RV's
-	// minimum is ≤ t*. F_i is clamped at 1 here: its partial sums only grow,
-	// so this equals clamping every step. The sum is compensated (s + c):
-	// once every F_i has reached 1 its terms cancel exactly, so G returns to
-	// 1 however negative log G(t*) was.
-	s, c := 0.0, 0.0
-	for i, p := range cdf {
-		lg := 0.0
-		if p < 1 {
-			lg = math.Log(p)
-			s, c = twoSum(s, c, lg)
-		} else {
-			cdf[i] = 1
-		}
-		logCdf[i] = lg
-	}
-	return a.sweep(tStar, s, c, probs, rvIdx, nRVs)
+	return a.sweep(l, tStar, s, c)
 }
-
-// Layout is the static half of ExpectedMaxMinFlat's input: atom f has
-// probability probs[f] and belongs to RV rvIdx[f], RV i owns atoms
-// offsets[i]:offsets[i+1], and full/fullLog hold each RV's whole mass
-// F_i(∞), clamped at 1 and summed in atom order, with its log. ratio and
-// over are the per-RV constants of the expected-excess certificate.
-// Immutable; O(n) beside the caller's atom columns.
-type Layout struct {
-	probs          []float64
-	offsets, rvIdx []int32
-	full, fullLog  []float64
-	ratio          []float64 // G∞/F_i(∞)
-	over           []float64 // max(0, mass_i − 1), the mass F_i's clamp discards
-	mass           float64   // G∞ = Π_i F_i(∞)
-	maxZ           int       // the most atoms any RV owns
-}
-
-// NewLayout builds the layout of RVs i ∈ [0, len(offsets)−1) over the
-// given atoms; the slices are retained, not copied.
-func NewLayout(probs []float64, offsets, rvIdx []int32) *Layout {
-	n := max(len(offsets)-1, 0)
-	l := &Layout{probs: probs, offsets: offsets, rvIdx: rvIdx,
-		full: make([]float64, n), fullLog: make([]float64, n),
-		ratio: make([]float64, n), over: make([]float64, n), mass: 1}
-	for i := range l.full {
-		p := 0.0
-		for _, q := range probs[offsets[i]:offsets[i+1]] {
-			p += q
-		}
-		l.over[i] = max(p-1, 0)
-		l.full[i], l.fullLog[i] = clampLog(p)
-		l.mass *= l.full[i]
-		l.maxZ = max(l.maxZ, int(offsets[i+1]-offsets[i]))
-	}
-	for i, m := range l.full {
-		l.ratio[i] = l.mass / m
-	}
-	return l
-}
-
-// Mass returns G∞ = Π_i F_i(∞), the total probability G reaches at the
-// end of a sweep: 1 up to the per-RV tolerance of ProbSumTol.
-func (l *Layout) Mass() float64 { return l.mass }
 
 // ExpectedMaxMinFlat returns ExpectedMaxFlat over l's atoms for the values
 // v_f = min(av[f], b_f) (b_f only where strictly smaller) without
 // materializing them, or +Inf with cut set once the expected-excess
-// certificate below shows the result is at least cost0. The caller supplies tStar =
-// max_i min_f v_f, the split ExpectedMaxFlat finds in its first pass, and
-// aMax[i], the max of av over RV i's atoms. An RV with aMax[i] ≤ t* has
-// every atom at or below t*, so it takes F_i(∞) from l without reading b;
-// for every other RV, atoms(i, dst) writes b over RV i's atoms into dst
+// certificate below shows the result is at least cost0. The caller
+// supplies tStar = max_i min_f v_f, the split ExpectedMaxFlat finds in its
+// first pass, aMax[i], the max of av over RV i's atoms, and byMax, the RVs
+// ordered by aMax, descending. An RV with aMax[i] ≤ t* has every atom at
+// or below t*, so it is settled and never visited: the fold visits only
+// the prefix of byMax above t*, in RV order (through the arena's bitset),
+// and its cost scales with that prefix, not with the number of RVs. For
+// each visited RV, atoms(i, dst) writes b over RV i's atoms into dst
 // (len(dst) = its atom count), and the fold adds its atoms ≤ t* into
-// F_i(t*) and gathers the rest into the live set, in atom order. With
-// log G(t*) summed in RV order and the shared sweep, that is
-// ExpectedMaxFlat's arithmetic: the results are equal bit for bit. A
-// warmed arena allocates nothing, provided atoms does not escape.
+// F_i(t*) and gathers the rest into the live set, in atom order. With the
+// log sum started at log G∞ and corrected by the unsettled RVs in RV order,
+// and the shared sweep, that is ExpectedMaxFlat's arithmetic: the results
+// are equal bit for bit. A warmed arena allocates nothing, provided atoms
+// does not escape.
 //
 // The certificate (DESIGN.md §11 has the proof). With w_f = max(t*, v_f),
 // m̃_i = min(1, mass_i) and vmax_i = max_f w_f, the sweep's result is at
@@ -287,69 +308,113 @@ func (l *Layout) Mass() float64 { return l.mass }
 // because the clamped CDF product H it climbs satisfies
 // H(t) ≤ min(1, F_i(t))·G∞/m̃_i, and the clamp of a surplus mass costs at
 // most (mass_i − 1)·(vmax_i − t*). The fold returns +Inf and cut = true,
-// before the sort and the sweep, as soon as one checked RV's bound reaches
-// cost0 (pass +Inf to disarm it); an RV with aMax[i] ≤ t* would give
-// t*·G∞ and is not checked. A result of +Inf with cut false is the sweep's.
-func (a *Arena) ExpectedMaxMinFlat(l *Layout, av, aMax []float64, tStar, cost0 float64, atoms func(i int, dst []float64)) (v float64, cut bool) {
+// before the sort and the sweep, as soon as one visited RV's bound reaches
+// cost0; an unvisited RV would give t*·G∞ and is not checked. cost0 = +Inf
+// disarms it, and the fold then skips its arithmetic. A result of +Inf
+// with cut false is the sweep's.
+func (a *Arena) ExpectedMaxMinFlat(l *Layout, av, aMax []float64, byMax []int32, tStar, cost0 float64, atoms func(i int, dst []float64)) (v float64, cut bool) {
 	if len(l.probs) == 0 {
 		return 0, false
 	}
 	nRVs := len(l.full)
-	cdf, logCdf := a.rvState(nRVs)
-	aMax = aMax[:nRVs]
+	a.rvState(nRVs)
 	if cap(a.atoms) < l.maxZ {
 		a.atoms = make([]float64, l.maxZ)
 	}
+	words := (nRVs + 63) / 64
+	if len(a.visit) < words {
+		a.visit = make([]uint64, words)
+	}
+	visit := a.visit[:words]
+	clear(visit)
+	for _, i := range byMax {
+		if aMax[i] <= tStar {
+			break
+		}
+		visit[i>>6] |= 1 << (i & 63)
+	}
+	armed := cost0 < math.Inf(1)
 	liveVals, liveIdx := a.liveVals[:0], a.liveIdx[:0]
-	s, c := 0.0, 0.0
-	lo := l.offsets[0]
-	for i, hi := range l.offsets[1:] {
-		p, lg := l.full[i], l.fullLog[i]
-		if aMax[i] > tStar {
+	s, c := l.logS, l.logC
+	for w, word := range visit {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			lo, hi := l.offsets[i], l.offsets[i+1]
 			bv := a.atoms[:hi-lo]
 			atoms(i, bv)
-			p = 0
-			up, top := 0.0, tStar // Σ p_f·v_f over the live atoms, and vmax_i
-			for j, w := range bv {
+			p, n0 := 0.0, len(liveVals)
+			for j, b := range bv {
 				f := lo + int32(j)
 				v := av[f]
-				if w < v {
-					v = w
+				if b < v {
+					v = b
 				}
 				if v <= tStar {
 					p += l.probs[f]
 				} else {
 					liveVals = append(liveVals, v)
 					liveIdx = append(liveIdx, f)
-					up += l.probs[f] * v
-					if v > top {
-						top = v
-					}
 				}
 			}
-			if l.ratio[i]*(tStar*p+up-l.over[i]*top) >= cost0 {
+			if armed && l.excessBound(i, tStar, p, liveVals[n0:], liveIdx[n0:]) >= cost0 {
 				a.liveVals, a.liveIdx = liveVals, liveIdx
 				return math.Inf(1), true
 			}
-			p, lg = clampLog(p)
+			if len(liveVals) > n0 {
+				s, c = a.unsettle(l, i, p, s, c)
+			}
 		}
-		if p < 1 {
-			s, c = twoSum(s, c, lg)
-		}
-		cdf[i], logCdf[i] = p, lg
-		lo = hi
 	}
 	a.liveVals, a.liveIdx = liveVals, liveIdx
-	return a.sweep(tStar, s, c, l.probs, l.rvIdx, nRVs), false
+	return a.sweep(l, tStar, s, c), false
 }
 
-// rvState returns the arena's per-RV CDF and log-CDF state for n RVs.
-func (a *Arena) rvState(n int) (cdf, logCdf []float64) {
+// excessBound is RV i's expected-excess bound of ExpectedMaxMinFlat, given
+// F_i(t*) = p unclamped and RV i's live atoms (values above t*, atom
+// indices): (G∞/m̃_i)·(t*·p + Σ_live p_f·v_f − max(0, mass_i − 1)·vmax_i).
+func (l *Layout) excessBound(i int, tStar, p float64, vals []float64, idx []int32) float64 {
+	up, top := 0.0, tStar
+	for j, v := range vals {
+		up += l.probs[idx[j]] * v
+		if v > top {
+			top = v
+		}
+	}
+	return l.ratio[i] * (tStar*p + up - l.over[i]*top)
+}
+
+// unsettle records F_i(t*) = p of an RV with an atom above t*, clamped at
+// 1, with its log, for the sweep, and moves RV i's term of the log sum
+// s + c from log F_i(∞) to log F_i(t*): it adds log F_i(t*), then
+// −log F_i(∞), each only where its argument is below 1.
+func (a *Arena) unsettle(l *Layout, i int, p, s, c float64) (float64, float64) {
+	p, lg := clampLog(p)
+	if p < 1 {
+		s, c = twoSum(s, c, lg)
+	}
+	if l.full[i] < 1 {
+		s, c = twoSum(s, c, -l.fullLog[i])
+	}
+	a.cdf[i], a.logCdf[i] = p, lg
+	return s, c
+}
+
+// rvState sizes the arena's per-RV CDF and log-CDF state for n RVs. Only
+// the unsettled RVs' entries are written and read.
+func (a *Arena) rvState(n int) {
 	if cap(a.cdf) < n {
 		a.cdf = make([]float64, n)
 		a.logCdf = make([]float64, n)
 	}
-	return a.cdf[:n], a.logCdf[:n]
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // clampLog clamps a CDF value at 1 and returns it with its log (0 at 1).
@@ -361,11 +426,12 @@ func clampLog(p float64) (float64, float64) {
 }
 
 // sweep is the tail of both flat entry points, run once cdf and logCdf
-// hold every F_i(t*) and its log, s + c the compensated log G(t*), and the
-// live set the atoms above t* in atom order: it sorts and sweeps the live
-// set.
-func (a *Arena) sweep(tStar, s, c float64, probs []float64, rvIdx []int32, nRVs int) float64 {
-	cdf, logCdf := a.cdf[:nRVs], a.logCdf[:nRVs]
+// hold every unsettled RV's F_i(t*) and its log, s + c the compensated
+// log G(t*), and the live set the atoms above t* in atom order: it sorts
+// and sweeps the live set.
+func (a *Arena) sweep(l *Layout, tStar, s, c float64) float64 {
+	cdf, logCdf := a.cdf, a.logCdf
+	probs, rvIdx := l.probs, l.rvIdx
 	liveVals, liveIdx := a.liveVals, a.liveIdx
 	prevG := min(math.Exp(s+c), 1)
 	expected := tStar * prevG

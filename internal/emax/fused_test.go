@@ -3,16 +3,19 @@ package emax
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
 // minPair is one ExpectedMaxMinFlat input: two per-atom value arrays over
-// a layout, av's per-RV maxima, and the materialized minima
-// ExpectedMaxFlat sees with the split t* it would compute.
+// a layout, av's per-RV maxima and the RVs in descending order of them,
+// and the materialized minima ExpectedMaxFlat sees with the split t* it
+// would compute.
 type minPair struct {
 	lay                       *Layout
 	av, bv, aMax, vals, probs []float64
-	rvIdx                     []int32
+	rvIdx, byMax              []int32
 	tStar                     float64
 }
 
@@ -39,14 +42,16 @@ func newMinPair(av, bv, probs []float64, offsets []int32) minPair {
 			p.tStar = m
 		}
 		p.aMax = append(p.aMax, mx)
+		p.byMax = append(p.byMax, int32(i))
 	}
+	sort.SliceStable(p.byMax, func(x, y int) bool { return p.aMax[p.byMax[x]] > p.aMax[p.byMax[y]] })
 	p.lay = NewLayout(probs, offsets, p.rvIdx)
 	return p
 }
 
 // fused runs ExpectedMaxMinFlat on a, handing it bv one RV at a time.
 func (p minPair) fused(a *Arena, cost0 float64) (float64, bool) {
-	return a.ExpectedMaxMinFlat(p.lay, p.av, p.aMax, p.tStar, cost0, func(i int, dst []float64) {
+	return a.ExpectedMaxMinFlat(p.lay, p.av, p.aMax, p.byMax, p.tStar, cost0, func(i int, dst []float64) {
 		copy(dst, p.bv[p.lay.offsets[i]:p.lay.offsets[i+1]])
 	})
 }
@@ -118,7 +123,7 @@ func TestExpectedMaxMinFlatMatchesFlat(t *testing.T) {
 		n, zMax := 1+rng.Intn(30), 1+rng.Intn(6)
 		p := randMinPair(rng, n, zMax, trial%3 == 0, trial%5 == 0)
 		got, cut := p.fused(&fused, math.Inf(1))
-		want := flat.ExpectedMaxFlat(p.vals, p.probs, p.rvIdx, n)
+		want := flat.ExpectedMaxFlat(p.lay, p.vals)
 		if cut {
 			t.Fatalf("trial %d (n=%d): the disarmed certificate cut", trial, n)
 		}
@@ -142,7 +147,7 @@ func TestExpectedMaxMinFlatMatchesFlat(t *testing.T) {
 	if below == 0 || above == 0 || whole == 0 {
 		t.Fatalf("live sets: %d below and %d at or above the insertion cutoff, %d whole RVs; want all three", below, above, whole)
 	}
-	if got, cut := fused.ExpectedMaxMinFlat(NewLayout(nil, []int32{0}, nil), nil, nil, 0, 0, nil); got != 0 || cut {
+	if got, cut := fused.ExpectedMaxMinFlat(NewLayout(nil, []int32{0}, nil), nil, nil, nil, 0, 0, nil); got != 0 || cut {
 		t.Errorf("no atoms: %g (cut %v), want 0", got, cut)
 	}
 }
@@ -198,13 +203,54 @@ func TestExpectedMaxMinFlatInfNotCut(t *testing.T) {
 	}
 }
 
-// TestLayoutMass pins Mass to Π_i min(1, Σ of RV i's probs), and the
+// TestExpectedMaxMinFlatAfterPanic keeps a panicking atoms callback (a
+// user metric's Dist can panic, and the server recovers it) from leaking
+// into the arena's next evaluation: the call is cut off in word 0 of a
+// 200-RV visit bitset with later words still marked (RVs 100–127 among
+// them), and a 100-RV evaluation on the same arena must then match
+// ExpectedMaxFlat bit for bit rather than visit the first call's RVs, some
+// of them out of its range.
+func TestExpectedMaxMinFlatAfterPanic(t *testing.T) {
+	rng := rand.New(rand.NewSource(174))
+	big, small := randMinPair(rng, 200, 4, true, false), randMinPair(rng, 100, 4, true, false)
+	if !slices.ContainsFunc(big.aMax[100:128], func(m float64) bool { return m > big.tStar }) {
+		t.Fatal("RVs 100–127 are all settled; the first call must mark one in word 1")
+	}
+	var a Arena
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the atoms callback did not panic")
+			}
+		}()
+		a.ExpectedMaxMinFlat(big.lay, big.av, big.aMax, big.byMax, big.tStar, math.Inf(1), func(i int, dst []float64) {
+			panic(i)
+		})
+	}()
+	var flat Arena
+	got, cut := small.fused(&a, math.Inf(1))
+	if want := flat.ExpectedMaxFlat(small.lay, small.vals); cut || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("after a panic: ExpectedMaxMinFlat %.17g (cut %v), ExpectedMaxFlat %.17g", got, cut, want)
+	}
+}
+
+// TestLayoutMass pins Mass to Π_i min(1, Σ of RV i's probs), log G∞ to the
+// compensated RV-order sum of the logs of the masses below 1, and the
 // certificate's per-RV constants, over skewed masses on both sides of 1.
 func TestLayoutMass(t *testing.T) {
 	probs := []float64{0.5, 0.5 - 1e-10, 0.25, 0.75 + 1e-10, 1 - 2e-10}
 	l := NewLayout(probs, []int32{0, 2, 4, 5}, []int32{0, 0, 1, 1, 2})
 	if got, want := l.Mass(), (1-1e-10)*(1-2e-10); math.Abs(got-want) > 1e-16 {
 		t.Fatalf("Mass = %.17g, want %.17g", got, want)
+	}
+	// RV 1's mass clamps to 1 and adds no term.
+	s, c := twoSum(0, 0, math.Log(0.5+(0.5-1e-10)))
+	s, c = twoSum(s, c, math.Log(1-2e-10))
+	if l.logS != s || l.logC != c {
+		t.Fatalf("log G∞ = %.17g + %.17g, want %.17g + %.17g", l.logS, l.logC, s, c)
+	}
+	if got, want := l.logS+l.logC, math.Log(l.Mass()); math.Abs(got-want) > 1e-15 {
+		t.Fatalf("log G∞ = %.17g, log Mass = %.17g", got, want)
 	}
 	// The certificate's constants: only RV 1 has surplus mass, and its
 	// clamped mass is 1, so its ratio is G∞ itself.
@@ -233,4 +279,185 @@ func TestExpectedMaxMinFlatAllocs(t *testing.T) {
 			t.Fatalf("live set of %d: warm ExpectedMaxMinFlat allocates %v times per call, want 0", len(a.liveVals), allocs)
 		}
 	}
+}
+
+// deficitRV returns an RV over vals whose probabilities follow weights and
+// sum to 1 − δ with δ = 0.99·ProbSumTol, the largest deficit Validate
+// accepts: each such RV puts a term log F_i(∞) ≠ 0 into log G∞.
+func deficitRV(vals, weights []float64) RV {
+	r := normalized(vals, weights)
+	for j := range r.Probs {
+		r.Probs[j] *= 1 - 0.99*ProbSumTol
+	}
+	return r
+}
+
+// TestLogSumFromGInfBitIdentical pins the three entry points to one
+// definition of log G(t*): log G∞, then, for each unsettled RV in RV order,
+// log F_i(t*) and −log F_i(∞). Deficit RVs (mass 1 − 0.99·ProbSumTol) sit
+// before, between and after the unsettled RVs, and the cases include every
+// RV settled and none settled. ExpectedMax, ExpectedMaxFlat on the RVs'
+// layout and ExpectedMaxMinFlat over the values split at random between
+// a and b (a sometimes +Inf, so settled RVs are visited too) must agree by
+// Float64bits, and with the enumeration oracle at 1e-12. The fused live set
+// must be ExpectedMaxFlat's atom for atom: the compensated sums make the
+// value nearly independent of the order the RVs are folded in, so the
+// order is pinned where it is made.
+func TestLogSumFromGInfBitIdentical(t *testing.T) {
+	w := []float64{1, 2, 3}
+	cases := []struct {
+		name      string
+		rvs       []RV
+		unsettled int
+	}{
+		{"deficits-around-unsettled", []RV{
+			deficitRV([]float64{0.5, 1.5, 2}, w),
+			{Vals: []float64{1, 3}, Probs: []float64{0.25, 0.75}},
+			deficitRV([]float64{2, 0.25, 1}, w),
+			deficitRV([]float64{2, 4.5, 3}, w),
+			{Vals: []float64{2}, Probs: []float64{1}},
+			deficitRV([]float64{1.75, 2, 0}, w),
+			deficitRV([]float64{0, 6, 2.5}, w),
+			deficitRV([]float64{1, 1.5, 0.75}, w),
+		}, 3},
+		{"all-settled", []RV{
+			deficitRV([]float64{0.5, 1.5, 5}, w),
+			{Vals: []float64{5}, Probs: []float64{1}},
+			deficitRV([]float64{5, 0.25, 1}, w),
+			deficitRV([]float64{2, 4.5, 3}, w),
+		}, 0},
+		{"none-settled", []RV{
+			deficitRV([]float64{0, 1.5, 2}, w),
+			{Vals: []float64{0, 3}, Probs: []float64{0.25, 0.75}},
+			deficitRV([]float64{2, 0, 1}, w),
+			deficitRV([]float64{0.25, 0, 3}, w),
+		}, 4},
+	}
+	rng := rand.New(rand.NewSource(174))
+	var viaRVs, flat, fused Arena
+	for _, tc := range cases {
+		want, err := ExpectedMaxNaive(tc.rvs, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := viaRVs.ExpectedMax(tc.rvs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-12*max(1, math.Abs(want)) {
+			t.Fatalf("%s: ExpectedMax %.17g, naive %.17g", tc.name, got, want)
+		}
+		vals, l := flatten(tc.rvs)
+		if f := flat.ExpectedMaxFlat(l, vals); math.Float64bits(f) != math.Float64bits(got) {
+			t.Fatalf("%s: ExpectedMaxFlat %.17g, ExpectedMax %.17g", tc.name, f, got)
+		}
+		if n := countUnsettled(vals, l); n != tc.unsettled {
+			t.Fatalf("%s: %d unsettled RVs, want %d", tc.name, n, tc.unsettled)
+		}
+		for trial := 0; trial < 50; trial++ {
+			av, bv := make([]float64, len(vals)), make([]float64, len(vals))
+			for f, v := range vals {
+				av[f], bv[f] = v, v+1
+				switch rng.Intn(3) {
+				case 0:
+					av[f], bv[f] = math.Inf(1), v
+				case 1:
+					av[f], bv[f] = v+1, v
+				}
+			}
+			p := newMinPair(av, bv, l.probs, l.offsets)
+			f, cut := p.fused(&fused, math.Inf(1))
+			if cut || math.Float64bits(f) != math.Float64bits(got) {
+				t.Fatalf("%s trial %d: ExpectedMaxMinFlat %.17g (cut %v), ExpectedMax %.17g", tc.name, trial, f, cut, got)
+			}
+			if !slices.Equal(fused.liveIdx, flat.liveIdx) {
+				t.Fatalf("%s trial %d: fused live atoms %v, ExpectedMaxFlat's %v", tc.name, trial, fused.liveIdx, flat.liveIdx)
+			}
+		}
+	}
+}
+
+// countUnsettled counts the RVs of l with an atom above t* = max_i min_f vals[f].
+func countUnsettled(vals []float64, l *Layout) int {
+	tStar := math.Inf(-1)
+	for i := range l.full {
+		tStar = max(tStar, slices.Min(vals[l.offsets[i]:l.offsets[i+1]]))
+	}
+	n := 0
+	for i := range l.full {
+		if slices.Max(vals[l.offsets[i]:l.offsets[i+1]]) > tStar {
+			n++
+		}
+	}
+	return n
+}
+
+// FuzzExpectedMaxMinFlat checks the fused kernel on up to eight RVs of up to
+// four atoms decoded from the fuzz input: quarter-grid values over
+// [−32, 32) with ±0 and ties, a sometimes +Inf (the empty base of a
+// one-center scan), integer weights 1..256 and each RV's mass skewed
+// within ±0.99·ProbSumTol of 1. Disarmed, it must equal ExpectedMaxFlat on
+// the materialized minima bit for bit and never cut; armed at cost0 ∈
+// {exact, exact ± 1e-9·scale}, it must return the exact bits, or +Inf with
+// cut set and only when exact ≥ cost0 − 1e-12·scale.
+func FuzzExpectedMaxMinFlat(f *testing.F) {
+	f.Add([]byte{2, 1, 4, 8, 100, 3, 0, 12, 5, 200, 127, 16, 9, 128})
+	f.Add([]byte{7, 3, 127, 1, 9, 255, 0x80, 4, 4, 60, 1, 1, 1, 0, 3, 2, 2, 2, 10, 12, 12, 12, 80, 4, 0, 0, 3, 127, 127, 9})
+	f.Add([]byte{4, 0, 0, 0x80, 1, 0, 0, 0x80, 1, 255, 1, 0x80, 0, 1, 0, 1, 0x80, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		grid := func(b byte) float64 {
+			if b == 0x80 {
+				return math.Copysign(0, -1)
+			}
+			return float64(int8(b)) / 4
+		}
+		var av, bv, probs []float64
+		offsets := []int32{0}
+		for i, n := 0, 1+int(next())%8; i < n; i++ {
+			z := 1 + int(next())%4
+			skew := 1 + (float64(next())/127.5-1)*0.99*ProbSumTol
+			start, sum := len(probs), 0.0
+			for j := 0; j < z; j++ {
+				a, b := next(), next()
+				va := grid(a)
+				if a == 0x7f {
+					va = math.Inf(1)
+				}
+				w := 1 + float64(next())
+				av, bv, probs = append(av, va), append(bv, grid(b)), append(probs, w)
+				sum += w
+			}
+			for f := start; f < len(probs); f++ {
+				probs[f] = probs[f] / sum * skew
+			}
+			offsets = append(offsets, int32(len(probs)))
+		}
+		p := newMinPair(av, bv, probs, offsets)
+		var fused, flat Arena
+		exact, cut := p.fused(&fused, math.Inf(1))
+		if want := flat.ExpectedMaxFlat(p.lay, p.vals); cut || math.Float64bits(exact) != math.Float64bits(want) {
+			t.Fatalf("disarmed: ExpectedMaxMinFlat %.17g (cut %v), ExpectedMaxFlat %.17g", exact, cut, want)
+		}
+		scale := math.Max(1, math.Abs(exact))
+		for _, cost0 := range []float64{exact, exact + 1e-9*scale, exact - 1e-9*scale} {
+			got, cut := p.fused(&fused, cost0)
+			if !cut {
+				if math.Float64bits(got) != math.Float64bits(exact) {
+					t.Fatalf("cost0 %.17g: armed %.17g, exact %.17g", cost0, got, exact)
+				}
+				continue
+			}
+			if !math.IsInf(got, 1) || exact < cost0-1e-12*scale {
+				t.Fatalf("cost0 %.17g: cut with %g, exact %.17g", cost0, got, exact)
+			}
+		}
+	})
 }

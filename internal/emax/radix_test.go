@@ -84,11 +84,11 @@ func TestArgsortMatchesSliceStable(t *testing.T) {
 func TestExpectedMaxFlatAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(132))
 	for _, rvs := range [][]RV{randomRVs(rng, 50), wideRVs(rng, 50, 5)} {
-		vals, probs, rvIdx := flatten(rvs)
+		vals, l := flatten(rvs)
 		var a Arena
-		want := a.ExpectedMaxFlat(vals, probs, rvIdx, len(rvs))
+		want := a.ExpectedMaxFlat(l, vals)
 		allocs := testing.AllocsPerRun(100, func() {
-			if got := a.ExpectedMaxFlat(vals, probs, rvIdx, len(rvs)); got != want {
+			if got := a.ExpectedMaxFlat(l, vals); got != want {
 				t.Fatalf("warm ExpectedMaxFlat = %g, first call %g", got, want)
 			}
 		})

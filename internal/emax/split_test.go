@@ -8,16 +8,21 @@ import (
 	"testing"
 )
 
-// flatten lays rvs out as ExpectedMaxFlat's atom arrays, in RV order.
-func flatten(rvs []RV) (vals, probs []float64, rvIdx []int32) {
+// flatten lays rvs out as ExpectedMaxFlat's atom column and layout, in RV
+// order.
+func flatten(rvs []RV) (vals []float64, l *Layout) {
+	var probs []float64
+	var rvIdx []int32
+	offsets := []int32{0}
 	for i, r := range rvs {
 		vals = append(vals, r.Vals...)
 		probs = append(probs, r.Probs...)
 		for range r.Vals {
 			rvIdx = append(rvIdx, int32(i))
 		}
+		offsets = append(offsets, int32(len(vals)))
 	}
-	return vals, probs, rvIdx
+	return vals, NewLayout(probs, offsets, rvIdx)
 }
 
 // normalized returns RV{vals, weights / Σ weights}.
@@ -137,9 +142,9 @@ func TestExpectedMaxFlatMatchesBigReference(t *testing.T) {
 		} else {
 			rvs = tieRVs(rng, n, z)
 		}
-		vals, probs, rvIdx := flatten(rvs)
-		want := bigExpectedMax(vals, probs, rvIdx, len(rvs))
-		got := a.ExpectedMaxFlat(vals, probs, rvIdx, len(rvs))
+		vals, l := flatten(rvs)
+		want := bigExpectedMax(vals, l.probs, l.rvIdx, len(rvs))
+		got := a.ExpectedMaxFlat(l, vals)
 		rel := math.Abs(got-want) / math.Abs(want)
 		worst = max(worst, rel)
 		if rel > 1e-13 {
@@ -201,12 +206,12 @@ func TestExpectedMaxFlatEdgeCases(t *testing.T) {
 	}
 	var a Arena
 	for _, tc := range cases {
-		vals, probs, rvIdx := flatten(tc.rvs)
+		vals, l := flatten(tc.rvs)
 		want, err := ExpectedMaxNaive(tc.rvs, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := a.ExpectedMaxFlat(vals, probs, rvIdx, len(tc.rvs))
+		got := a.ExpectedMaxFlat(l, vals)
 		if math.Abs(got-want) > 1e-12*max(1, math.Abs(want)) {
 			t.Errorf("%s: ExpectedMaxFlat %.17g, naive %.17g", tc.name, got, want)
 		}
@@ -217,7 +222,7 @@ func TestExpectedMaxFlatEdgeCases(t *testing.T) {
 			t.Errorf("%s: live set of %d atoms, want %d", tc.name, len(a.liveVals), tc.live)
 		}
 	}
-	if got := a.ExpectedMaxFlat(nil, nil, nil, 0); got != 0 {
+	if got := a.ExpectedMaxFlat(NewLayout(nil, []int32{0}, nil), nil); got != 0 {
 		t.Errorf("no atoms: %g, want 0", got)
 	}
 }
@@ -254,9 +259,9 @@ func FuzzExpectedMaxFlat(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals, probs, rvIdx := flatten(rvs)
+		vals, l := flatten(rvs)
 		var a Arena
-		got := a.ExpectedMaxFlat(vals, probs, rvIdx, len(rvs))
+		got := a.ExpectedMaxFlat(l, vals)
 		if math.Abs(got-want) > 1e-12*max(1, math.Abs(want)) {
 			t.Fatalf("ExpectedMaxFlat %.17g, naive %.17g on %v", got, want, rvs)
 		}

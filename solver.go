@@ -26,10 +26,12 @@ type ResultOf[P any] = core.Result[P]
 // over a worker pool with bit-identical results.
 //
 // Every method compiles its instance implicitly on first use (see
-// Instance.Compile): the validated flat model, both surrogate kinds and the
-// distance-RV swap evaluator are built once per instance and shared by all
-// later calls — from this solver or another one — so repeated solves of
-// one instance pay only the k-dependent stages.
+// Instance.Compile): the validated flat model and its emax layout are
+// built once per instance, and both surrogate kinds once on first use, then
+// shared by all later calls — from this solver or another one — so
+// repeated solves of one instance pay only the k-dependent stages. The
+// swap evaluator of SolveUnassigned stores nothing per instance: it
+// computes candidate distances on demand.
 //
 //	solver := ukc.NewSolver[ukc.Vec](ukc.WithRule(ukc.RuleEP), ukc.WithParallelism(8))
 //	res, err := solver.Solve(ctx, ukc.NewEuclideanInstance(pts), 3)
