@@ -34,20 +34,25 @@ test-faults:
 	$(GO) test -race -run 'Fault|Fire|Panic|Drain|Shutdown|Quarantine|TornWrite|CloseRegister|Breaker|Retry' \
 		./serve ./internal/faults ./client ./cmd/ukserver
 
-# test-alloc-pins is the nightly allocation gate: the nil tracer and the
-# disabled flight recorder must add ZERO allocations to the paths they
-# instrument, and the warmed exact E-cost kernels (Arena.ExpectedMax with
-# the layout its arena owns, Arena.ExpectedMaxFlat, Arena.ExpectedMaxMinFlat
-# with its visited-point bitset, and SwapEvaluator.PrepareBase and EvalSwap
-# on planar, d = 3, finite-metric and DistFunc instances, unbounded and
-# with both prune certificates armed) must allocate nothing, and a warm
+# test-alloc-pins is the nightly allocation gate, every test named *Allocs*
+# in the module: the nil tracer and the disabled flight recorder must add
+# ZERO allocations to the paths they instrument; the disabled
+# fault-injection hook (faults.Fire, inside every served request), the
+# latency histograms' Observe (each serving shard's and the gateway's HTTP
+# histogram) and Prometheus label escaping must allocate nothing; a
+# snapshot open must allocate a constant whatever the instance size; the
+# warmed exact E-cost kernels (Arena.ExpectedMax with the layout its arena
+# owns, Arena.ExpectedMaxFlat, Arena.ExpectedMaxMinFlat with its
+# visited-point bitset, and SwapEvaluator.PrepareBase and EvalSwap on
+# planar, d = 3, finite-metric and DistFunc instances, unbounded and with
+# both prune certificates armed) must allocate nothing; and a warm
 # unassigned solve must take its scan state from the pool instead of
 # allocating it.
 # These tests run in `make test` too; the standalone target fails the
 # nightly loudly and in isolation if a change loses a nil guard or a
 # reused buffer.
 test-alloc-pins:
-	$(GO) test -v -run 'Allocs' ./obs ./serve ./internal/emax ./internal/core
+	$(GO) test -v -run 'Allocs' ./...
 
 # fuzz-arena runs the snapshot decoder fuzzer for $(FUZZTIME): arbitrary
 # bytes through the full .ukc validation pipeline (nightly CI).

@@ -160,7 +160,7 @@ type cancelOnSpan struct {
 	cancel context.CancelFunc
 }
 
-func (c *cancelOnSpan) Span(name, _ string, _ time.Time, _ time.Duration, _ []obs.Attr) {
+func (c *cancelOnSpan) Span(name string, _ time.Time, _ time.Duration, _ []obs.Attr) {
 	if name == c.name {
 		c.once.Do(c.cancel)
 	}

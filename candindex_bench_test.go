@@ -54,7 +54,7 @@ type scanCounter struct {
 	excess    int64
 }
 
-func (s *scanCounter) Span(name, _ string, _ time.Time, _ time.Duration, attrs []obs.Attr) {
+func (s *scanCounter) Span(name string, _ time.Time, _ time.Duration, attrs []obs.Attr) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch name {

@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 
 	"repro/obs"
@@ -53,10 +52,11 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // It is also the trace-context ingress: a valid incoming W3C traceparent is
 // parsed and threaded down to the serving layer through the request context
 // (so the gateway's serve.request root joins the caller's trace), and a
-// request without one roots a fresh trace here — every log line carries a
-// trace_id either way. The per-request latency lands in lat's histogram
-// with the trace ID attached as an exemplar.
-func requestLog(logger *slog.Logger, lat *httpLatency, next http.Handler) http.Handler {
+// request without one roots a fresh trace here — every log line carries its
+// trace ID either way. The request's duration lands in lat, the gateway's
+// request-duration histogram; a slow bucket there leads to its traces
+// through GET /v1/traces?min_ms=.
+func requestLog(logger *slog.Logger, lat *obs.Histogram, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
@@ -72,7 +72,7 @@ func requestLog(logger *slog.Logger, lat *httpLatency, next http.Handler) http.H
 		start := time.Now()
 		next.ServeHTTP(sw, r)
 		dur := time.Since(start)
-		lat.observe(dur.Seconds(), tc.TraceID.String())
+		lat.Observe(dur.Seconds())
 		logger.Info("request",
 			"id", id,
 			"trace", tc.TraceID.String(),
@@ -84,49 +84,6 @@ func requestLog(logger *slog.Logger, lat *httpLatency, next http.Handler) http.H
 			"remote", r.RemoteAddr,
 		)
 	})
-}
-
-// httpLatency is the gateway-level request-duration histogram plus the most
-// recent exemplar per bucket: each observation pins its trace ID to the
-// bucket its latency landed in, which is what lets a dashboard jump from a
-// latency spike to the matching retained trace in /v1/traces.
-type httpLatency struct {
-	hist *obs.Histogram
-
-	mu        sync.Mutex
-	exemplars []*promExemplar // len(bounds)+1; nil until the bucket has seen an observation
-}
-
-func newHTTPLatency() *httpLatency {
-	h := obs.NewHistogram(obs.DurationBuckets()...)
-	return &httpLatency{hist: h, exemplars: make([]*promExemplar, len(obs.DurationBuckets())+1)}
-}
-
-// observe records one request duration (seconds) and stamps its trace ID as
-// the owning bucket's exemplar. Nil-safe so mux-only test servers need no
-// metrics plumbing.
-func (l *httpLatency) observe(sec float64, traceID string) {
-	if l == nil {
-		return
-	}
-	l.hist.Observe(sec)
-	ex := &promExemplar{labels: map[string]string{"trace_id": traceID}, value: sec}
-	l.mu.Lock()
-	l.exemplars[l.hist.BucketIndex(sec)] = ex
-	l.mu.Unlock()
-}
-
-// collect renders the histogram into the scrape as
-// ukc_http_request_duration_seconds with per-bucket exemplars. Nil-safe.
-func (l *httpLatency) collect(pc *promCollector) {
-	if l == nil {
-		return
-	}
-	snap := l.hist.Snapshot()
-	l.mu.Lock()
-	exemplars := append([]*promExemplar(nil), l.exemplars...)
-	l.mu.Unlock()
-	writeHistogram(pc, "ukc_http_request_duration_seconds", nil, snap, exemplars)
 }
 
 // registerPprof mounts the net/http/pprof handlers on the mux. They are
@@ -145,12 +102,9 @@ func registerPprof(mux *http.ServeMux) {
 // via ukc.WithTracer when -trace is set.
 type slogTracer struct{ logger *slog.Logger }
 
-func (t slogTracer) Span(name, instance string, start time.Time, dur time.Duration, attrs []obs.Attr) {
-	args := make([]any, 0, 2*len(attrs)+4)
+func (t slogTracer) Span(name string, start time.Time, dur time.Duration, attrs []obs.Attr) {
+	args := make([]any, 0, 2*len(attrs)+2)
 	args = append(args, "dur_us", dur.Microseconds())
-	if instance != "" {
-		args = append(args, "instance", instance)
-	}
 	for _, a := range attrs {
 		args = append(args, a.Key, a.Val)
 	}

@@ -20,14 +20,14 @@
 // one, generated and echoed otherwise — and a trace ID: an incoming W3C
 // traceparent header joins the caller's trace, anything else roots a fresh
 // one. GET /metrics serves the full serving-layer state (per-shard request
-// counters with the completed/failed/canceled/expired split, queue-wait vs
-// execution latency quantiles, per-instance cache gauges and cache-build
-// histograms, all labeled by instance kind) in the Prometheus text
-// exposition format, hand-rolled with no client dependency, plus Go runtime
-// gauges (goroutines, heap, GC pauses) and the gateway request-duration
-// histogram whose buckets carry trace-ID exemplars. -pprof mounts
-// net/http/pprof under /debug/pprof/, and -trace logs every solver span
-// (see ukc.WithTracer) at debug level.
+// counters with the completed/failed/canceled/expired split, queue-wait,
+// execution and end-to-end latency histograms, per-instance cache gauges
+// and cache-build histograms, all labeled by instance kind) in the
+// Prometheus text exposition format, hand-rolled with no client
+// dependency, plus Go runtime gauges (goroutines, heap, GC pauses) and the
+// gateway request-duration histogram. -pprof mounts net/http/pprof under
+// /debug/pprof/, and -trace logs every solver span (see ukc.WithTracer) at
+// debug level.
 //
 // Flight recorder: unless -trace-retain 0, every request assembles a trace
 // (admission → queue wait → execution → solver spans) in a fixed-capacity
@@ -209,8 +209,8 @@ type gateway struct {
 	eu      *serve.Server[ukc.Vec]
 	fin     *serve.Server[int]
 	fr      *obs.FlightRecorder // nil = flight recorder off (/v1/traces serves empty)
-	httpLat *httpLatency
-	snapDir string // "" = persistence off (no warm start, freeze returns 409)
+	httpLat *obs.Histogram      // request durations in seconds, observed by requestLog
+	snapDir string              // "" = persistence off (no warm start, freeze returns 409)
 	// Body caps: maxRegisterBody and maxWorkloadBody; tests lower them.
 	registerLimit, workloadLimit int64
 }
@@ -240,7 +240,7 @@ func newGateway(parallel int, tracer obs.Tracer, fr *obs.FlightRecorder, snapDir
 		return nil, err
 	}
 	return &gateway{
-		eu: eu, fin: fin, fr: fr, httpLat: newHTTPLatency(), snapDir: snapDir,
+		eu: eu, fin: fin, fr: fr, httpLat: obs.NewHistogram(obs.DurationBuckets()...), snapDir: snapDir,
 		registerLimit: maxRegisterBody, workloadLimit: maxWorkloadBody,
 	}, nil
 }
@@ -477,17 +477,17 @@ func (g *gateway) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handlePromMetrics serves both kind servers' Collect walks as one
-// Prometheus text exposition document, each sample labeled with its kind,
+// Prometheus text exposition document, each series labeled with its kind,
 // plus the process-wide series that span both kinds and so carry no kind
 // label: the store gauge, the Go runtime gauges and GC pause histogram,
-// and the gateway HTTP latency histogram with trace-ID exemplars.
+// and the gateway HTTP latency histogram.
 func (g *gateway) handlePromMetrics(w http.ResponseWriter, _ *http.Request) {
 	pc := newPromCollector()
-	g.eu.Collect(pc.add(dataio.KindEuclidean))
-	g.fin.Collect(pc.add(dataio.KindFinite))
-	pc.add("")("ukc_store_mapped_bytes", map[string]string{}, float64(store.MappedBytes()))
+	pc.collect(dataio.KindEuclidean, g.eu.Collect)
+	pc.collect(dataio.KindFinite, g.fin.Collect)
+	pc.sample("ukc_store_mapped_bytes", nil, float64(store.MappedBytes()))
 	collectRuntime(pc)
-	g.httpLat.collect(pc)
+	writeHistogram(pc, "ukc_http_request_duration_seconds", nil, g.httpLat.Snapshot())
 	var buf bytes.Buffer
 	if err := pc.write(&buf); err != nil {
 		httpError(w, http.StatusInternalServerError, err)

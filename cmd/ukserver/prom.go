@@ -3,10 +3,12 @@ package main
 // prom.go renders the serving layer's Collect walk into the Prometheus
 // text exposition format (text/plain; version 0.0.4) with no client
 // library: the vocabulary is small and fully known (see serve.Collect),
-// so a hand-rolled writer — family grouping, TYPE inference from the name
-// suffix, label escaping, deterministic ordering — is ~100 lines and keeps
-// the binary dependency-free. parsePromText (prom_test.go) is the inverse
-// the tests use to assert the exposition stays valid.
+// so a hand-rolled writer — family grouping, one writer for every
+// histogram, label escaping, deterministic ordering — is ~100 lines and
+// keeps the binary dependency-free. Every sample line is exactly
+// name{labels} value: no timestamps, and no exemplars, which that format
+// does not have. parsePromText (prom_test.go) is the strict inverse the
+// tests use to assert the exposition stays valid.
 
 import (
 	"fmt"
@@ -14,22 +16,17 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/obs"
 )
 
-// promSample is one exposition line: name{labels} value, optionally with an
-// OpenMetrics exemplar appended (# {labels} value).
+// promSample is one exposition line, name{labels} value, grouped under its
+// family: the series name itself, or the histogram a _bucket, _sum or
+// _count series belongs to.
 type promSample struct {
-	name     string
-	labels   map[string]string
-	value    float64
-	exemplar *promExemplar
-}
-
-// promExemplar is an OpenMetrics exemplar: a concrete observation (and the
-// trace it belongs to) attached to the histogram bucket it landed in, so a
-// dashboard's p99 spike links straight to a retained trace.
-type promExemplar struct {
-	labels map[string]string // typically {"trace_id": "..."}
+	family string
+	name   string
+	labels map[string]string
 	value  float64
 }
 
@@ -37,50 +34,33 @@ type promExemplar struct {
 // kind, each stamped with a kind label) for a single rendering pass.
 type promCollector struct {
 	samples []promSample
-	hist    map[string]bool // family name -> has histogram-suffixed series
+	hist    map[string]bool // families writeHistogram rendered
 }
 
 func newPromCollector() *promCollector {
 	return &promCollector{hist: make(map[string]bool)}
 }
 
-// add returns a serve.Collect callback stamping every sample with the kind
-// label. The label map is mutated in place — Collect guarantees a fresh map
-// per sample.
-func (p *promCollector) add(kind string) func(name string, labels map[string]string, value float64) {
-	return func(name string, labels map[string]string, value float64) {
-		if kind != "" {
-			labels["kind"] = kind
-		}
-		if fam := promFamily(name); fam != name {
-			p.hist[fam] = true
-		}
-		p.samples = append(p.samples, promSample{name: name, labels: labels, value: value})
-	}
+// collect runs one serve.Collect walk into the scrape, stamping every
+// series with the kind label; Collect hands each call a fresh label map,
+// which is stamped in place.
+func (p *promCollector) collect(kind string, walk func(func(string, map[string]string, float64), func(string, map[string]string, obs.HistogramSnapshot))) {
+	walk(func(name string, labels map[string]string, value float64) {
+		labels["kind"] = kind
+		p.sample(name, labels, value)
+	}, func(name string, labels map[string]string, h obs.HistogramSnapshot) {
+		labels["kind"] = kind
+		writeHistogram(p, name, labels, h)
+	})
 }
 
-// sample appends one sample directly (runtime/HTTP metrics the serve.Collect
-// walk does not produce), optionally with an exemplar.
-func (p *promCollector) sample(name string, labels map[string]string, value float64, ex *promExemplar) {
-	if fam := promFamily(name); fam != name {
-		p.hist[fam] = true
-	}
-	p.samples = append(p.samples, promSample{name: name, labels: labels, value: value, exemplar: ex})
+// sample appends one counter or gauge sample.
+func (p *promCollector) sample(name string, labels map[string]string, value float64) {
+	p.samples = append(p.samples, promSample{family: name, name: name, labels: labels, value: value})
 }
 
-// promFamily strips the histogram series suffixes; for scalar series the
-// family is the name itself.
-func promFamily(name string) string {
-	for _, suf := range []string{"_bucket", "_sum", "_count"} {
-		if strings.HasSuffix(name, suf) {
-			return strings.TrimSuffix(name, suf)
-		}
-	}
-	return name
-}
-
-// promType infers the family's TYPE from its name: histogram when any
-// suffixed series was seen, counter on the _total convention, else gauge.
+// promType gives the family's TYPE: histogram for what writeHistogram
+// rendered, counter on the _total convention, else gauge.
 func (p *promCollector) promType(family string) string {
 	switch {
 	case p.hist[family]:
@@ -90,6 +70,37 @@ func (p *promCollector) promType(family string) string {
 	default:
 		return "gauge"
 	}
+}
+
+// writeHistogram renders an obs histogram snapshot as the Prometheus
+// cumulative-bucket series — name_bucket{le=...} up to le="+Inf", which
+// equals name_count, then name_sum — under one histogram TYPE line. It is
+// the exposition's only histogram writer: the serving layer's latency and
+// cache-build histograms, the gateway's request durations and the runtime's
+// GC pauses all go through it. labels are copied, never modified.
+func writeHistogram(pc *promCollector, name string, labels map[string]string, snap obs.HistogramSnapshot) {
+	pc.hist[name] = true
+	series := func(suffix, le string, v float64) {
+		m := make(map[string]string, len(labels)+1)
+		for k, v := range labels {
+			m[k] = v
+		}
+		if le != "" {
+			m["le"] = le
+		}
+		pc.samples = append(pc.samples, promSample{family: name, name: name + suffix, labels: m, value: v})
+	}
+	var cum uint64
+	for i, c := range snap.Counts {
+		cum += c
+		le := "+Inf"
+		if i < len(snap.Bounds) {
+			le = strconv.FormatFloat(snap.Bounds[i], 'g', -1, 64)
+		}
+		series("_bucket", le, float64(cum))
+	}
+	series("_sum", "", snap.Sum)
+	series("_count", "", float64(snap.Count))
 }
 
 // labelEscaper is shared: a Replacer builds its lookup table on first use,
@@ -133,8 +144,7 @@ func renderLabels(labels map[string]string) string {
 func (p *promCollector) write(w io.Writer) error {
 	byFamily := map[string][]promSample{}
 	for _, s := range p.samples {
-		fam := promFamily(s.name)
-		byFamily[fam] = append(byFamily[fam], s)
+		byFamily[s.family] = append(byFamily[s.family], s)
 	}
 	families := make([]string, 0, len(byFamily))
 	for fam := range byFamily {
@@ -147,11 +157,7 @@ func (p *promCollector) write(w io.Writer) error {
 		}
 		lines := make([]string, 0, len(byFamily[fam]))
 		for _, s := range byFamily[fam] {
-			line := fmt.Sprintf("%s%s %s", s.name, renderLabels(s.labels), strconv.FormatFloat(s.value, 'g', -1, 64))
-			if s.exemplar != nil {
-				line += fmt.Sprintf(" # %s %s", renderLabels(s.exemplar.labels), strconv.FormatFloat(s.exemplar.value, 'g', -1, 64))
-			}
-			lines = append(lines, line)
+			lines = append(lines, s.name+renderLabels(s.labels)+" "+strconv.FormatFloat(s.value, 'g', -1, 64))
 		}
 		sort.Strings(lines)
 		for _, line := range lines {

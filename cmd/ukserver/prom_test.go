@@ -6,26 +6,28 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	ukc "repro"
+	"repro/obs"
 	"repro/serve"
 )
 
 // TestPromWriteGolden pins the exposition byte-for-byte on a fixed sample
-// set: family grouping, TYPE inference (counter/_total, histogram from
-// _bucket/_sum/_count, gauge otherwise), sorted deterministic ordering and
-// label escaping.
+// set: family grouping, TYPE (counter on _total, histogram for what
+// writeHistogram renders, gauge otherwise), cumulative buckets up to
+// le="+Inf", sorted deterministic ordering and label escaping.
 func TestPromWriteGolden(t *testing.T) {
 	pc := newPromCollector()
-	add := pc.add("euclidean")
-	add("ukc_serve_requests_total", map[string]string{"shard": "0", "outcome": "completed"}, 12)
-	add("ukc_serve_requests_total", map[string]string{"shard": "0", "outcome": "failed"}, 1)
-	add("ukc_serve_queue_depth", map[string]string{"shard": "0"}, 3)
-	add("ukc_serve_latency_seconds", map[string]string{"shard": "0", "stage": "exec", "quantile": "0.99"}, 0.25)
-	add("ukc_serve_instance_cache_build_seconds_bucket", map[string]string{"shard": "0", "instance": `we"ird\name`, "le": "0.005"}, 2)
-	add("ukc_serve_instance_cache_build_seconds_bucket", map[string]string{"shard": "0", "instance": `we"ird\name`, "le": "+Inf"}, 3)
-	add("ukc_serve_instance_cache_build_seconds_sum", map[string]string{"shard": "0", "instance": `we"ird\name`}, 0.0075)
-	add("ukc_serve_instance_cache_build_seconds_count", map[string]string{"shard": "0", "instance": `we"ird\name`}, 3)
+	pc.collect("euclidean", func(scalar func(string, map[string]string, float64), hist func(string, map[string]string, obs.HistogramSnapshot)) {
+		scalar("ukc_serve_requests_total", map[string]string{"shard": "0", "outcome": "completed"}, 12)
+		scalar("ukc_serve_requests_total", map[string]string{"shard": "0", "outcome": "failed"}, 1)
+		scalar("ukc_serve_queue_depth", map[string]string{"shard": "0"}, 3)
+		hist("ukc_serve_latency_seconds", map[string]string{"shard": "0", "stage": "exec"},
+			obs.HistogramSnapshot{Bounds: []float64{0.1, 0.5}, Counts: []uint64{1, 2, 0}, Sum: 0.75, Count: 3})
+		hist("ukc_serve_instance_cache_build_seconds", map[string]string{"shard": "0", "instance": `we"ird\name`},
+			obs.HistogramSnapshot{Bounds: []float64{0.005}, Counts: []uint64{2, 1}, Sum: 0.0075, Count: 3})
+	})
 
 	var b strings.Builder
 	if err := pc.write(&b); err != nil {
@@ -36,8 +38,12 @@ ukc_serve_instance_cache_build_seconds_bucket{instance="we\"ird\\name",kind="euc
 ukc_serve_instance_cache_build_seconds_bucket{instance="we\"ird\\name",kind="euclidean",le="0.005",shard="0"} 2
 ukc_serve_instance_cache_build_seconds_count{instance="we\"ird\\name",kind="euclidean",shard="0"} 3
 ukc_serve_instance_cache_build_seconds_sum{instance="we\"ird\\name",kind="euclidean",shard="0"} 0.0075
-# TYPE ukc_serve_latency_seconds gauge
-ukc_serve_latency_seconds{kind="euclidean",quantile="0.99",shard="0",stage="exec"} 0.25
+# TYPE ukc_serve_latency_seconds histogram
+ukc_serve_latency_seconds_bucket{kind="euclidean",le="+Inf",shard="0",stage="exec"} 3
+ukc_serve_latency_seconds_bucket{kind="euclidean",le="0.1",shard="0",stage="exec"} 1
+ukc_serve_latency_seconds_bucket{kind="euclidean",le="0.5",shard="0",stage="exec"} 3
+ukc_serve_latency_seconds_count{kind="euclidean",shard="0",stage="exec"} 3
+ukc_serve_latency_seconds_sum{kind="euclidean",shard="0",stage="exec"} 0.75
 # TYPE ukc_serve_queue_depth gauge
 ukc_serve_queue_depth{kind="euclidean",shard="0"} 3
 # TYPE ukc_serve_requests_total counter
@@ -53,10 +59,11 @@ ukc_serve_requests_total{kind="euclidean",outcome="failed",shard="0"} 1
 // written comes back with its name, labels (escapes included) and value.
 func TestPromRoundTrip(t *testing.T) {
 	pc := newPromCollector()
-	add := pc.add("finite")
-	add("ukc_serve_requests_total", map[string]string{"shard": "1", "outcome": "canceled"}, 7)
-	add("ukc_serve_cache_bytes", map[string]string{"shard": "1"}, 98304)
-	add("ukc_serve_instance_cache_bytes", map[string]string{"shard": "1", "instance": `a\b"c`}, 4096)
+	pc.collect("finite", func(scalar func(string, map[string]string, float64), _ func(string, map[string]string, obs.HistogramSnapshot)) {
+		scalar("ukc_serve_requests_total", map[string]string{"shard": "1", "outcome": "canceled"}, 7)
+		scalar("ukc_serve_cache_bytes", map[string]string{"shard": "1"}, 98304)
+		scalar("ukc_serve_instance_cache_bytes", map[string]string{"shard": "1", "instance": `a\b"c`}, 4096)
+	})
 
 	var b strings.Builder
 	if err := pc.write(&b); err != nil {
@@ -89,9 +96,8 @@ func TestPromLabelEscapeRoundTrip(t *testing.T) {
 		`{braces}and=equals,commas`,
 	}
 	pc := newPromCollector()
-	add := pc.add("euclidean")
 	for i, name := range names {
-		add("ukc_serve_instance_cache_bytes", map[string]string{"instance": name}, float64(i+1))
+		pc.sample("ukc_serve_instance_cache_bytes", map[string]string{"instance": name}, float64(i+1))
 	}
 	var b strings.Builder
 	if err := pc.write(&b); err != nil {
@@ -125,30 +131,18 @@ func TestEscapeLabelAllocs(t *testing.T) {
 	}
 }
 
-// TestPromExemplarRoundTrip pins the exemplar wire format: write renders
-// the OpenMetrics suffix, and the parser tolerates it — the sample's value
-// comes back intact with the exemplar discarded.
-func TestPromExemplarRoundTrip(t *testing.T) {
-	pc := newPromCollector()
-	pc.sample("ukc_http_request_duration_seconds_bucket",
-		map[string]string{"le": "0.1"}, 7,
-		&promExemplar{labels: map[string]string{"trace_id": "4bf92f3577b34da6a3ce929d0e0e4736"}, value: 0.063})
-	var b strings.Builder
-	if err := pc.write(&b); err != nil {
+// TestHTTPLatencyObserveAllocs pins the gateway's per-request latency
+// recording allocation-free: requestLog's one observe into the gateway
+// histogram, with no exemplar or trace-ID formatting beside it.
+func TestHTTPLatencyObserveAllocs(t *testing.T) {
+	gw, err := newGateway(1, nil, nil, "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	want := `ukc_http_request_duration_seconds_bucket{le="0.1"} 7 # {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 0.063`
-	if !strings.Contains(out, want) {
-		t.Fatalf("exposition missing exemplar line %q:\n%s", want, out)
-	}
-	series, err := parsePromText(strings.NewReader(out))
-	if err != nil {
-		t.Fatalf("parsing exposition with exemplar: %v", err)
-	}
-	s := series["ukc_http_request_duration_seconds_bucket"]
-	if len(s) != 1 || s[0].value != 7 || s[0].labels["le"] != "0.1" {
-		t.Fatalf("exemplar sample round-trip = %+v", s)
+	defer gw.close()
+	d := 3 * time.Millisecond
+	if allocs := testing.AllocsPerRun(1000, func() { gw.httpLat.Observe(d.Seconds()) }); allocs != 0 {
+		t.Fatalf("HTTP latency observe allocates %v times per request, want 0", allocs)
 	}
 }
 
@@ -163,7 +157,7 @@ func TestPromCollectZeroInstances(t *testing.T) {
 	}
 	defer srv.Close()
 	pc := newPromCollector()
-	srv.Collect(pc.add("euclidean"))
+	pc.collect("euclidean", srv.Collect)
 	var b strings.Builder
 	if err := pc.write(&b); err != nil {
 		t.Fatal(err)
@@ -185,13 +179,18 @@ func TestPromCollectZeroInstances(t *testing.T) {
 }
 
 // TestPromParseRejectsMalformed pins the parser's error paths — the
-// selfcheck relies on a failed parse meaning a malformed exposition.
+// selfcheck relies on a failed parse meaning a malformed exposition. The
+// parser is strict: anything after the value, an OpenMetrics exemplar
+// included, is malformed in the text/plain; version=0.0.4 format /metrics
+// declares.
 func TestPromParseRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
-		`ukc_serve_queue_depth{shard="0"`,         // unterminated label block
-		`ukc_serve_queue_depth{shard="0} 1`,       // unterminated value quote
-		`ukc_serve_queue_depth{shard=0} 1`,        // unquoted label value
-		`ukc_serve_queue_depth{shard="0"} notnum`, // non-numeric value
+		`ukc_http_request_duration_seconds_bucket{le="0.1"} 7 # {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 0.063`, // exemplar
+		`ukc_serve_queue_depth{shard="0"} 1 1700000000000`,                                                           // trailing field
+		`ukc_serve_queue_depth{shard="0"`,                                                                            // unterminated label block
+		`ukc_serve_queue_depth{shard="0} 1`,                                                                          // unterminated value quote
+		`ukc_serve_queue_depth{shard=0} 1`,                                                                           // unquoted label value
+		`ukc_serve_queue_depth{shard="0"} notnum`,                                                                    // non-numeric value
 		`1metric 5`,                    // invalid name
 		"# TYPE ukc_serve_queue_depth", // malformed TYPE comment
 		`ukc_serve_queue_depth`,        // no value
@@ -203,9 +202,10 @@ func TestPromParseRejectsMalformed(t *testing.T) {
 }
 
 // parsePromText parses an exposition document back into samples keyed by
-// series name. It accepts exactly the subset write produces (plus blank
-// lines and arbitrary comments) and errors on anything malformed — the
-// selfcheck uses it to prove the endpoint serves parseable output.
+// series name. It accepts exactly the subset write produces — every sample
+// line name[{labels}] value, nothing after the value — plus blank lines and
+// arbitrary comments, and errors on anything else: the selfcheck and the
+// trace end-to-end test use it to prove the endpoint serves valid output.
 func parsePromText(r io.Reader) (map[string][]promSample, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -238,9 +238,8 @@ func parsePromLine(line string) (promSample, error) {
 	rest := line
 	if i := strings.IndexByte(rest, '{'); i >= 0 {
 		s.name = rest[:i]
-		// Quote-aware scan, not LastIndexByte: an exemplar suffix carries a
-		// second label block, and '}' may legitimately appear inside a quoted
-		// label value.
+		// Quote-aware scan, not LastIndexByte: '}' may legitimately appear
+		// inside a quoted label value.
 		end := labelBlockEnd(rest, i+1)
 		if end < 0 {
 			return s, fmt.Errorf("unterminated label block in %q", line)
@@ -257,11 +256,6 @@ func parsePromLine(line string) (promSample, error) {
 			return s, fmt.Errorf("want 'name value', got %q", line)
 		}
 		s.name, rest = fields[0], strings.TrimSpace(strings.TrimPrefix(rest, fields[0]))
-	}
-	// Tolerate (and discard) an OpenMetrics exemplar: the value can never
-	// contain '#', so everything from the first '#' on is the exemplar.
-	if i := strings.IndexByte(rest, '#'); i >= 0 {
-		rest = strings.TrimSpace(rest[:i])
 	}
 	if s.name == "" || !isPromName(s.name) {
 		return s, fmt.Errorf("invalid metric name in %q", line)

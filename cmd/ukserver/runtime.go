@@ -9,7 +9,6 @@ import (
 	"math"
 	"runtime"
 	"runtime/metrics"
-	"strconv"
 
 	"repro/obs"
 )
@@ -21,19 +20,19 @@ var gcPauseBounds = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1}
 
 // collectRuntime appends the Go runtime series to the scrape.
 func collectRuntime(pc *promCollector) {
-	pc.sample("go_goroutines", nil, float64(runtime.NumGoroutine()), nil)
+	pc.sample("go_goroutines", nil, float64(runtime.NumGoroutine()))
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	pc.sample("go_heap_alloc_bytes", nil, float64(ms.HeapAlloc), nil)
-	pc.sample("go_heap_inuse_bytes", nil, float64(ms.HeapInuse), nil)
-	pc.sample("go_heap_objects", nil, float64(ms.HeapObjects), nil)
-	pc.sample("go_gc_cycles_total", nil, float64(ms.NumGC), nil)
+	pc.sample("go_heap_alloc_bytes", nil, float64(ms.HeapAlloc))
+	pc.sample("go_heap_inuse_bytes", nil, float64(ms.HeapInuse))
+	pc.sample("go_heap_objects", nil, float64(ms.HeapObjects))
+	pc.sample("go_gc_cycles_total", nil, float64(ms.NumGC))
 
 	samples := []metrics.Sample{{Name: "/gc/pauses:seconds"}}
 	metrics.Read(samples)
 	if h := samples[0].Value.Float64Histogram(); h != nil {
-		writeHistogram(pc, "go_gc_pause_seconds", nil, rebucket(h, gcPauseBounds), nil)
+		writeHistogram(pc, "go_gc_pause_seconds", nil, rebucket(h, gcPauseBounds))
 	}
 }
 
@@ -67,37 +66,4 @@ func rebucket(h *metrics.Float64Histogram, bounds []float64) obs.HistogramSnapsh
 		snap.Sum += float64(c) * (lo + hi) / 2
 	}
 	return snap
-}
-
-// writeHistogram renders an obs histogram snapshot as the Prometheus
-// cumulative-bucket series (name_bucket{le=...}, name_sum, name_count),
-// attaching the per-bucket exemplars when given (len(Counts), nil entries
-// skipped).
-func writeHistogram(pc *promCollector, name string, labels map[string]string, snap obs.HistogramSnapshot, exemplars []*promExemplar) {
-	withLE := func(le string) map[string]string {
-		m := map[string]string{"le": le}
-		for k, v := range labels {
-			m[k] = v
-		}
-		return m
-	}
-	var cum uint64
-	for i, c := range snap.Counts {
-		cum += c
-		le := "+Inf"
-		if i < len(snap.Bounds) {
-			le = strconv.FormatFloat(snap.Bounds[i], 'g', -1, 64)
-		}
-		var ex *promExemplar
-		if i < len(exemplars) {
-			ex = exemplars[i]
-		}
-		pc.sample(name+"_bucket", withLE(le), float64(cum), ex)
-	}
-	sumLabels := map[string]string{}
-	for k, v := range labels {
-		sumLabels[k] = v
-	}
-	pc.sample(name+"_sum", sumLabels, snap.Sum, nil)
-	pc.sample(name+"_count", sumLabels, float64(snap.Count), nil)
 }

@@ -391,9 +391,11 @@ func scrapeProm(client *http.Client, base string) error {
 	if caps, _ := sum("ukc_serve_queue_capacity", nil); caps <= 0 {
 		return fmt.Errorf("queue capacity total = %v, want > 0", caps)
 	}
-	for _, stage := range []string{"queue", "exec", "total"} {
-		if _, n := sum("ukc_serve_latency_seconds", map[string]string{"stage": stage, "quantile": "0.99"}); n == 0 {
-			return fmt.Errorf("latency stage %q missing", stage)
+	for _, kind := range []string{dataio.KindEuclidean, dataio.KindFinite} {
+		for _, stage := range []string{"queue", "exec", "total"} {
+			if count, _ := sum("ukc_serve_latency_seconds_count", map[string]string{"kind": kind, "stage": stage}); count < 1 {
+				return fmt.Errorf("kind %s: latency stage %q counts %v requests, want >= 1", kind, stage, count)
+			}
 		}
 	}
 	if builds, _ := sum("ukc_serve_instance_cache_build_seconds_count", map[string]string{"instance": "smoke-fin"}); builds < 1 {

@@ -5,7 +5,7 @@ package main
 // the client and gateway share assembles ONE trace — client call and
 // attempt spans, the serving layer's request/queue/exec tree, and the
 // solver's local-search spans — retained by tail sampling and served on
-// /v1/traces with the trace ID surfacing as a /metrics exemplar.
+// /v1/traces, where a slow /metrics latency bucket leads through ?min_ms=.
 
 import (
 	"context"
@@ -51,8 +51,9 @@ func traceGateway(t *testing.T, fr *obs.FlightRecorder) (*httptest.Server, *clie
 // driven through client → ukserver → serve → solver is retained as one
 // trace whose tree carries the client attempt span, the queue-wait span,
 // the exec span and the solver's ls.* spans — all under the trace ID the
-// client propagated — and that ID links back from the /metrics latency
-// exemplar.
+// client propagated. The live /metrics scrape stays valid in its declared
+// format, and the slow bucket it shows leads back to the trace through
+// GET /v1/traces?min_ms=.
 func TestTraceEndToEnd(t *testing.T) {
 	const threshold = 50 * time.Millisecond
 	fr := obs.NewFlightRecorder(obs.FlightConfig{Reservoir: -1, Threshold: threshold})
@@ -148,19 +149,61 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("no ls.* solver spans in the trace: %+v", tr.Spans)
 	}
 
-	// The slow request's trace ID is the /metrics latency exemplar for the
-	// bucket it landed in — the scrape links back to this exact trace.
-	mresp, err := http.Get(ts.URL + "/metrics")
+	// Every sample line of the live scrape is strictly name[{labels}] value,
+	// as text/plain; version=0.0.4 has it: parsePromText rejects anything
+	// after the value, an exemplar included. The gateway histogram shows a
+	// request slower than 50ms (its le=0.05 bucket holds fewer than all of
+	// them) once requestLog, which observes after the response is written,
+	// has recorded the slow call.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mresp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		series, err := parsePromText(mresp.Body)
+		mresp.Body.Close()
+		if err != nil {
+			t.Fatalf("live exposition is not valid text format: %v", err)
+		}
+		var fast, all float64
+		for _, b := range series["ukc_http_request_duration_seconds_bucket"] {
+			switch b.labels["le"] {
+			case "0.05":
+				fast = b.value
+			case "+Inf":
+				all = b.value
+			}
+		}
+		if fast < all {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("HTTP latency histogram shows no request over 50ms (le=0.05: %v of %v)", fast, all)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// The operator's next step from that bucket, /v1/traces?min_ms=50,
+	// serves the slow request's trace.
+	var slow struct {
+		Traces []traceOut `json:"traces"`
+	}
+	sresp, err := http.Get(ts.URL + "/v1/traces?min_ms=50")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if want := `# {trace_id="` + tr.TraceID + `"}`; !strings.Contains(string(body), want) {
-		t.Fatalf("/metrics carries no exemplar %s", want)
+	err = json.NewDecoder(sresp.Body).Decode(&slow)
+	sresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := parsePromText(strings.NewReader(string(body))); err != nil {
-		t.Fatalf("exposition with exemplars no longer parses: %v", err)
+	found := false
+	for _, st := range slow.Traces {
+		found = found || st.TraceID == tr.TraceID
+	}
+	if !found {
+		t.Fatalf("/v1/traces?min_ms=50 does not serve the slow request's trace %s", tr.TraceID)
 	}
 
 	// Nothing is in flight once the call returned.

@@ -127,12 +127,13 @@ func main() {
 	fmt.Printf("unassigned solve on grid-0: ecost %.4f (evictions during the request: %d)\n", un.Ecost, after.Evictions-before.Evictions)
 
 	// The metrics snapshot: queue occupancy, cache accounting against the
-	// budget, warm-cache hit rate and latency quantiles, per shard.
+	// budget, warm-cache hit rate and the end-to-end latency histogram's
+	// p50, per shard; the totals merge the shards' histograms bucket-wise.
 	for _, m := range srv.Metrics().Shards {
-		fmt.Printf("shard %d: %d instances, cache %d/%d bytes, %d completed, hit rate %.2f, %d evictions, p50 %v\n",
-			m.Shard, m.Instances, m.CacheBytes, m.CacheBudget, m.Completed, m.HitRate(), m.Evictions, m.LatencyP50.Round(10*time.Microsecond))
+		fmt.Printf("shard %d: %d instances, cache %d/%d bytes, %d completed, hit rate %.2f, %d evictions, p50 %.3fms\n",
+			m.Shard, m.Instances, m.CacheBytes, m.CacheBudget, m.Completed, m.HitRate(), m.Evictions, 1000*m.TotalLatency.Quantile(0.5))
 	}
 	tot := srv.Metrics().Totals()
-	fmt.Printf("total: %d completed, %d expired, hit rate %.2f, %d evictions\n",
-		tot.Completed, tot.Expired, tot.HitRate(), tot.Evictions)
+	fmt.Printf("total: %d completed, %d expired, hit rate %.2f, %d evictions, p50 %.3fms over %d requests\n",
+		tot.Completed, tot.Expired, tot.HitRate(), tot.Evictions, 1000*tot.TotalLatency.Quantile(0.5), tot.TotalLatency.Count)
 }

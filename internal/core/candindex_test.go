@@ -197,14 +197,13 @@ type attrTracer struct {
 	spans map[string][][]obs.Attr
 }
 
-func (a *attrTracer) Span(name, _ string, _ time.Time, _ time.Duration, attrs []obs.Attr) {
+func (a *attrTracer) Span(name string, _ time.Time, _ time.Duration, attrs []obs.Attr) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.spans == nil {
 		a.spans = map[string][][]obs.Attr{}
 	}
-	cp := append([]obs.Attr(nil), attrs...)
-	a.spans[name] = append(a.spans[name], cp)
+	a.spans[name] = append(a.spans[name], attrs)
 }
 
 // TestPruneSpanEvidence proves pruning actually happens and is accounted:

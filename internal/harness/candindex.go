@@ -20,7 +20,7 @@ type pruneTally struct {
 	pruned  int64
 }
 
-func (p *pruneTally) Span(name, _ string, _ time.Time, _ time.Duration, attrs []obs.Attr) {
+func (p *pruneTally) Span(name string, _ time.Time, _ time.Duration, attrs []obs.Attr) {
 	if name != "ls.prune" {
 		return
 	}

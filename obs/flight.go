@@ -44,7 +44,7 @@ const (
 
 // TraceSpan is one completed span inside an assembled trace. ParentID is
 // zero for the trace root; Attrs follows the Tracer contract (integer-only,
-// copied at record time).
+// handed over by the recording call).
 type TraceSpan struct {
 	SpanID   SpanID
 	ParentID SpanID
@@ -286,28 +286,14 @@ func (a *ActiveTrace) NewSpanID() SpanID {
 	return NewSpanID()
 }
 
-// Record adds one completed span with an explicit ID and parent. attrs are
-// copied. No-op on a nil handle.
+// Record adds one completed span with an explicit ID and parent. attrs is
+// retained as handed over, as the Tracer contract has it. No-op on a nil
+// handle.
 func (a *ActiveTrace) Record(id, parent SpanID, name, instance string, start time.Time, dur time.Duration, attrs ...Attr) {
 	if a == nil {
 		return
 	}
-	var copied []Attr
-	if len(attrs) > 0 {
-		copied = append(copied, attrs...)
-	}
-	a.st.add(TraceSpan{SpanID: id, ParentID: parent, Name: name, Instance: instance, Start: start, Dur: dur, Attrs: copied})
-}
-
-// Add records a completed span under parent with a fresh ID, returning it.
-// Zero ID on a nil handle.
-func (a *ActiveTrace) Add(parent SpanID, name, instance string, start time.Time, dur time.Duration, attrs ...Attr) SpanID {
-	if a == nil {
-		return SpanID{}
-	}
-	id := NewSpanID()
-	a.Record(id, parent, name, instance, start, dur, attrs...)
-	return id
+	a.st.add(TraceSpan{SpanID: id, ParentID: parent, Name: name, Instance: instance, Start: start, Dur: dur, Attrs: attrs})
 }
 
 // Tracer returns a Tracer that assembles every reported span into the trace
@@ -328,12 +314,8 @@ type traceTracer struct {
 	parent SpanID
 }
 
-func (t traceTracer) Span(name, instance string, start time.Time, dur time.Duration, attrs []Attr) {
-	var copied []Attr
-	if len(attrs) > 0 {
-		copied = append(copied, attrs...)
-	}
-	t.st.add(TraceSpan{SpanID: NewSpanID(), ParentID: t.parent, Name: name, Instance: instance, Start: start, Dur: dur, Attrs: copied})
+func (t traceTracer) Span(name string, start time.Time, dur time.Duration, attrs []Attr) {
+	t.st.add(TraceSpan{SpanID: NewSpanID(), ParentID: t.parent, Name: name, Start: start, Dur: dur, Attrs: attrs})
 }
 
 // Finish completes this participant: its root span's duration is stamped,

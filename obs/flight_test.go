@@ -130,7 +130,7 @@ func TestFlightRecorderDropsAfterFinish(t *testing.T) {
 	at.Finish(errors.New("gone"))
 	// A late worker reporting after completion must not corrupt the trace.
 	at.Record(NewSpanID(), at.RootID(), "late", "", time.Now(), time.Millisecond)
-	tracer.Span("later", "", time.Now(), time.Millisecond, nil)
+	tracer.Span("later", time.Now(), time.Millisecond, nil)
 
 	traces := f.Traces()
 	if len(traces) != 1 || len(traces[0].Spans) != 1 {
@@ -142,7 +142,7 @@ func TestFlightRecorderMaxSpans(t *testing.T) {
 	f := NewFlightRecorder(FlightConfig{Reservoir: -1, Threshold: time.Hour, MaxSpans: 3})
 	finishTrace(f, "req", errors.New("e"), func(at *ActiveTrace) {
 		for i := 0; i < 5; i++ {
-			at.Add(at.RootID(), "child", "", time.Now(), time.Microsecond)
+			at.Record(NewSpanID(), at.RootID(), "child", "", time.Now(), time.Microsecond)
 		}
 	})
 	tr := f.Traces()[0]
@@ -180,7 +180,7 @@ func TestFlightRecorderTracerAssembles(t *testing.T) {
 		execID = at.NewSpanID()
 		tr := at.Tracer(execID)
 		start := time.Now()
-		tr.Span("ls.descent", "inst", start, time.Millisecond, []Attr{{Key: "iters", Val: 3}})
+		tr.Span("ls.descent", start, time.Millisecond, []Attr{{Key: "iters", Val: 3}})
 		at.Record(execID, at.RootID(), "serve.exec", "inst", start, 2*time.Millisecond)
 	})
 	tr := f.Traces()[0]
@@ -207,7 +207,6 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 		t.Fatal("nil handle returned a tracer")
 	}
 	at.Record(SpanID{}, SpanID{}, "x", "", time.Time{}, 0)
-	at.Add(SpanID{}, "x", "", time.Time{}, 0)
 	at.Finish(nil)
 	if tr := f.Traces(); tr != nil {
 		t.Fatal("nil recorder returned traces")

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -70,9 +71,10 @@ func NewHistogram(bounds ...float64) *Histogram {
 }
 
 // DurationBuckets is the bucket layout (in seconds) the serving layer uses
-// for cache-build and request durations: 100µs to ~30s, roughly
-// geometrically spaced — wide enough for a cold surrogate build on a large
-// instance, fine enough to separate a warm microsecond path from a rebuild.
+// for cache-build and request durations: 100µs to 30s, each bound 2× or 5×
+// the one before it up to 5s — wide enough for a cold surrogate build on a
+// large instance, fine enough to separate a warm microsecond path from a
+// rebuild.
 func DurationBuckets() []float64 {
 	return []float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 30}
 }
@@ -89,14 +91,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// BucketIndex returns the index of the bucket v falls in — the same index
-// Observe(v) increments, with len(Bounds) meaning the +Inf overflow bucket.
-// Exemplar attachment uses this to pin a trace ID to the bucket its latency
-// landed in.
-func (h *Histogram) BucketIndex(v float64) int {
-	return sort.SearchFloat64s(h.bounds, v)
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram: the bucket
@@ -122,4 +116,65 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
+}
+
+// Merge returns the bucket-wise sum of s and o: the snapshot one histogram
+// fed both streams of observations would hold (Sum up to float rounding).
+// The zero snapshot is the identity. Panics when both carry buckets over
+// different bounds, as NewHistogram does on bad bounds: a bucket layout is
+// static configuration, and counts over different layouts do not add.
+func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
+	if len(s.Counts) == 0 {
+		s, o = o, s
+	}
+	out := HistogramSnapshot{Bounds: s.Bounds, Counts: slices.Clone(s.Counts), Sum: s.Sum + o.Sum, Count: s.Count + o.Count}
+	if len(o.Counts) == 0 {
+		return out
+	}
+	if !slices.Equal(s.Bounds, o.Bounds) {
+		panic("obs: merging histograms with different bounds")
+	}
+	for i, c := range o.Counts {
+		out.Counts[i] += c
+	}
+	return out
+}
+
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observations with
+// Prometheus's histogram_quantile semantics: it finds the bucket holding
+// rank q·n, n the bucket total, and interpolates linearly inside it, the
+// first bucket starting at 0. The estimate therefore lies in the same
+// bucket as the true quantile, and its error is at most that bucket's
+// width. A rank in the +Inf bucket returns the largest finite bound; an
+// empty snapshot returns 0.
+func (s HistogramSnapshot) Quantile(q float64) float64 {
+	var n uint64
+	for _, c := range s.Counts {
+		n += c
+	}
+	if n == 0 {
+		return 0
+	}
+	rank := q * float64(n)
+	var below uint64 // observations in the buckets before i
+	for i, c := range s.Counts {
+		// The first non-empty bucket whose cumulative count reaches the
+		// rank holds it; skipping empty buckets gives q = 0 the bucket of
+		// the smallest observation.
+		if c == 0 || float64(below+c) < rank {
+			below += c
+			continue
+		}
+		if i == len(s.Bounds) {
+			break
+		}
+		hi, lo := s.Bounds[i], 0.0
+		if i > 0 {
+			lo = s.Bounds[i-1]
+		} else if hi <= 0 {
+			return hi
+		}
+		return lo + (hi-lo)*(rank-float64(below))/float64(c)
+	}
+	return s.Bounds[len(s.Bounds)-1]
 }

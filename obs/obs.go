@@ -54,12 +54,12 @@ func Micros(key string, v float64) Attr { return Attr{Key: key, Val: int64(v * 1
 // must be goroutine-safe: the solver's worker pools report concurrently.
 //
 // name identifies the instrumented region (e.g. "compile.validate",
-// "surrogate.build.ep", "ls.iter" — DESIGN.md §8 lists the vocabulary);
-// instance is the serving-layer instance label when one is known ("" from
-// library use — wrap with WithInstance to stamp one); attrs is valid only
-// for the duration of the call and must be copied to be retained.
+// "surrogate.build.ep", "ls.iter" — DESIGN.md §8 lists the vocabulary).
+// attrs is handed over: the caller never touches the slice again, so a
+// tracer may retain it without copying, and must not modify it (a Multi
+// fan-out hands every tracer the same slice).
 type Tracer interface {
-	Span(name, instance string, start time.Time, dur time.Duration, attrs []Attr)
+	Span(name string, start time.Time, dur time.Duration, attrs []Attr)
 }
 
 // maxSpanAttrs is the inline attribute capacity of a Span; attributes set
@@ -113,48 +113,24 @@ func (s *Span) Micros(key string, v float64) {
 	s.Int64(key, int64(v*1e6))
 }
 
-// End completes the span and reports it to the tracer. The attribute slice
-// handed over is freshly allocated per call (the only allocation a live
-// span performs), so tracers may retain it.
+// End completes the span and reports it to the tracer, handing over a
+// freshly allocated attribute slice (the only allocation a live span
+// performs; see Tracer).
 func (s *Span) End() {
 	if s.tr == nil {
 		return
 	}
 	attrs := make([]Attr, s.n)
 	copy(attrs, s.attrs[:s.n])
-	s.tr.Span(s.name, "", s.start, time.Since(s.start), attrs)
-}
-
-// instanceTracer stamps a fixed instance label onto every span; see
-// WithInstance.
-type instanceTracer struct {
-	tr       Tracer
-	instance string
-}
-
-func (t instanceTracer) Span(name, _ string, start time.Time, dur time.Duration, attrs []Attr) {
-	t.tr.Span(name, t.instance, start, dur, attrs)
-}
-
-// WithInstance wraps tr so every span reports with the given instance
-// label, overriding whatever the span carried. Library code below the
-// serving layer does not know registry names, so its spans report with an
-// empty instance; the serving layer wraps its per-entry tracers with this
-// to attribute cache builds to the instance that triggered them. A nil tr
-// stays nil.
-func WithInstance(tr Tracer, instance string) Tracer {
-	if tr == nil {
-		return nil
-	}
-	return instanceTracer{tr: tr, instance: instance}
+	s.tr.Span(s.name, s.start, time.Since(s.start), attrs)
 }
 
 // multiTracer fans every span out to several tracers; see Multi.
 type multiTracer []Tracer
 
-func (m multiTracer) Span(name, instance string, start time.Time, dur time.Duration, attrs []Attr) {
+func (m multiTracer) Span(name string, start time.Time, dur time.Duration, attrs []Attr) {
 	for _, tr := range m {
-		tr.Span(name, instance, start, dur, attrs)
+		tr.Span(name, start, dur, attrs)
 	}
 }
 

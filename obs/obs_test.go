@@ -3,6 +3,8 @@ package obs
 import (
 	"context"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -45,7 +47,7 @@ func TestSpanReportsToTracer(t *testing.T) {
 		t.Fatalf("recorded %d spans, want 1", len(spans))
 	}
 	s := spans[0]
-	if s.Name != "region" || s.Instance != "" {
+	if s.Name != "region" {
 		t.Fatalf("span = %+v", s)
 	}
 	if v, ok := s.Attr("count"); !ok || v != 7 {
@@ -70,19 +72,6 @@ func TestSpanAttrOverflow(t *testing.T) {
 	sp.End()
 	if got := len(rec.Spans()[0].Attrs); got != maxSpanAttrs {
 		t.Fatalf("retained %d attrs, want %d", got, maxSpanAttrs)
-	}
-}
-
-func TestWithInstance(t *testing.T) {
-	var rec Recorder
-	tr := WithInstance(&rec, "fleet")
-	sp := StartSpan(tr, "evaluator.build")
-	sp.End()
-	if got := rec.Spans()[0].Instance; got != "fleet" {
-		t.Fatalf("instance = %q, want fleet", got)
-	}
-	if WithInstance(nil, "fleet") != nil {
-		t.Fatal("WithInstance(nil) must stay nil")
 	}
 }
 
@@ -200,14 +189,147 @@ func TestNewHistogramPanics(t *testing.T) {
 	}
 }
 
-// TestRecorderAttrsCopied: the recorder must copy the attr slice — the
-// Tracer contract says attrs are valid only during the call.
-func TestRecorderAttrsCopied(t *testing.T) {
+// TestRetainedAttrsKeepValues pins the Tracer ownership rule: End hands
+// each span a fresh attrs slice, which the Recorder and the flight
+// recorder's trace assembly both keep without copying, so a retained slice
+// keeps its values across later spans from the same site.
+func TestRetainedAttrsKeepValues(t *testing.T) {
 	var rec Recorder
-	attrs := []Attr{{Key: "a", Val: 1}}
-	rec.Span("x", "", time.Now(), time.Millisecond, attrs)
-	attrs[0].Val = 99
-	if v, _ := rec.Spans()[0].Attr("a"); v != 1 {
-		t.Fatalf("recorder aliased the caller's attrs (saw %d)", v)
+	f := NewFlightRecorder(FlightConfig{Reservoir: -1, Threshold: time.Nanosecond})
+	at := f.Start(TraceContext{}, "req", "")
+	tr := Multi(&rec, at.Tracer(at.RootID()))
+	for i := 1; i <= 3; i++ {
+		sp := StartSpan(tr, "x")
+		sp.Int("a", i)
+		sp.End()
+	}
+	at.Finish(nil)
+
+	for i, s := range rec.Spans() {
+		if v, _ := s.Attr("a"); v != int64(i+1) {
+			t.Fatalf("recorder span %d reads a=%d, want %d", i, v, i+1)
+		}
+	}
+	var got []int64
+	for _, s := range f.Traces()[0].Spans {
+		if s.Name == "x" {
+			got = append(got, s.Attrs[0].Val)
+		}
+	}
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("trace spans read a=%v, want [1 2 3]", got)
+	}
+}
+
+// logUniform draws n values spread log-uniformly over [1e-5, 100) seconds:
+// every DurationBuckets bucket, the +Inf overflow included, sees samples.
+func logUniform(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Pow(10, -5+7*rng.Float64())
+	}
+	return out
+}
+
+// TestHistogramMerge: merging per-shard snapshots gives exactly the
+// snapshot of one histogram fed every sample — bucket counts and Count
+// bit for bit, Sum up to float reassociation — and the zero snapshot is
+// the identity that Totals-style folds start from.
+func TestHistogramMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	all := NewHistogram(DurationBuckets()...)
+	var merged HistogramSnapshot
+	for shard := 0; shard < 4; shard++ {
+		h := NewHistogram(DurationBuckets()...)
+		for _, v := range logUniform(rng, 200+50*shard) {
+			h.Observe(v)
+			all.Observe(v)
+		}
+		merged = merged.Merge(h.Snapshot())
+	}
+	want := all.Snapshot()
+	if !slices.Equal(merged.Bounds, want.Bounds) || !slices.Equal(merged.Counts, want.Counts) || merged.Count != want.Count {
+		t.Fatalf("merged %v (count %d), want %v (count %d)", merged.Counts, merged.Count, want.Counts, want.Count)
+	}
+	if math.Abs(merged.Sum-want.Sum) > 1e-12*want.Sum {
+		t.Fatalf("merged sum %v, want %v", merged.Sum, want.Sum)
+	}
+
+	// The result owns its counts: merging again leaves the inputs intact.
+	before := slices.Clone(want.Counts)
+	_ = want.Merge(want)
+	if !slices.Equal(want.Counts, before) {
+		t.Fatal("Merge wrote into its receiver's counts")
+	}
+}
+
+// TestHistogramMergePanics: counts over different bucket layouts do not
+// add, so Merge refuses them the way NewHistogram refuses bad bounds.
+func TestHistogramMergePanics(t *testing.T) {
+	base := NewHistogram(1, 10).Snapshot()
+	for _, other := range [][]float64{{1, 100}, {1}, {1, 10, 100}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("merging bounds [1 10] with %v did not panic", other)
+				}
+			}()
+			base.Merge(NewHistogram(other...).Snapshot())
+		}()
+	}
+}
+
+// TestHistogramQuantile pins histogram_quantile semantics: 0 on an empty
+// snapshot, linear interpolation inside the bucket that holds rank
+// q·Count (the bucket of the nearest-rank sample), and the largest finite
+// bound when that bucket is +Inf.
+func TestHistogramQuantile(t *testing.T) {
+	qs := []float64{0, 0.5, 0.99, 1}
+	empty := NewHistogram(DurationBuckets()...).Snapshot()
+	for _, q := range qs {
+		if got := empty.Quantile(q); got != 0 {
+			t.Fatalf("empty Quantile(%v) = %v, want 0", q, got)
+		}
+	}
+
+	h := NewHistogram(1, 10, 100)
+	for _, v := range []float64{2, 4, 6, 8} {
+		h.Observe(v)
+	}
+	if got := h.Snapshot().Quantile(0.5); got != 5.5 {
+		t.Fatalf("Quantile(0.5) of 2,4,6,8 over (1,10] = %v, want 1 + 9·2/4 = 5.5", got)
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	bounds := DurationBuckets()
+	for trial := 0; trial < 50; trial++ {
+		samples := logUniform(rng, 1+rng.Intn(300))
+		h := NewHistogram(bounds...)
+		for _, v := range samples {
+			h.Observe(v)
+		}
+		s := h.Snapshot()
+		slices.Sort(samples)
+		for _, q := range qs {
+			// The nearest-rank sample, ⌈q·n⌉-th smallest (the smallest for
+			// q = 0), lies in the bucket that holds rank q·n.
+			r := int(math.Ceil(q * float64(len(samples))))
+			x := samples[max(r, 1)-1]
+			b, _ := slices.BinarySearch(bounds, x)
+			got := s.Quantile(q)
+			if b == len(bounds) {
+				if got != bounds[len(bounds)-1] {
+					t.Fatalf("trial %d q=%v: rank in +Inf, got %v, want the largest finite bound %v", trial, q, got, bounds[len(bounds)-1])
+				}
+				continue
+			}
+			lo := 0.0
+			if b > 0 {
+				lo = bounds[b-1]
+			}
+			if !(got >= lo && got <= bounds[b]) { // NaN fails too
+				t.Fatalf("trial %d q=%v: estimate %v outside the bucket [%v, %v] of the nearest-rank sample %v", trial, q, got, lo, bounds[b], x)
+			}
+		}
 	}
 }

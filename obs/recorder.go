@@ -7,11 +7,10 @@ import (
 
 // SpanRecord is one completed span as retained by a Recorder.
 type SpanRecord struct {
-	Name     string
-	Instance string
-	Start    time.Time
-	Dur      time.Duration
-	Attrs    []Attr
+	Name  string
+	Start time.Time
+	Dur   time.Duration
+	Attrs []Attr
 }
 
 // Attr returns the value of the named attribute and whether it is present.
@@ -32,16 +31,10 @@ type Recorder struct {
 	spans []SpanRecord
 }
 
-// Span implements Tracer.
-func (r *Recorder) Span(name, instance string, start time.Time, dur time.Duration, attrs []Attr) {
+// Span implements Tracer; the record keeps attrs as handed over.
+func (r *Recorder) Span(name string, start time.Time, dur time.Duration, attrs []Attr) {
 	r.mu.Lock()
-	r.spans = append(r.spans, SpanRecord{
-		Name:     name,
-		Instance: instance,
-		Start:    start,
-		Dur:      dur,
-		Attrs:    append([]Attr(nil), attrs...),
-	})
+	r.spans = append(r.spans, SpanRecord{Name: name, Start: start, Dur: dur, Attrs: attrs})
 	r.mu.Unlock()
 }
 

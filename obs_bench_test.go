@@ -20,7 +20,7 @@ import (
 // overhead from any consumer cost.
 type nopTracer struct{}
 
-func (nopTracer) Span(string, string, time.Time, time.Duration, []obs.Attr) {}
+func (nopTracer) Span(string, time.Time, time.Duration, []obs.Attr) {}
 
 func BenchmarkObsOverhead(b *testing.B) {
 	ctx := context.Background()

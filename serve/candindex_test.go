@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	ukc "repro"
+	"repro/obs"
 	"repro/serve"
 )
 
@@ -80,7 +81,7 @@ func TestServeCandidateIndexUnderEviction(t *testing.T) {
 		case "excess":
 			excess += value
 		}
-	})
+	}, func(string, map[string]string, obs.HistogramSnapshot) {})
 	if scanned != float64(tot.PruneScanned) || pruned != float64(tot.PrunePruned) || excess != float64(tot.PruneExcess) {
 		t.Fatalf("Collect prune_total (%v, %v, %v) != Metrics totals (%d, %d, %d)",
 			scanned, pruned, excess, tot.PruneScanned, tot.PrunePruned, tot.PruneExcess)

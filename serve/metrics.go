@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,79 +30,28 @@ type shardCounters struct {
 	pruneExcess  atomic.Uint64
 }
 
-// latWindow is the per-shard latency sample size: large enough for stable
-// p99 estimates under load, small enough that a snapshot copy+sort stays
-// trivial.
-const latWindow = 1024
-
-// latencyRing keeps the last latWindow requests' (queue wait, execution)
-// duration pairs of one shard, snapshot-readable. Storing the pair rather
-// than the sum lets quantiles split queue wait from execution — the two
-// tuning signals (admission pressure vs solve cost) — while the end-to-end
-// view stays exactly the pairwise sum.
-type latencyRing struct {
-	mu  sync.Mutex
-	buf [latWindow][2]int64 // [0] queue wait, [1] execution, nanoseconds
-	n   uint64              // total recorded; buf index wraps at latWindow
+// shardLatency is one shard's request latency since server start, in
+// seconds: queue wait, execution, and their sum per request, each in a
+// lock-free obs.DurationBuckets histogram. The sum is observed on its own
+// because the component histograms cannot give it: the end-to-end
+// distribution depends on how each request's two parts pair up.
+type shardLatency struct {
+	queue, exec, total *obs.Histogram
 }
 
-func (r *latencyRing) record(queue, exec time.Duration) {
-	r.mu.Lock()
-	r.buf[r.n%latWindow] = [2]int64{int64(queue), int64(exec)}
-	r.n++
-	r.mu.Unlock()
-}
-
-// latencyQuantiles is one shard's p50/p99 split three ways: queue wait,
-// execution, and end-to-end (their pairwise sum).
-type latencyQuantiles struct {
-	QueueP50, QueueP99 time.Duration
-	ExecP50, ExecP99   time.Duration
-	TotalP50, TotalP99 time.Duration
-}
-
-// appendWindow appends the recorded window's (queue wait, execution)
-// pairs to dst.
-func (r *latencyRing) appendWindow(dst [][2]int64) [][2]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append(dst, r.buf[:min(r.n, latWindow)]...)
-}
-
-// quantiles returns the p50/p99 over the recorded window (all zero when no
-// request has completed yet).
-func (r *latencyRing) quantiles() latencyQuantiles {
-	return quantilesOf(r.appendWindow(nil))
-}
-
-// quantilesOf returns the p50/p99 of (queue wait, execution) samples, all
-// zero for none.
-func quantilesOf(samples [][2]int64) (q latencyQuantiles) {
-	n := len(samples)
-	if n == 0 {
-		return q
+func newShardLatency() shardLatency {
+	return shardLatency{
+		queue: obs.NewHistogram(obs.DurationBuckets()...),
+		exec:  obs.NewHistogram(obs.DurationBuckets()...),
+		total: obs.NewHistogram(obs.DurationBuckets()...),
 	}
-	queue := make([]int64, n)
-	exec := make([]int64, n)
-	total := make([]int64, n)
-	for i, s := range samples {
-		queue[i], exec[i], total[i] = s[0], s[1], s[0]+s[1]
-	}
-	rank := func(s []int64) (p50, p99 time.Duration) {
-		slices.Sort(s)
-		return time.Duration(s[(n-1)*50/100]), time.Duration(s[(n-1)*99/100])
-	}
-	q.QueueP50, q.QueueP99 = rank(queue)
-	q.ExecP50, q.ExecP99 = rank(exec)
-	q.TotalP50, q.TotalP99 = rank(total)
-	return q
 }
 
-// setOn copies the quantiles into m's latency fields.
-func (q latencyQuantiles) setOn(m *ShardMetrics) {
-	m.LatencyP50, m.LatencyP99 = q.TotalP50, q.TotalP99
-	m.QueueP50, m.QueueP99 = q.QueueP50, q.QueueP99
-	m.ExecP50, m.ExecP99 = q.ExecP50, q.ExecP99
+// observe records one executed request's queue wait and execution.
+func (l shardLatency) observe(queue, exec time.Duration) {
+	l.queue.Observe(queue.Seconds())
+	l.exec.Observe(exec.Seconds())
+	l.total.Observe((queue + exec).Seconds())
 }
 
 // InstanceMetrics is one registered instance's cache view: the shard's last
@@ -120,10 +67,12 @@ type InstanceMetrics struct {
 }
 
 // ShardMetrics is one shard's snapshot: registry and queue occupancy, cache
-// accounting, request counters and latency quantiles. Counters are
-// monotonic since server start; gauges (QueueDepth, CacheBytes, Instances)
-// are instantaneous. LatencyP50/P99 are end-to-end (queue + execution);
-// QueueP50/P99 and ExecP50/P99 split the same window into its components.
+// accounting, request counters and latency histograms. Counters and
+// histograms are cumulative since server start; gauges (QueueDepth,
+// CacheBytes, Instances) are instantaneous. TotalLatency is end-to-end
+// (queue + execution, per request); QueueLatency and ExecLatency split the
+// same requests into their components. All three are in seconds; read a
+// quantile with HistogramSnapshot.Quantile.
 type ShardMetrics struct {
 	Shard      int
 	Instances  int
@@ -156,12 +105,9 @@ type ShardMetrics struct {
 	PrunePruned  uint64
 	PruneExcess  uint64
 
-	LatencyP50 time.Duration
-	LatencyP99 time.Duration
-	QueueP50   time.Duration
-	QueueP99   time.Duration
-	ExecP50    time.Duration
-	ExecP99    time.Duration
+	QueueLatency obs.HistogramSnapshot
+	ExecLatency  obs.HistogramSnapshot
+	TotalLatency obs.HistogramSnapshot
 
 	PerInstance []InstanceMetrics
 }
@@ -198,20 +144,19 @@ type Metrics struct {
 	// hygiene happens before a file is attributed to any shard.
 	SnapshotsQuarantined uint64
 	TempFilesSwept       uint64
-
-	// pooled holds the latency quantiles of every shard's window taken
-	// together, computed by Server.Metrics from the raw samples.
-	pooled latencyQuantiles
 }
 
-// Totals sums the per-shard snapshots (Shard = -1). Its latency quantiles
-// are those of the pooled samples of every shard's window, as Server.Metrics
-// took them, not a combination of the per-shard quantiles. PerInstance
-// stays nil: instance rows belong to their shard.
+// Totals sums the per-shard snapshots (Shard = -1). Its latency histograms
+// are the bucket-wise sums of the shards' (HistogramSnapshot.Merge), so
+// their quantiles are those of every shard's requests taken together, up
+// to the histogram's bucket error. PerInstance stays nil: instance rows
+// belong to their shard.
 func (m Metrics) Totals() ShardMetrics {
 	t := ShardMetrics{Shard: -1}
-	m.pooled.setOn(&t)
 	for _, s := range m.Shards {
+		t.QueueLatency = t.QueueLatency.Merge(s.QueueLatency)
+		t.ExecLatency = t.ExecLatency.Merge(s.ExecLatency)
+		t.TotalLatency = t.TotalLatency.Merge(s.TotalLatency)
 		t.Instances += s.Instances
 		t.QueueDepth += s.QueueDepth
 		t.QueueCap += s.QueueCap

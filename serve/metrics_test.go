@@ -7,11 +7,12 @@ package serve_test
 import (
 	"context"
 	"errors"
-	"strings"
+	"slices"
 	"testing"
 	"time"
 
 	ukc "repro"
+	"repro/obs"
 	"repro/serve"
 )
 
@@ -29,6 +30,25 @@ func waitTotals(t *testing.T, srv *serve.Server[ukc.Vec], pred func(serve.ShardM
 			t.Fatalf("metrics never converged: %+v", m)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// checkLatency asserts that a latency histogram holds exactly the given
+// request durations: the DurationBuckets layout, the count, and per bucket
+// the number of durations its bounds admit. The durations themselves are
+// whatever the machine measured, so only their buckets are pinned.
+func checkLatency(t *testing.T, what string, h obs.HistogramSnapshot, durs ...time.Duration) {
+	t.Helper()
+	if !slices.Equal(h.Bounds, obs.DurationBuckets()) {
+		t.Fatalf("%s histogram bounds %v, want obs.DurationBuckets()", what, h.Bounds)
+	}
+	want := make([]uint64, len(h.Bounds)+1)
+	for _, d := range durs {
+		i, _ := slices.BinarySearch(h.Bounds, d.Seconds())
+		want[i]++
+	}
+	if h.Count != uint64(len(durs)) || !slices.Equal(h.Counts, want) {
+		t.Fatalf("%s histogram: count %d buckets %v, want count %d buckets %v", what, h.Count, h.Counts, len(durs), want)
 	}
 }
 
@@ -80,26 +100,29 @@ func TestCanceledSplitsFromFailed(t *testing.T) {
 	}
 }
 
-// TestLatencySplitAndPerInstance runs real traffic and checks the new
-// snapshot surfaces: the queue/exec split is populated and consistent with
-// the end-to-end view, and the served instance reports its cache bytes and
-// at least one recorded cache build (the cold first solve).
+// TestLatencySplitAndPerInstance runs real traffic and checks the
+// snapshot surfaces: the cross-shard queue, exec and end-to-end histograms
+// each hold every request once, in the bucket of the duration its
+// RequestStats reported, and the served instance reports its cache bytes
+// and at least one recorded cache build (the cold first solve).
 func TestLatencySplitAndPerInstance(t *testing.T) {
 	insts := testInstances(t, 2)
 	srv := newTestServer(t, nil, insts)
 	ctx := context.Background()
+	var queue, exec, total []time.Duration
 	for i := 0; i < 5; i++ {
-		if _, err := srv.Solve(ctx, serve.SolveRequest{Instance: "inst-0", K: 2}); err != nil {
+		resp, err := srv.Solve(ctx, serve.SolveRequest{Instance: "inst-0", K: 2})
+		if err != nil {
 			t.Fatal(err)
 		}
+		queue = append(queue, resp.Stats.Queue)
+		exec = append(exec, resp.Stats.Exec)
+		total = append(total, resp.Stats.Queue+resp.Stats.Exec)
 	}
 	m := srv.Metrics().Totals()
-	if m.ExecP50 <= 0 {
-		t.Fatalf("ExecP50 = %v, want > 0 after real solves", m.ExecP50)
-	}
-	if m.LatencyP99 < m.ExecP99 || m.LatencyP99 < m.QueueP99 {
-		t.Fatalf("end-to-end p99 %v below a component (queue %v, exec %v)", m.LatencyP99, m.QueueP99, m.ExecP99)
-	}
+	checkLatency(t, "queue", m.QueueLatency, queue...)
+	checkLatency(t, "exec", m.ExecLatency, exec...)
+	checkLatency(t, "total", m.TotalLatency, total...)
 
 	var served *serve.InstanceMetrics
 	for _, sh := range srv.Metrics().Shards {
@@ -121,9 +144,10 @@ func TestLatencySplitAndPerInstance(t *testing.T) {
 }
 
 // TestCollectWalk checks the exporter walk: the core series are present,
-// counters agree with the Metrics snapshot, histogram buckets are
-// cumulative with le="+Inf" equal to the count, and label maps are fresh
-// per sample.
+// counters agree with the Metrics snapshot, histograms arrive whole
+// through the histogram callback — one latency histogram per shard and
+// stage, one cache-build histogram per instance — and label maps are fresh
+// per call.
 func TestCollectWalk(t *testing.T) {
 	insts := testInstances(t, 2)
 	srv := newTestServer(t, nil, insts)
@@ -138,9 +162,16 @@ func TestCollectWalk(t *testing.T) {
 		labels map[string]string
 		value  float64
 	}
+	type histogram struct {
+		labels map[string]string
+		h      obs.HistogramSnapshot
+	}
 	series := map[string][]sample{}
+	hists := map[string][]histogram{}
 	srv.Collect(func(name string, labels map[string]string, value float64) {
 		series[name] = append(series[name], sample{labels, value})
+	}, func(name string, labels map[string]string, h obs.HistogramSnapshot) {
+		hists[name] = append(hists[name], histogram{labels, h})
 	})
 
 	for _, want := range []string{
@@ -151,11 +182,7 @@ func TestCollectWalk(t *testing.T) {
 		"ukc_serve_queue_capacity",
 		"ukc_serve_cache_bytes",
 		"ukc_serve_cache_budget_bytes",
-		"ukc_serve_latency_seconds",
 		"ukc_serve_instance_cache_bytes",
-		"ukc_serve_instance_cache_build_seconds_bucket",
-		"ukc_serve_instance_cache_build_seconds_sum",
-		"ukc_serve_instance_cache_build_seconds_count",
 	} {
 		if len(series[want]) == 0 {
 			t.Errorf("series %q missing from Collect walk", want)
@@ -176,43 +203,39 @@ func TestCollectWalk(t *testing.T) {
 		t.Errorf("walk counters admitted=%v completed=%v, snapshot %d/%d", admitted, completed, totals.Admitted, totals.Completed)
 	}
 
-	// Histogram sanity per instance: buckets non-decreasing, +Inf == count.
-	byInst := map[string][]sample{}
-	for _, s := range series["ukc_serve_instance_cache_build_seconds_bucket"] {
-		key := s.labels["shard"] + "/" + s.labels["instance"]
-		byInst[key] = append(byInst[key], s)
-	}
-	counts := map[string]float64{}
-	for _, s := range series["ukc_serve_instance_cache_build_seconds_count"] {
-		counts[s.labels["shard"]+"/"+s.labels["instance"]] = s.value
-	}
-	for key, buckets := range byInst {
-		prev := -1.0
-		var inf float64
-		for _, b := range buckets {
-			if b.value < prev {
-				t.Errorf("%s: bucket counts not cumulative", key)
-			}
-			prev = b.value
-			if b.labels["le"] == "+Inf" {
-				inf = b.value
-			}
-		}
-		if inf != counts[key] {
-			t.Errorf("%s: le=+Inf bucket %v != count %v", key, inf, counts[key])
-		}
-	}
-
-	// Label maps must not be aliased between samples.
+	// Every executed request is in its shard's latency histograms: one
+	// per shard and stage, adding up to the snapshot's totals.
+	m := srv.Metrics()
 	seen := map[string]bool{}
-	for _, s := range series["ukc_serve_latency_seconds"] {
-		key := s.labels["shard"] + "|" + s.labels["stage"] + "|" + s.labels["quantile"]
+	var execCount uint64
+	for _, h := range hists["ukc_serve_latency_seconds"] {
+		key := h.labels["shard"] + "|" + h.labels["stage"]
 		if seen[key] {
-			t.Fatalf("duplicate latency sample %q — label map aliasing", key)
+			t.Fatalf("duplicate latency histogram %q — label map aliasing", key)
 		}
 		seen[key] = true
-		if !strings.Contains("queue exec total", s.labels["stage"]) {
-			t.Fatalf("unexpected stage %q", s.labels["stage"])
+		if len(h.labels) != 2 || !slices.Contains([]string{"queue", "exec", "total"}, h.labels["stage"]) {
+			t.Fatalf("latency histogram labels %v, want shard and a stage", h.labels)
+		}
+		if h.labels["stage"] == "exec" {
+			execCount += h.h.Count
+		}
+	}
+	if len(seen) != 3*len(m.Shards) {
+		t.Errorf("%d latency histograms, want 3 per shard over %d shards", len(seen), len(m.Shards))
+	}
+	if execCount != totals.ExecLatency.Count || execCount != 2 {
+		t.Errorf("exec histograms count %d requests, Totals %d, want 2", execCount, totals.ExecLatency.Count)
+	}
+
+	// One cache-build histogram per instance, each holding its cold build.
+	builds := hists["ukc_serve_instance_cache_build_seconds"]
+	if len(builds) != 2 {
+		t.Fatalf("%d cache-build histograms, want one per instance", len(builds))
+	}
+	for _, h := range builds {
+		if h.h.Count == 0 || h.labels["instance"] == "" || h.labels["shard"] == "" {
+			t.Errorf("cache-build histogram %v: count %d, want ≥ 1", h.labels, h.h.Count)
 		}
 	}
 }

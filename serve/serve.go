@@ -30,10 +30,13 @@
 //     deterministic).
 //
 // All admission, execution and eviction decisions are per shard, so a hot
-// or thrashing shard cannot stall the others. Metrics() returns a
-// snapshot — queue depths, cache bytes, hit/miss, latency quantiles — for
-// tests and in-process callers; Collect walks the same state for
-// exporters (cmd/ukserver serves it on GET /metrics).
+// or thrashing shard cannot stall the others. Each shard observes every
+// executed request's queue wait, execution and end-to-end durations into
+// lock-free obs histograms, which merge bucket-wise across shards and
+// instance kinds. Metrics() returns a snapshot — queue depths, cache bytes,
+// hit/miss, latency histograms — for tests and in-process callers; Collect
+// walks the same state for exporters (cmd/ukserver serves it on GET
+// /metrics).
 package serve
 
 import (
@@ -132,7 +135,7 @@ type entryTracer[P any] struct {
 	m   *shardCounters
 }
 
-func (et entryTracer[P]) Span(name, _ string, _ time.Time, dur time.Duration, attrs []obs.Attr) {
+func (et entryTracer[P]) Span(name string, _ time.Time, dur time.Duration, attrs []obs.Attr) {
 	switch {
 	case strings.HasPrefix(name, "surrogate.build"):
 		et.ent.buildDur.Observe(dur.Seconds())
@@ -180,7 +183,7 @@ type shard[P any] struct {
 
 	queue chan *task[P]
 	m     shardCounters
-	lat   latencyRing
+	lat   shardLatency
 }
 
 // Server is the sharded serving layer; build one with New, register
@@ -243,6 +246,7 @@ func New[P any](solver *ukc.Solver[P], opts ...Option) (*Server[P], error) {
 			entries: make(map[string]*entry[P]),
 			rec:     lru.New[string](),
 			queue:   make(chan *task[P], cfg.queueDepth),
+			lat:     newShardLatency(),
 		}
 		s.shards[i] = sh
 		for w := 0; w < cfg.workers; w++ {
@@ -580,7 +584,7 @@ func (s *Server[P]) execute(sh *shard[P], t *task[P]) {
 	} else {
 		sh.m.misses.Add(1)
 	}
-	sh.lat.record(t.stats.Queue, t.stats.Exec)
+	sh.lat.observe(t.stats.Queue, t.stats.Exec)
 
 	after := t.ent.c.CacheBytes()
 	sh.mu.Lock()
@@ -680,16 +684,14 @@ func (s *Server[P]) enforceBudget(sh *shard[P]) {
 }
 
 // Metrics returns a point-in-time snapshot of every shard: registry and
-// queue occupancy, cache accounting, the request counters, and latency
-// quantiles over each shard's last latWindow requests and over all of
-// those windows pooled (Totals).
+// queue occupancy, cache accounting, the request counters, and the latency
+// histograms of every request each shard executed (Totals merges them).
 func (s *Server[P]) Metrics() Metrics {
 	out := Metrics{
 		Shards:               make([]ShardMetrics, len(s.shards)),
 		SnapshotsQuarantined: s.quarantined.Load(),
 		TempFilesSwept:       s.tmpSwept.Load(),
 	}
-	var pooled [][2]int64
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		instances := len(sh.entries)
@@ -704,8 +706,6 @@ func (s *Server[P]) Metrics() Metrics {
 		}
 		sh.mu.Unlock()
 		sort.Slice(per, func(a, b int) bool { return per[a].Name < per[b].Name })
-		mark := len(pooled)
-		pooled = sh.lat.appendWindow(pooled)
 		out.Shards[i] = ShardMetrics{
 			Shard:        sh.id,
 			Instances:    instances,
@@ -726,11 +726,12 @@ func (s *Server[P]) Metrics() Metrics {
 			PruneScanned: sh.m.pruneScanned.Load(),
 			PrunePruned:  sh.m.prunePruned.Load(),
 			PruneExcess:  sh.m.pruneExcess.Load(),
+			QueueLatency: sh.lat.queue.Snapshot(),
+			ExecLatency:  sh.lat.exec.Snapshot(),
+			TotalLatency: sh.lat.total.Snapshot(),
 			PerInstance:  per,
 		}
-		quantilesOf(pooled[mark:]).setOn(&out.Shards[i])
 	}
-	out.pooled = quantilesOf(pooled)
 	return out
 }
 
@@ -813,9 +814,10 @@ func (s *Server[P]) Close() {
 
 // RetryAfter estimates how long a caller rejected at instance's shard
 // (ErrOverloaded) should wait before retrying: the time for the shard's
-// worker pool to work off its current queue at the recent median execution
-// latency. With an empty latency ring (cold server) it falls back to a small
-// constant. cmd/ukserver surfaces it as the Retry-After header on 429s.
+// worker pool to work off its current queue at the shard's median
+// execution latency (the exec histogram's p50). It never returns less than
+// 50ms, the whole answer on an idle shard or one with no executed request
+// yet. cmd/ukserver surfaces it as the Retry-After header on 429s.
 func (s *Server[P]) RetryAfter(instance string) time.Duration {
 	const floor = 50 * time.Millisecond
 	sh := s.shardFor(instance)
@@ -823,13 +825,6 @@ func (s *Server[P]) RetryAfter(instance string) time.Duration {
 	if depth == 0 {
 		return floor
 	}
-	exec := sh.lat.quantiles().ExecP50
-	if exec <= 0 {
-		return floor
-	}
-	d := time.Duration(float64(exec) * float64(depth) / float64(s.cfg.workers))
-	if d < floor {
-		d = floor
-	}
-	return d
+	p50 := sh.lat.exec.Snapshot().Quantile(0.5)
+	return max(floor, time.Duration(p50*float64(depth)/float64(s.cfg.workers)*float64(time.Second)))
 }

@@ -592,22 +592,30 @@ func TestServeMixedRegisterSolveEvict(t *testing.T) {
 	}
 }
 
-// TestServeMetricsLatency sanity-checks the latency quantiles and hit
-// accounting on a quiet server.
+// TestServeMetricsLatency checks the serving shard's latency histograms
+// and hit accounting on a quiet server: each histogram holds the five
+// requests, each in the bucket of the duration its RequestStats reported.
 func TestServeMetricsLatency(t *testing.T) {
 	ctx := context.Background()
 	solver := ukc.NewSolver[ukc.Vec]()
 	insts := testInstances(t, 1)
 	srv := newTestServer(t, solver, insts)
+	var queue, exec, total []time.Duration
+	shard := 0
 	for i := 0; i < 5; i++ {
-		if _, err := srv.Solve(ctx, serve.SolveRequest{Instance: "inst-0", K: 2}); err != nil {
+		resp, err := srv.Solve(ctx, serve.SolveRequest{Instance: "inst-0", K: 2})
+		if err != nil {
 			t.Fatal(err)
 		}
+		shard = resp.Stats.Shard
+		queue = append(queue, resp.Stats.Queue)
+		exec = append(exec, resp.Stats.Exec)
+		total = append(total, resp.Stats.Queue+resp.Stats.Exec)
 	}
-	m := srv.Metrics().Shards[0]
-	if m.LatencyP50 <= 0 || m.LatencyP99 < m.LatencyP50 {
-		t.Fatalf("latency quantiles p50=%v p99=%v", m.LatencyP50, m.LatencyP99)
-	}
+	m := srv.Metrics().Shards[shard]
+	checkLatency(t, "queue", m.QueueLatency, queue...)
+	checkLatency(t, "exec", m.ExecLatency, exec...)
+	checkLatency(t, "total", m.TotalLatency, total...)
 	// First solve builds the surrogate cache (miss); later ones are hits.
 	if m.CacheMisses == 0 || m.CacheHits == 0 {
 		t.Fatalf("hit/miss accounting: hits=%d misses=%d", m.CacheHits, m.CacheMisses)
