@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all vet fmt-check build test test-race test-faults test-alloc-pins fuzz-arena fuzz-bound fuzz-emax fuzz-fused fuzz-dist bench bench-index bench-smoke examples check ci
+.PHONY: all vet fmt-check build test test-race test-faults test-alloc-pins fuzz-arena fuzz-bound fuzz-emax fuzz-fused fuzz-dist fuzz-wire bench bench-index bench-smoke examples check ci
 
 all: check
 
@@ -93,6 +93,15 @@ fuzz-fused:
 # geom.MinDistsFlat, checked bit for bit against geom.Dist (nightly CI).
 fuzz-dist:
 	$(GO) test -fuzz FuzzDistsFlat -fuzztime $(FUZZTIME) -run '^$$' ./internal/geom
+
+# fuzz-wire runs the workload request fuzzer for $(FUZZTIME): arbitrary body
+# bytes POSTed in process to each of the five workload paths of a gateway
+# holding one tiny instance of each kind. Every answer must be 200, 400,
+# 404, 413 or 422 (504 only for a request that set a deadline), never a 500
+# or a panic, and a 200 body must decode into the client's response type
+# with unknown fields disallowed (nightly CI).
+fuzz-wire:
+	$(GO) test -fuzz FuzzWorkloadRequest -fuzztime $(FUZZTIME) -run '^$$' ./cmd/ukserver
 
 # bench runs every microbenchmark of the library, the serving layer, the
 # snapshot store and the observability package (slow) and prints the

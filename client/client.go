@@ -15,6 +15,10 @@
 // replica router is a thin loop over a []*Client, routing around open
 // circuits.
 //
+// The request and response bodies are declared once, in internal/wire,
+// which cmd/ukserver encodes with: each response type here embeds its wire
+// type, and Stats and Instance are aliases of theirs.
+//
 // Workload requests are deterministic and idempotent on the server, so
 // retrying them is always safe; Register retries are safe too (a duplicate
 // registration fails 409, which is permanent and not retried).
@@ -38,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/wire"
 	"repro/obs"
 )
 
@@ -426,14 +431,12 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	return nil
 }
 
-// errorMessage extracts the gateway's {"error": "..."} body, falling back
-// to the raw bytes.
+// errorMessage extracts the gateway's error body, falling back to the raw
+// bytes.
 func errorMessage(raw []byte) string {
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-		return e.Error
+	var e wire.Error
+	if json.Unmarshal(raw, &e) == nil && e.Message != "" {
+		return e.Message
 	}
 	s := string(bytes.TrimSpace(raw))
 	if len(s) > 200 {
@@ -463,159 +466,106 @@ func parseRetryAfter(v string, now time.Time) time.Duration {
 }
 
 // Stats is the per-request telemetry block every workload response carries.
-type Stats struct {
-	Shard    int     `json:"shard"`
-	QueueMS  float64 `json:"queue_ms"`
-	ExecMS   float64 `json:"exec_ms"`
-	CacheHit bool    `json:"cache_hit"`
-}
-
-// workloadRequest mirrors the gateway's wire shape.
-type workloadRequest struct {
-	Instance   string          `json:"instance"`
-	K          int             `json:"k,omitempty"`
-	Centers    json.RawMessage `json:"centers,omitempty"`
-	Assign     []int           `json:"assign,omitempty"`
-	DeadlineMS int64           `json:"deadline_ms,omitempty"`
-}
-
-func deadlineMS(d time.Duration) int64 { return int64(d / time.Millisecond) }
+type Stats = wire.Stats
 
 // SolveResponse is a full solve: centers (raw — decode with DecodeCenters
 // against the instance's kind), the assignment, both E-costs and the
 // certain-solver telemetry.
 type SolveResponse struct {
 	ResponseMeta
-	Centers         json.RawMessage `json:"centers"`
-	Assign          []int           `json:"assign"`
-	Ecost           float64         `json:"ecost"`
-	EcostUnassigned float64         `json:"ecost_unassigned"`
-	CertainRadius   float64         `json:"certain_radius"`
-	EffectiveEps    float64         `json:"effective_eps"`
-	Stats           Stats           `json:"stats"`
+	wire.SolveResponse[json.RawMessage]
 }
 
 // AssignResponse is an assignment of every point to one of the given centers.
 type AssignResponse struct {
 	ResponseMeta
-	Assign []int `json:"assign"`
-	Stats  Stats `json:"stats"`
+	wire.AssignResponse
 }
 
 // EcostResponse is one expected-cost evaluation.
 type EcostResponse struct {
 	ResponseMeta
-	Ecost float64 `json:"ecost"`
-	Stats Stats   `json:"stats"`
+	wire.EcostResponse
 }
 
-// SweepResponse is the full swap-neighborhood E-cost matrix.
+// SweepResponse is the full swap-neighborhood E-cost matrix; Snapped is raw
+// like a solve's centers.
 type SweepResponse struct {
 	ResponseMeta
-	Sweep   [][]float64     `json:"sweep"`
-	Snapped json.RawMessage `json:"snapped"`
-	Stats   Stats           `json:"stats"`
+	wire.SweepResponse[json.RawMessage]
 }
 
 // UnassignedResponse is an unassigned-semantics local-search solve.
 type UnassignedResponse struct {
 	ResponseMeta
-	Centers json.RawMessage `json:"centers"`
-	Ecost   float64         `json:"ecost"`
-	Stats   Stats           `json:"stats"`
+	wire.UnassignedResponse[json.RawMessage]
 }
 
 // DecodeCenters decodes a raw centers column against the instance kind's
 // point type: []ukc.Vec for euclidean instances, []int for finite ones.
 func DecodeCenters[P any](raw json.RawMessage) ([]P, error) {
-	if len(raw) == 0 {
-		return nil, errors.New("client: response carries no centers")
+	out, err := wire.DecodeCenters[P](raw)
+	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	var out []P
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, fmt.Errorf("client: decoding centers: %w", err)
+	return out, nil
+}
+
+// post sends one workload request to POST /v1/<workload> and decodes the
+// response. centers, unless nil, is marshaled into the request as the
+// instance kind's point JSON.
+func post[R any](c *Client, ctx context.Context, workload string, req wire.Request, centers any) (*R, error) {
+	if centers != nil {
+		raw, err := json.Marshal(centers)
+		if err != nil {
+			return nil, fmt.Errorf("client: marshaling centers: %w", err)
+		}
+		req.Centers = raw
+	}
+	body, _ := json.Marshal(req) // cannot fail: Centers, the one raw field, was just marshaled
+	out := new(R)
+	if err := c.do(ctx, http.MethodPost, "/v1/"+workload, body, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // Solve runs a full solve of instance with k centers. deadline (0 = server
 // default) travels with the request and bounds queue wait plus execution on
-// the server.
+// the server; a positive deadline travels in whole milliseconds, rounded up.
 func (c *Client) Solve(ctx context.Context, instance string, k int, deadline time.Duration) (*SolveResponse, error) {
-	body, _ := json.Marshal(workloadRequest{Instance: instance, K: k, DeadlineMS: deadlineMS(deadline)})
-	var out SolveResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/solve", body, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return post[SolveResponse](c, ctx, "solve", wire.Request{Instance: instance, K: k, DeadlineMS: wire.DeadlineMS(deadline)}, nil)
 }
 
 // Assign assigns every point of instance to one of centers (marshaled as the
 // instance kind's point JSON: [][2]float64-style rows for euclidean, vertex
 // indices for finite).
 func (c *Client) Assign(ctx context.Context, instance string, centers any, deadline time.Duration) (*AssignResponse, error) {
-	raw, err := json.Marshal(centers)
-	if err != nil {
-		return nil, fmt.Errorf("client: marshaling centers: %w", err)
-	}
-	body, _ := json.Marshal(workloadRequest{Instance: instance, Centers: raw, DeadlineMS: deadlineMS(deadline)})
-	var out AssignResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/assign", body, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return post[AssignResponse](c, ctx, "assign", wire.Request{Instance: instance, DeadlineMS: wire.DeadlineMS(deadline)}, centers)
 }
 
 // Ecost evaluates the expected cost of centers over instance; assign may be
 // nil for unassigned semantics.
 func (c *Client) Ecost(ctx context.Context, instance string, centers any, assign []int, deadline time.Duration) (*EcostResponse, error) {
-	raw, err := json.Marshal(centers)
-	if err != nil {
-		return nil, fmt.Errorf("client: marshaling centers: %w", err)
-	}
-	body, _ := json.Marshal(workloadRequest{Instance: instance, Centers: raw, Assign: assign, DeadlineMS: deadlineMS(deadline)})
-	var out EcostResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/ecost", body, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return post[EcostResponse](c, ctx, "ecost", wire.Request{Instance: instance, Assign: assign, DeadlineMS: wire.DeadlineMS(deadline)}, centers)
 }
 
 // Sweep computes the swap-neighborhood E-cost matrix around centers.
 func (c *Client) Sweep(ctx context.Context, instance string, centers any, deadline time.Duration) (*SweepResponse, error) {
-	raw, err := json.Marshal(centers)
-	if err != nil {
-		return nil, fmt.Errorf("client: marshaling centers: %w", err)
-	}
-	body, _ := json.Marshal(workloadRequest{Instance: instance, Centers: raw, DeadlineMS: deadlineMS(deadline)})
-	var out SweepResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/sweep", body, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return post[SweepResponse](c, ctx, "sweep", wire.Request{Instance: instance, DeadlineMS: wire.DeadlineMS(deadline)}, centers)
 }
 
 // Unassigned runs the unassigned-semantics local-search solve.
 func (c *Client) Unassigned(ctx context.Context, instance string, k int, deadline time.Duration) (*UnassignedResponse, error) {
-	body, _ := json.Marshal(workloadRequest{Instance: instance, K: k, DeadlineMS: deadlineMS(deadline)})
-	var out UnassignedResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/unassigned", body, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return post[UnassignedResponse](c, ctx, "unassigned", wire.Request{Instance: instance, K: k, DeadlineMS: wire.DeadlineMS(deadline)}, nil)
 }
 
 // Instance is one registry listing row.
-type Instance struct {
-	Name string `json:"name"`
-	Kind string `json:"kind"`
-}
+type Instance = wire.Instance
 
 // List returns the registered instances of both kinds.
 func (c *Client) List(ctx context.Context) ([]Instance, error) {
-	var out struct {
-		Instances []Instance `json:"instances"`
-	}
+	var out wire.List
 	if err := c.do(ctx, http.MethodGet, "/v1/instances", nil, &out); err != nil {
 		return nil, err
 	}
@@ -637,10 +587,7 @@ func (c *Client) Unregister(ctx context.Context, name string) error {
 // Freeze writes the named instance's zero-copy snapshot into the server's
 // snapshot directory, returning the path and byte size.
 func (c *Client) Freeze(ctx context.Context, name string) (path string, bytes int64, err error) {
-	var out struct {
-		Path  string `json:"path"`
-		Bytes int64  `json:"bytes"`
-	}
+	var out wire.Frozen
 	if err := c.do(ctx, http.MethodPost, "/v1/instances/"+name+"/freeze", nil, &out); err != nil {
 		return "", 0, err
 	}

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // testClient builds a client against url with a fake clock and a recording
@@ -293,13 +295,15 @@ func TestCallerContextBoundsRetries(t *testing.T) {
 
 func TestWireShapes(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req workloadRequest
+		var req wire.Request
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			t.Errorf("decoding request: %v", err)
 		}
 		switch r.URL.Path {
 		case "/v1/solve":
-			if req.Instance != "eu" || req.K != 3 || req.DeadlineMS != 250 {
+			// A positive deadline under a millisecond rounds up to one,
+			// never down to 0, which the gateway reads as no deadline.
+			if want := map[string]int64{"eu": 250, "tiny": 1}[req.Instance]; req.K != 3 || req.DeadlineMS != want || want == 0 {
 				t.Errorf("solve request = %+v", req)
 			}
 			jsonHandler(http.StatusOK, `{"centers": [[1,2],[3,4]], "assign": [0,1], "ecost": 9.5,
@@ -330,6 +334,9 @@ func TestWireShapes(t *testing.T) {
 	}
 	if solve.Ecost != 9.5 || !solve.Stats.CacheHit || solve.Stats.Shard != 2 {
 		t.Fatalf("solve = %+v", solve)
+	}
+	if _, err := c.Solve(context.Background(), "tiny", 3, 500*time.Microsecond); err != nil {
+		t.Fatalf("Solve with a sub-millisecond deadline: %v", err)
 	}
 	assign, err := c.Assign(context.Background(), "eu", [][]float64{{0, 0}, {5, 5}}, 0)
 	if err != nil {

@@ -42,11 +42,17 @@
 //	curl 'localhost:8080/v1/traces?min_ms=100'
 //	curl  localhost:8080/v1/requests
 //
+// Wire schema: every request and response body is declared once, in
+// internal/wire, which package client decodes with. One generic adapter
+// (runWorkload) serves all five workloads for either instance kind.
+//
 // Status mapping: 400 malformed JSON (a workload body must be exactly one
 // object with only the request's fields), 404 unknown instance, 409
 // duplicate registration, 413 request body over its cap (1 GiB for an
 // instance document, 64 MiB for a workload request), 422 invalid instance
-// data or workload input (centers the instance's space cannot measure), 429
+// data or workload input (centers the instance's space cannot measure), or
+// a result JSON cannot carry (a +Inf cost from centers so far away that the
+// squared distance overflows; the body is encoded before the status), 429
 // shard queue full (ErrOverloaded — back off and retry), 500 a request
 // that panicked inside the solver (the worker survived; see
 // serve.ErrPanicked), 503 draining or closed, 504 deadline exceeded. 429
@@ -94,6 +100,7 @@ import (
 
 	ukc "repro"
 	"repro/internal/dataio"
+	"repro/internal/wire"
 	"repro/obs"
 	"repro/serve"
 	"repro/store"
@@ -289,36 +296,8 @@ func (g *gateway) kindOf(name string) string {
 	return ""
 }
 
-// workloadRequest is the wire shape shared by every workload endpoint;
-// Centers stays raw until the instance's kind fixes its element type.
-type workloadRequest struct {
-	Instance   string          `json:"instance"`
-	K          int             `json:"k,omitempty"`
-	Centers    json.RawMessage `json:"centers,omitempty"`
-	Assign     []int           `json:"assign,omitempty"`
-	DeadlineMS int64           `json:"deadline_ms,omitempty"`
-}
-
-func (r workloadRequest) deadline() time.Duration {
-	return time.Duration(r.DeadlineMS) * time.Millisecond
-}
-
-// statsOut is the telemetry block attached to every workload response.
-type statsOut struct {
-	Shard    int     `json:"shard"`
-	QueueMS  float64 `json:"queue_ms"`
-	ExecMS   float64 `json:"exec_ms"`
-	CacheHit bool    `json:"cache_hit"`
-}
-
-func toStatsOut(s serve.RequestStats) statsOut {
-	return statsOut{
-		Shard:    s.Shard,
-		QueueMS:  float64(s.Queue.Microseconds()) / 1000,
-		ExecMS:   float64(s.Exec.Microseconds()) / 1000,
-		CacheHit: s.CacheHit,
-	}
-}
+// workloads names the five workload endpoints, POST /v1/<name>.
+var workloads = []string{"solve", "assign", "ecost", "sweep", "unassigned"}
 
 func (g *gateway) mux() *http.ServeMux {
 	mux := http.NewServeMux()
@@ -326,11 +305,9 @@ func (g *gateway) mux() *http.ServeMux {
 	mux.HandleFunc("DELETE /v1/instances/{name}", g.handleUnregister)
 	mux.HandleFunc("POST /v1/instances/{name}/freeze", g.handleFreeze)
 	mux.HandleFunc("GET /v1/instances", g.handleList)
-	mux.HandleFunc("POST /v1/solve", g.workload(bind(g.eu, doSolve[ukc.Vec]), bind(g.fin, doSolve[int])))
-	mux.HandleFunc("POST /v1/assign", g.workload(bind(g.eu, doAssign[ukc.Vec]), bind(g.fin, doAssign[int])))
-	mux.HandleFunc("POST /v1/ecost", g.workload(bind(g.eu, doEcost[ukc.Vec]), bind(g.fin, doEcost[int])))
-	mux.HandleFunc("POST /v1/sweep", g.workload(bind(g.eu, doSweep[ukc.Vec]), bind(g.fin, doSweep[int])))
-	mux.HandleFunc("POST /v1/unassigned", g.workload(bind(g.eu, doUnassigned[ukc.Vec]), bind(g.fin, doUnassigned[int])))
+	for _, name := range workloads {
+		mux.HandleFunc("POST /v1/"+name, g.workload(name))
+	}
 	mux.HandleFunc("GET /v1/traces", g.handleTraces)
 	mux.HandleFunc("GET /v1/requests", g.handleRequests)
 	mux.HandleFunc("GET /metrics", g.handlePromMetrics)
@@ -404,7 +381,7 @@ func (g *gateway) finishRegister(w http.ResponseWriter, name, kind string, n int
 		httpError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{"instance": name, "kind": kind, "points": n})
+	writeJSON(w, http.StatusCreated, wire.Registered{Instance: name, Kind: kind, Points: n})
 }
 
 func (g *gateway) handleUnregister(w http.ResponseWriter, r *http.Request) {
@@ -416,7 +393,7 @@ func (g *gateway) handleUnregister(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("instance %q not registered", name))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"instance": name, "unregistered": true})
+	writeJSON(w, http.StatusOK, wire.Unregistered{Instance: name, Unregistered: true})
 }
 
 // handleFreeze writes the named instance's zero-copy snapshot into the
@@ -458,22 +435,18 @@ func (g *gateway) handleFreeze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, fmt.Errorf("freezing %q: %w", name, err))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"instance": name, "kind": kind, "path": path, "bytes": bytes})
+	writeJSON(w, http.StatusOK, wire.Frozen{Bytes: bytes, Instance: name, Kind: kind, Path: path})
 }
 
 func (g *gateway) handleList(w http.ResponseWriter, _ *http.Request) {
-	type instOut struct {
-		Name string `json:"name"`
-		Kind string `json:"kind"`
-	}
-	out := []instOut{}
+	out := wire.List{Instances: []wire.Instance{}}
 	for _, n := range g.eu.Names() {
-		out = append(out, instOut{n, dataio.KindEuclidean})
+		out.Instances = append(out.Instances, wire.Instance{Name: n, Kind: dataio.KindEuclidean})
 	}
 	for _, n := range g.fin.Names() {
-		out = append(out, instOut{n, dataio.KindFinite})
+		out.Instances = append(out.Instances, wire.Instance{Name: n, Kind: dataio.KindFinite})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"instances": out})
+	writeJSON(w, http.StatusOK, out)
 }
 
 // handlePromMetrics serves both kind servers' Collect walks as one
@@ -498,12 +471,12 @@ func (g *gateway) handlePromMetrics(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// workload decodes the shared request shape, routes it to the per-kind
-// handler owning the named instance, and maps serving errors to HTTP
-// status codes.
-func (g *gateway) workload(eu func(context.Context, workloadRequest) (any, error), fin func(context.Context, workloadRequest) (any, error)) http.HandlerFunc {
+// workload is the handler of the named workload: it decodes the request,
+// runs it on the kind server owning the named instance (runWorkload), and
+// maps serving errors to HTTP status codes.
+func (g *gateway) workload(name string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req workloadRequest
+		var req wire.Request
 		if err := decodeWorkload(http.MaxBytesReader(w, r.Body, g.workloadLimit), &req); err != nil {
 			httpError(w, bodyStatus(err), err)
 			return
@@ -514,9 +487,9 @@ func (g *gateway) workload(eu func(context.Context, workloadRequest) (any, error
 		)
 		switch g.kindOf(req.Instance) {
 		case dataio.KindEuclidean:
-			out, err = eu(r.Context(), req)
+			out, err = runWorkload(g.eu, r.Context(), name, req)
 		case dataio.KindFinite:
-			out, err = fin(r.Context(), req)
+			out, err = runWorkload(g.fin, r.Context(), name, req)
 		default:
 			err = fmt.Errorf("%w: %q", serve.ErrNotFound, req.Instance)
 		}
@@ -539,10 +512,10 @@ func (g *gateway) workload(eu func(context.Context, workloadRequest) (any, error
 }
 
 // decodeWorkload decodes a body that must hold exactly one JSON object
-// with only workloadRequest's fields. An unknown field (one an older client
+// with only wire.Request's fields. An unknown field (one an older client
 // still sends, say) and any data after the object are errors, so a request
 // is never served with part of its input ignored.
-func decodeWorkload(body io.Reader, req *workloadRequest) error {
+func decodeWorkload(body io.Reader, req *wire.Request) error {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
@@ -586,92 +559,68 @@ func statusFor(err error) int {
 	}
 }
 
-func decodeCenters[P any](raw json.RawMessage) ([]P, error) {
-	if len(raw) == 0 {
-		return nil, fmt.Errorf("missing centers")
+// runWorkload is the one adapter between the wire schema and the typed
+// serve API, instantiated once per instance kind: it runs the named
+// workload for req on srv and returns the response body. The body is
+// meaningful only when the error is nil.
+func runWorkload[P any](srv *serve.Server[P], ctx context.Context, name string, req wire.Request) (any, error) {
+	d := req.Deadline()
+	switch name {
+	case "solve":
+		resp, err := srv.Solve(ctx, serve.SolveRequest{Instance: req.Instance, K: req.K, Deadline: d})
+		res := resp.Result
+		return wire.SolveResponse[[]P]{
+			Assign: res.Assign, Centers: res.Centers, CertainRadius: res.CertainRadius, Ecost: res.Ecost,
+			EcostUnassigned: res.EcostUnassigned, EffectiveEps: res.EffectiveEps, Stats: statsOf(resp.Stats),
+		}, err
+	case "unassigned":
+		resp, err := srv.SolveUnassigned(ctx, serve.UnassignedRequest{Instance: req.Instance, K: req.K, Deadline: d})
+		return wire.UnassignedResponse[[]P]{Centers: resp.Centers, Ecost: resp.Ecost, Stats: statsOf(resp.Stats)}, err
 	}
-	var out []P
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, fmt.Errorf("parsing centers: %w", err)
+	centers, err := wire.DecodeCenters[P](req.Centers)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	switch name {
+	case "assign":
+		resp, err := srv.Assign(ctx, serve.AssignRequest[P]{Instance: req.Instance, Centers: centers, Deadline: d})
+		return wire.AssignResponse{Assign: resp.Assign, Stats: statsOf(resp.Stats)}, err
+	case "ecost":
+		resp, err := srv.Ecost(ctx, serve.EcostRequest[P]{Instance: req.Instance, Centers: centers, Assign: req.Assign, Deadline: d})
+		return wire.EcostResponse{Ecost: resp.Ecost, Stats: statsOf(resp.Stats)}, err
+	default: // "sweep"
+		resp, err := srv.EcostSweep(ctx, serve.EcostSweepRequest[P]{Instance: req.Instance, Centers: centers, Deadline: d})
+		return wire.SweepResponse[[]int]{Snapped: resp.Snapped, Stats: statsOf(resp.Stats), Sweep: resp.Sweep}, err
+	}
 }
 
-// The workload adapters between the wire shape and the typed serve API:
-// one generic function per workload, instantiated for both instance kinds
-// in mux() via bind — a fix to one workload can never miss the other kind.
-
-// bind fixes a generic workload adapter to one kind's server.
-func bind[P any](srv *serve.Server[P], f func(*serve.Server[P], context.Context, workloadRequest) (any, error)) func(context.Context, workloadRequest) (any, error) {
-	return func(ctx context.Context, req workloadRequest) (any, error) { return f(srv, ctx, req) }
+// statsOf renders a request's serving telemetry in milliseconds, at
+// microsecond resolution.
+func statsOf(s serve.RequestStats) wire.Stats {
+	return wire.Stats{
+		Shard:    s.Shard,
+		QueueMS:  float64(s.Queue.Microseconds()) / 1000,
+		ExecMS:   float64(s.Exec.Microseconds()) / 1000,
+		CacheHit: s.CacheHit,
+	}
 }
 
-func doSolve[P any](srv *serve.Server[P], ctx context.Context, req workloadRequest) (any, error) {
-	resp, err := srv.Solve(ctx, serve.SolveRequest{Instance: req.Instance, K: req.K, Deadline: req.deadline()})
-	if err != nil {
-		return nil, err
-	}
-	return map[string]any{
-		"centers":          resp.Result.Centers,
-		"assign":           resp.Result.Assign,
-		"ecost":            resp.Result.Ecost,
-		"ecost_unassigned": resp.Result.EcostUnassigned,
-		"certain_radius":   resp.Result.CertainRadius,
-		"effective_eps":    resp.Result.EffectiveEps,
-		"stats":            toStatsOut(resp.Stats),
-	}, nil
-}
-
-func doAssign[P any](srv *serve.Server[P], ctx context.Context, req workloadRequest) (any, error) {
-	centers, err := decodeCenters[P](req.Centers)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := srv.Assign(ctx, serve.AssignRequest[P]{Instance: req.Instance, Centers: centers, Deadline: req.deadline()})
-	if err != nil {
-		return nil, err
-	}
-	return map[string]any{"assign": resp.Assign, "stats": toStatsOut(resp.Stats)}, nil
-}
-
-func doEcost[P any](srv *serve.Server[P], ctx context.Context, req workloadRequest) (any, error) {
-	centers, err := decodeCenters[P](req.Centers)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := srv.Ecost(ctx, serve.EcostRequest[P]{Instance: req.Instance, Centers: centers, Assign: req.Assign, Deadline: req.deadline()})
-	if err != nil {
-		return nil, err
-	}
-	return map[string]any{"ecost": resp.Ecost, "stats": toStatsOut(resp.Stats)}, nil
-}
-
-func doSweep[P any](srv *serve.Server[P], ctx context.Context, req workloadRequest) (any, error) {
-	centers, err := decodeCenters[P](req.Centers)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := srv.EcostSweep(ctx, serve.EcostSweepRequest[P]{Instance: req.Instance, Centers: centers, Deadline: req.deadline()})
-	if err != nil {
-		return nil, err
-	}
-	return map[string]any{"sweep": resp.Sweep, "snapped": resp.Snapped, "stats": toStatsOut(resp.Stats)}, nil
-}
-
-func doUnassigned[P any](srv *serve.Server[P], ctx context.Context, req workloadRequest) (any, error) {
-	resp, err := srv.SolveUnassigned(ctx, serve.UnassignedRequest{Instance: req.Instance, K: req.K, Deadline: req.deadline()})
-	if err != nil {
-		return nil, err
-	}
-	return map[string]any{"centers": resp.Centers, "ecost": resp.Ecost, "stats": toStatsOut(resp.Stats)}, nil
-}
-
+// writeJSON answers status with v's JSON and the newline json.Encoder
+// ends a value with. v is encoded before the header is written: a value
+// encoding/json refuses (a +Inf cost, say) answers 422 with the encoder's
+// error instead of a 200 with an empty body. Not 500: the same request
+// always yields the same value, so a client retry could only fail again.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusUnprocessableEntity
+		body, _ = json.Marshal(wire.Error{Message: fmt.Sprintf("encoding response: %v", err)}) // a string always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]any{"error": err.Error()})
+	writeJSON(w, status, wire.Error{Message: err.Error()})
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/dataio"
 	"repro/internal/gen"
+	"repro/internal/wire"
 )
 
 func TestHTTPStatusMapping(t *testing.T) {
@@ -96,6 +98,25 @@ func TestHTTPStatusMapping(t *testing.T) {
 	}
 	if n := gw.eu.Metrics().Totals().Panicked; n != 0 {
 		t.Fatalf("panicked = %d after malformed centers, want 0", n)
+	}
+	// A center far enough away overflows the squared distance, and the cost
+	// is +Inf, which encoding/json cannot encode: the answer is a 422 with
+	// an error body, with or without assign, never a 200 with no body.
+	zeros := strings.TrimSuffix(strings.Repeat("0,", 15), ",")
+	for _, payload := range []string{
+		`{"instance":"a","centers":[[1e200,0]]}`,
+		`{"instance":"a","centers":[[1e200,0]],"assign":[` + zeros + `]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/ecost", "application/json", strings.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e wire.Error
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity || err != nil || !strings.Contains(e.Message, "+Inf") {
+			t.Fatalf("unencodable cost %s: %d, error body %q (%v); want 422 naming +Inf", payload, resp.StatusCode, e.Message, err)
+		}
 	}
 	if resp := do(http.MethodGet, "/v1/metrics", ""); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /v1/metrics: %d, want 404", resp.StatusCode)

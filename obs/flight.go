@@ -148,7 +148,6 @@ type FlightStats struct {
 	Completed     uint64 // traces fully assembled (last participant finished)
 	KeptError     uint64 // retained because a participant erred
 	KeptSlow      uint64 // retained by the latency threshold
-	KeptSampled   uint64 // offered to the reservoir and currently... see Sampled
 	Sampled       uint64 // boring traces offered to the reservoir
 	DroppedActive uint64 // Start calls refused by the MaxActive cap
 }

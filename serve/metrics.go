@@ -54,6 +54,13 @@ func (l shardLatency) observe(queue, exec time.Duration) {
 	l.total.Observe((queue + exec).Seconds())
 }
 
+// observeQueued records a request that expired or was canceled in the
+// queue: its wait is its whole latency, and exec never sees it.
+func (l shardLatency) observeQueued(queue time.Duration) {
+	l.queue.Observe(queue.Seconds())
+	l.total.Observe(queue.Seconds())
+}
+
 // InstanceMetrics is one registered instance's cache view: the shard's last
 // byte accounting of its memoized caches and the distribution of its
 // cache-build durations (surrogate builds — each fires once
@@ -71,8 +78,10 @@ type InstanceMetrics struct {
 // histograms are cumulative since server start; gauges (QueueDepth,
 // CacheBytes, Instances) are instantaneous. TotalLatency is end-to-end
 // (queue + execution, per request); QueueLatency and ExecLatency split the
-// same requests into their components. All three are in seconds; read a
-// quantile with HistogramSnapshot.Quantile.
+// same requests into their components; QueueLatency and TotalLatency also
+// count the requests that expired or were canceled in the queue, with
+// their wait until a worker dequeued them. All three are in seconds; read
+// a quantile with HistogramSnapshot.Quantile.
 type ShardMetrics struct {
 	Shard      int
 	Instances  int

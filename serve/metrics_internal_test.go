@@ -88,13 +88,13 @@ func TestRetryAfter(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, workers+queued)
 	done := make(chan error, workers+queued)
-	wedge := func(context.Context, *entry[ukc.Vec]) error {
+	wedge := func(context.Context, ukc.Instance[ukc.Vec]) (struct{}, error) {
 		started <- struct{}{}
 		<-gate
-		return nil
+		return struct{}{}, nil
 	}
 	call := func() {
-		_, err := s.do(ctx, "test", "inst", 0, wedge)
+		_, _, err := do(s, ctx, "test", "inst", 0, wedge)
 		done <- err
 	}
 	for i := 0; i < workers; i++ {

@@ -100,6 +100,33 @@ func TestCanceledSplitsFromFailed(t *testing.T) {
 	}
 }
 
+// TestQueueExpiryObserved pins that a request which expires in the queue
+// still reaches the queue and end-to-end histograms: behind the one wedged
+// worker, a request with a 50 ms deadline expires, and once the worker is
+// released the shard counts it Expired, observes its wait of at least
+// 50 ms in queue and total, and leaves exec to the request that executed.
+func TestQueueExpiryObserved(t *testing.T) {
+	srv, gate := gatedServer(t)
+	defer srv.Close()
+	wedged := wedge(t, srv)
+	_, err := srv.Ecost(context.Background(), serve.EcostRequest[ukc.Vec]{
+		Instance: "gated", Centers: []ukc.Vec{{1, 1}}, Deadline: 50 * time.Millisecond,
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		close(gate)
+		t.Fatalf("queued request: err = %v, want context.DeadlineExceeded", err)
+	}
+	close(gate)
+	if err := <-wedged; err != nil {
+		t.Fatal(err)
+	}
+	m := waitTotals(t, srv, func(m serve.ShardMetrics) bool { return m.Expired == 1 && m.QueueLatency.Count == 2 })
+	if m.QueueLatency.Sum < 0.05 || m.TotalLatency.Count != 2 || m.ExecLatency.Count != 1 {
+		t.Fatalf("queue count %d sum %vs, total count %d, exec count %d; want 2, ≥ 0.05s, 2, 1",
+			m.QueueLatency.Count, m.QueueLatency.Sum, m.TotalLatency.Count, m.ExecLatency.Count)
+	}
+}
+
 // TestLatencySplitAndPerInstance runs real traffic and checks the
 // snapshot surfaces: the cross-shard queue, exec and end-to-end histograms
 // each hold every request once, in the bucket of the duration its

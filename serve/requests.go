@@ -43,23 +43,10 @@ type SolveResponse[P any] struct {
 // bit-identical to calling the server's solver directly on the same
 // instance — serving changes scheduling, never answers.
 func (s *Server[P]) Solve(ctx context.Context, req SolveRequest) (SolveResponse[P], error) {
-	var resp SolveResponse[P]
-	st, err := s.do(ctx, "solve", req.Instance, req.Deadline, func(ctx context.Context, ent *entry[P]) error {
-		res, err := s.solver.Solve(ctx, ent.inst, req.K)
-		if err != nil {
-			return err
-		}
-		resp.Result = res
-		return nil
+	res, st, err := do(s, ctx, "solve", req.Instance, req.Deadline, func(ctx context.Context, inst ukc.Instance[P]) (ukc.ResultOf[P], error) {
+		return s.solver.Solve(ctx, inst, req.K)
 	})
-	if err != nil {
-		// The shared resp must not be read here: on an early deadline
-		// return the worker may still be writing it (do's abandonment
-		// contract) — hand back a fresh value carrying only the stats.
-		return SolveResponse[P]{Stats: st}, err
-	}
-	resp.Stats = st
-	return resp, nil
+	return SolveResponse[P]{Result: res, Stats: st}, err
 }
 
 // AssignRequest asks for the solver's assignment rule applied to an
@@ -80,20 +67,10 @@ type AssignResponse struct {
 // named instance (the EP/OC rules reuse the instance's memoized
 // surrogates).
 func (s *Server[P]) Assign(ctx context.Context, req AssignRequest[P]) (AssignResponse, error) {
-	var resp AssignResponse
-	st, err := s.do(ctx, "assign", req.Instance, req.Deadline, func(ctx context.Context, ent *entry[P]) error {
-		assign, err := s.solver.Assign(ctx, ent.inst, req.Centers)
-		if err != nil {
-			return err
-		}
-		resp.Assign = assign
-		return nil
+	assign, st, err := do(s, ctx, "assign", req.Instance, req.Deadline, func(ctx context.Context, inst ukc.Instance[P]) ([]int, error) {
+		return s.solver.Assign(ctx, inst, req.Centers)
 	})
-	if err != nil {
-		return AssignResponse{Stats: st}, err
-	}
-	resp.Stats = st
-	return resp, nil
+	return AssignResponse{Assign: assign, Stats: st}, err
 }
 
 // EcostRequest asks for an exact expected cost on a registered instance:
@@ -116,28 +93,13 @@ type EcostResponse struct {
 // Ecost evaluates the exact expected cost on the named instance's compiled
 // flat model.
 func (s *Server[P]) Ecost(ctx context.Context, req EcostRequest[P]) (EcostResponse, error) {
-	var resp EcostResponse
-	st, err := s.do(ctx, "ecost", req.Instance, req.Deadline, func(ctx context.Context, ent *entry[P]) error {
-		var (
-			cost float64
-			err  error
-		)
+	cost, st, err := do(s, ctx, "ecost", req.Instance, req.Deadline, func(ctx context.Context, inst ukc.Instance[P]) (float64, error) {
 		if req.Assign != nil {
-			cost, err = s.solver.Ecost(ctx, ent.inst, req.Centers, req.Assign)
-		} else {
-			cost, err = s.solver.EcostUnassigned(ctx, ent.inst, req.Centers)
+			return s.solver.Ecost(ctx, inst, req.Centers, req.Assign)
 		}
-		if err != nil {
-			return err
-		}
-		resp.Ecost = cost
-		return nil
+		return s.solver.EcostUnassigned(ctx, inst, req.Centers)
 	})
-	if err != nil {
-		return EcostResponse{Stats: st}, err
-	}
-	resp.Stats = st
-	return resp, nil
+	return EcostResponse{Ecost: cost, Stats: st}, err
 }
 
 // EcostSweepRequest asks for the full single-swap neighborhood matrix of a
@@ -161,20 +123,12 @@ type EcostSweepResponse struct {
 // EcostSweep evaluates the single-swap neighborhood of req.Centers on the
 // named instance.
 func (s *Server[P]) EcostSweep(ctx context.Context, req EcostSweepRequest[P]) (EcostSweepResponse, error) {
-	var resp EcostSweepResponse
-	st, err := s.do(ctx, "sweep", req.Instance, req.Deadline, func(ctx context.Context, ent *entry[P]) error {
-		sweep, snapped, err := s.solver.EcostSweep(ctx, ent.inst, req.Centers)
-		if err != nil {
-			return err
-		}
-		resp.Sweep, resp.Snapped = sweep, snapped
-		return nil
+	resp, st, err := do(s, ctx, "sweep", req.Instance, req.Deadline, func(ctx context.Context, inst ukc.Instance[P]) (EcostSweepResponse, error) {
+		sweep, snapped, err := s.solver.EcostSweep(ctx, inst, req.Centers)
+		return EcostSweepResponse{Sweep: sweep, Snapped: snapped}, err
 	})
-	if err != nil {
-		return EcostSweepResponse{Stats: st}, err
-	}
 	resp.Stats = st
-	return resp, nil
+	return resp, err
 }
 
 // UnassignedRequest asks for the unassigned-objective local search
@@ -196,18 +150,10 @@ type UnassignedResponse[P any] struct {
 // SolveUnassigned runs the exact-evaluator local search for the unassigned
 // objective on the named instance.
 func (s *Server[P]) SolveUnassigned(ctx context.Context, req UnassignedRequest) (UnassignedResponse[P], error) {
-	var resp UnassignedResponse[P]
-	st, err := s.do(ctx, "solve_unassigned", req.Instance, req.Deadline, func(ctx context.Context, ent *entry[P]) error {
-		centers, cost, err := s.solver.SolveUnassigned(ctx, ent.inst, req.K)
-		if err != nil {
-			return err
-		}
-		resp.Centers, resp.Ecost = centers, cost
-		return nil
+	resp, st, err := do(s, ctx, "solve_unassigned", req.Instance, req.Deadline, func(ctx context.Context, inst ukc.Instance[P]) (UnassignedResponse[P], error) {
+		centers, cost, err := s.solver.SolveUnassigned(ctx, inst, req.K)
+		return UnassignedResponse[P]{Centers: centers, Ecost: cost}, err
 	})
-	if err != nil {
-		return UnassignedResponse[P]{Stats: st}, err
-	}
 	resp.Stats = st
-	return resp, nil
+	return resp, err
 }

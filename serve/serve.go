@@ -31,12 +31,12 @@
 //
 // All admission, execution and eviction decisions are per shard, so a hot
 // or thrashing shard cannot stall the others. Each shard observes every
-// executed request's queue wait, execution and end-to-end durations into
-// lock-free obs histograms, which merge bucket-wise across shards and
-// instance kinds. Metrics() returns a snapshot — queue depths, cache bytes,
-// hit/miss, latency histograms — for tests and in-process callers; Collect
-// walks the same state for exporters (cmd/ukserver serves it on GET
-// /metrics).
+// dequeued request's queue wait and end-to-end duration, and every
+// executed request's execution, into lock-free obs histograms, which merge
+// bucket-wise across shards and instance kinds. Metrics() returns a
+// snapshot — queue depths, cache bytes, hit/miss, latency histograms — for
+// tests and in-process callers; Collect walks the same state for exporters
+// (cmd/ukserver serves it on GET /metrics).
 package serve
 
 import (
@@ -405,10 +405,13 @@ func (s *Server[P]) Names() []string {
 // do is the request path every workload shares: resolve the instance,
 // layer the deadline, start trace participation, admit onto the shard queue
 // (fail fast with ErrOverloaded when full), and wait for a worker to run
-// fn. The returned stats are meaningful even on error (Shard is always set;
-// Queue/Exec when the task executed). workload names the request kind in
-// the in-flight table.
-func (s *Server[P]) do(ctx context.Context, workload, instance string, deadline time.Duration, fn func(ctx context.Context, ent *entry[P]) error) (RequestStats, error) {
+// fn on the instance. The returned stats are meaningful even on error
+// (Shard is always set; Queue/Exec when the task executed). workload names
+// the request kind in the in-flight table. On any error the result is R's
+// zero value: a request abandoned on its deadline returns while the worker
+// may still be writing fn's result, so it is read only after a nil error.
+func do[P, R any](s *Server[P], ctx context.Context, workload, instance string, deadline time.Duration, fn func(context.Context, ukc.Instance[P]) (R, error)) (R, RequestStats, error) {
+	var res, zero R
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -419,7 +422,7 @@ func (s *Server[P]) do(ctx context.Context, workload, instance string, deadline 
 	ent, ok := sh.entries[instance]
 	sh.mu.Unlock()
 	if !ok {
-		return st, fmt.Errorf("%w: %q", ErrNotFound, instance)
+		return zero, st, fmt.Errorf("%w: %q", ErrNotFound, instance)
 	}
 
 	if deadline <= 0 {
@@ -451,7 +454,7 @@ func (s *Server[P]) do(ctx context.Context, workload, instance string, deadline 
 	t := &task[P]{
 		ctx:  dctx,
 		ent:  ent,
-		fn:   func(c context.Context) error { return fn(c, ent) },
+		fn:   func(c context.Context) (err error) { res, err = fn(c, ent.inst); return err },
 		enq:  time.Now(),
 		at:   at,
 		done: make(chan struct{}),
@@ -466,7 +469,7 @@ func (s *Server[P]) do(ctx context.Context, workload, instance string, deadline 
 		s.closeMu.RUnlock()
 		s.inflight.remove(t.ifr)
 		at.Finish(err)
-		return st, err
+		return zero, st, err
 	}
 	select {
 	case sh.queue <- t:
@@ -477,13 +480,16 @@ func (s *Server[P]) do(ctx context.Context, workload, instance string, deadline 
 		sh.m.rejected.Add(1)
 		s.inflight.remove(t.ifr)
 		at.Finish(ErrOverloaded)
-		return st, ErrOverloaded
+		return zero, st, ErrOverloaded
 	}
 
 	select {
 	case <-t.done:
 		at.Finish(t.err)
-		return t.stats, t.err
+		if t.err != nil {
+			return zero, t.stats, t.err
+		}
+		return res, t.stats, nil
 	case <-dctx.Done():
 		// Deadline or caller cancellation while queued (or mid-execution —
 		// the worker aborts at the pipeline's next ctx check and discards
@@ -494,7 +500,7 @@ func (s *Server[P]) do(ctx context.Context, workload, instance string, deadline 
 		st.Queue = time.Since(t.enq)
 		err := context.Cause(dctx)
 		at.Finish(err)
-		return st, err
+		return zero, st, err
 	}
 }
 
@@ -531,6 +537,7 @@ func (s *Server[P]) execute(sh *shard[P], t *task[P]) {
 		} else {
 			sh.m.canceled.Add(1)
 		}
+		sh.lat.observeQueued(t.stats.Queue)
 		t.err = err
 		return
 	}
