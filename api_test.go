@@ -6,6 +6,8 @@ package ukc_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -197,7 +199,11 @@ func TestSolverSpaceDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eWant, err := core.Solve[ukc.Vec](ctx, ukc.Euclidean{}, eInst.Points, nil, 3, core.Options{
+	eComp, err := core.Compile[ukc.Vec](ctx, ukc.Euclidean{}, eInst.Points, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eWant, err := core.SolveCompiled(ctx, eComp, 3, core.Options{
 		Surrogate: core.SurrogateExpectedPoint, Rule: core.RuleEP,
 	})
 	if err != nil {
@@ -213,7 +219,11 @@ func TestSolverSpaceDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	fSpace := fInst.Space.(*ukc.FiniteSpace)
-	fWant, err := core.Solve[int](ctx, fSpace, fInst.Points, fSpace.Points(), 3, core.Options{
+	fComp, err := core.Compile[int](ctx, fSpace, fInst.Points, fSpace.Points())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fWant, err := core.SolveCompiled(ctx, fComp, 3, core.Options{
 		Surrogate: core.SurrogateOneCenter, Rule: core.RuleED,
 	})
 	if err != nil {
@@ -224,13 +234,65 @@ func TestSolverSpaceDefaults(t *testing.T) {
 	}
 }
 
+// TestSolverClampsK pins the documented k clamp: Solve returns min(k, n)
+// centers under every certain solver, and SolveUnassigned min(k, m) when
+// the m candidates are distinct, as they are here.
+func TestSolverClampsK(t *testing.T) {
+	ctx := context.Background()
+	eu := euclideanInstance(t, 71, 3, 2)  // n = 3, m = 6 distinct locations
+	fin := finiteInstance(t, 73, 8, 2, 2) // n = 2, m = 8 vertices
+	solve := func(s *ukc.Solver[ukc.Vec], k int) (int, error) {
+		res, err := s.Solve(ctx, eu, k)
+		return len(res.Centers), err
+	}
+	solveFinite := func(s *ukc.Solver[int], k int) (int, error) {
+		res, err := s.Solve(ctx, fin, k)
+		return len(res.Centers), err
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (int, error)
+		want int
+	}{
+		{"euclidean/gonzalez k=7", func() (int, error) { return solve(ukc.NewSolver[ukc.Vec](), 7) }, 3},
+		{"euclidean/eps k=7", func() (int, error) {
+			return solve(ukc.NewSolver[ukc.Vec](ukc.WithCertainSolver(ukc.SolverEps)), 7)
+		}, 3},
+		{"euclidean/exact-discrete k=7", func() (int, error) {
+			return solve(ukc.NewSolver[ukc.Vec](ukc.WithCertainSolver(ukc.SolverExactDiscrete)), 7)
+		}, 3},
+		{"finite/gonzalez k=5", func() (int, error) { return solveFinite(ukc.NewSolver[int](), 5) }, 2},
+		{"finite/exact-discrete k=5", func() (int, error) {
+			return solveFinite(ukc.NewSolver[int](ukc.WithCertainSolver(ukc.SolverExactDiscrete)), 5)
+		}, 2},
+		{"euclidean/unassigned k=9", func() (int, error) {
+			centers, _, err := ukc.NewSolver[ukc.Vec]().SolveUnassigned(ctx, eu, 9)
+			return len(centers), err
+		}, 6},
+		{"finite/unassigned k=9", func() (int, error) {
+			centers, _, err := ukc.NewSolver[int]().SolveUnassigned(ctx, fin, 9)
+			return len(centers), err
+		}, 8},
+	} {
+		got, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: %d centers, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestSolverRejectsMalformedCenters: every method that takes centers
 // returns an error for centers the instance's space cannot measure — a
-// Euclidean center of the wrong dimension, a vertex outside the finite
-// space — instead of panicking inside a distance loop.
+// Euclidean center of the wrong dimension or with a NaN or ±Inf
+// coordinate, a vertex outside the finite space — instead of panicking
+// inside a distance loop or never returning.
 func TestSolverRejectsMalformedCenters(t *testing.T) {
 	checkMalformedCenters(t, ukc.NewSolver[ukc.Vec](), euclideanInstance(t, 61, 12, 2),
-		[][]ukc.Vec{{{0, 0, 0}}, {{0, 0}, {1}}})
+		[][]ukc.Vec{{{0, 0, 0}}, {{0, 0}, {1}},
+			{{math.NaN(), 0}}, {{0, 0}, {math.Inf(1), 0}}, {{0, math.Inf(-1)}}})
 	checkMalformedCenters(t, ukc.NewSolver[int](), finiteInstance(t, 67, 20, 10, 2),
 		[][]int{{999}, {0, -1}})
 }
@@ -239,18 +301,38 @@ func checkMalformedCenters[P any](t *testing.T, solver *ukc.Solver[P], inst ukc.
 	t.Helper()
 	ctx := context.Background()
 	for _, centers := range bad {
-		if _, err := solver.Assign(ctx, inst, centers); err == nil {
-			t.Errorf("Assign(%v): no error", centers)
+		wantError(t, fmt.Sprintf("Assign(%v)", centers), func() error {
+			_, err := solver.Assign(ctx, inst, centers)
+			return err
+		})
+		wantError(t, fmt.Sprintf("Ecost(%v)", centers), func() error {
+			_, err := solver.Ecost(ctx, inst, centers, make([]int, inst.N()))
+			return err
+		})
+		wantError(t, fmt.Sprintf("EcostUnassigned(%v)", centers), func() error {
+			_, err := solver.EcostUnassigned(ctx, inst, centers)
+			return err
+		})
+		wantError(t, fmt.Sprintf("EcostSweep(%v)", centers), func() error {
+			_, _, err := solver.EcostSweep(ctx, inst, centers)
+			return err
+		})
+	}
+}
+
+// wantError runs call on its own goroutine and requires an error within
+// 5 s, so a call that never returns fails the test instead of hanging it.
+func wantError(t *testing.T, name string, call func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- call() }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Errorf("%s: no error", name)
 		}
-		if _, err := solver.Ecost(ctx, inst, centers, make([]int, inst.N())); err == nil {
-			t.Errorf("Ecost(%v): no error", centers)
-		}
-		if _, err := solver.EcostUnassigned(ctx, inst, centers); err == nil {
-			t.Errorf("EcostUnassigned(%v): no error", centers)
-		}
-		if _, _, err := solver.EcostSweep(ctx, inst, centers); err == nil {
-			t.Errorf("EcostSweep(%v): no error", centers)
-		}
+	case <-time.After(5 * time.Second):
+		t.Errorf("%s: no answer within 5s", name)
 	}
 }
 

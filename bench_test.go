@@ -23,7 +23,12 @@ import (
 // solveEuclidean runs the unified pipeline on a Euclidean point set,
 // compiling it per call as a one-shot caller does.
 func solveEuclidean(pts []ukc.Point, k int, opts core.Options) (ukc.Result, error) {
-	return core.Solve[geom.Vec](context.Background(), metricspace.Euclidean{}, pts, nil, k, opts)
+	ctx := context.Background()
+	c, err := core.Compile[geom.Vec](ctx, metricspace.Euclidean{}, pts, nil)
+	if err != nil {
+		return ukc.Result{}, err
+	}
+	return core.SolveCompiled(ctx, c, k, opts)
 }
 
 func benchEuclidean(b *testing.B, n, z, dim int) []ukc.Point {
@@ -179,7 +184,11 @@ func BenchmarkTable1Row9(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Solve[int](ctx, space, pts, space.Points(), 4, core.Options{
+		c, err := core.Compile[int](ctx, space, pts, space.Points())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.SolveCompiled(ctx, c, 4, core.Options{
 			Surrogate: ukc.SurrogateOneCenter, Rule: ukc.RuleOC,
 		}); err != nil {
 			b.Fatal(err)
@@ -264,9 +273,15 @@ func BenchmarkEcostEvaluators(b *testing.B) {
 	}
 	space := metricspace.Euclidean{}
 	b.Run("exact", func(b *testing.B) {
+		ctx := context.Background()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.EcostAssigned[geom.Vec](space, pts, res.Centers, res.Assign); err != nil {
+			// Compile per evaluation, as A3's exact column times it.
+			c, err := core.Compile[geom.Vec](ctx, space, pts, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.EcostAssigned(ctx, res.Centers, res.Assign, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -477,16 +492,21 @@ func BenchmarkSwapIncremental(b *testing.B) {
 		chosen[i] = i * len(cands) / k
 	}
 	b.Run("scratch", func(b *testing.B) {
+		comp, err := core.Compile[geom.Vec](ctx, space, pts, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		centers := make([]geom.Vec, k)
 		for i, c := range chosen {
 			centers[i] = cands[c]
 		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			pos := i % k
 			for c := range cands {
 				centers[pos] = cands[c]
-				cost, err := core.EcostUnassigned[geom.Vec](space, pts, centers)
+				cost, err := comp.EcostUnassigned(ctx, centers, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -20,6 +20,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -68,9 +69,12 @@ type Options struct {
 }
 
 // Solve runs the chosen baseline and reports the same Result shape as the
-// paper's pipelines (assignment rule: expected distance).
+// paper's pipelines (assignment rule: expected distance). It compiles the
+// point set once and scores every candidate center set on it.
 func Solve[P any](space metricspace.Space[P], pts []uncertain.Point[P], k int, method Method, opts Options) (core.Result[P], error) {
-	if err := uncertain.ValidateSet(pts); err != nil {
+	ctx := context.Background()
+	c, err := core.Compile(ctx, space, pts, nil)
+	if err != nil {
 		return core.Result[P]{}, err
 	}
 	if k <= 0 {
@@ -90,7 +94,7 @@ func Solve[P any](space metricspace.Space[P], pts []uncertain.Point[P], k int, m
 		if err != nil {
 			return core.Result[P]{}, err
 		}
-		return finish(space, pts, kcenter.Select(reps, idx), reps, radius)
+		return finish(ctx, c, kcenter.Select(reps, idx), reps, radius)
 	case MethodSample:
 		if opts.Rng == nil {
 			return core.Result[P]{}, fmt.Errorf("baseline: MethodSample needs Options.Rng")
@@ -107,7 +111,7 @@ func Solve[P any](space metricspace.Space[P], pts []uncertain.Point[P], k int, m
 			if err != nil {
 				return core.Result[P]{}, err
 			}
-			res, err := finish(space, pts, kcenter.Select(reps, idx), reps, radius)
+			res, err := finish(ctx, c, kcenter.Select(reps, idx), reps, radius)
 			if err != nil {
 				return core.Result[P]{}, err
 			}
@@ -121,16 +125,18 @@ func Solve[P any](space metricspace.Space[P], pts []uncertain.Point[P], k int, m
 	}
 }
 
-func finish[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers, reps []P, radius float64) (core.Result[P], error) {
-	assign, err := core.AssignED(space, pts, centers)
+// finish assigns the points of c to centers by expected distance and
+// reports both exact expected costs.
+func finish[P any](ctx context.Context, c *core.Compiled[P], centers, reps []P, radius float64) (core.Result[P], error) {
+	assign, err := core.AssignCompiled(ctx, c, centers, core.RuleED, nil, 1)
 	if err != nil {
 		return core.Result[P]{}, err
 	}
-	ecost, err := core.EcostAssigned(space, pts, centers, assign)
+	ecost, err := c.EcostAssigned(ctx, centers, assign, 1)
 	if err != nil {
 		return core.Result[P]{}, err
 	}
-	un, err := core.EcostUnassigned(space, pts, centers)
+	un, err := c.EcostUnassigned(ctx, centers, 1)
 	if err != nil {
 		return core.Result[P]{}, err
 	}

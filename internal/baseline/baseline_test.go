@@ -46,6 +46,11 @@ func TestAllMethodsProduceValidResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
+	c, err := core.Compile[geom.Vec](ctx, euclid, pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range []Method{MethodMode, MethodSample, MethodMedianLocation} {
 		res, err := Solve[geom.Vec](euclid, pts, 3, m, Options{Rng: rng, Samples: 4})
 		if err != nil {
@@ -55,7 +60,7 @@ func TestAllMethodsProduceValidResults(t *testing.T) {
 			t.Fatalf("%v: malformed result", m)
 		}
 		// Reported cost must match a recomputation.
-		ec, err := core.EcostAssigned[geom.Vec](euclid, pts, res.Centers, res.Assign)
+		ec, err := c.EcostAssigned(ctx, res.Centers, res.Assign, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +128,12 @@ func TestPaperPipelineCompetitiveWithBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		paper, err := core.Solve[geom.Vec](context.Background(), euclid, pts, nil, 2, core.Options{
+		ctx := context.Background()
+		c, err := core.Compile[geom.Vec](ctx, euclid, pts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paper, err := core.SolveCompiled(ctx, c, 2, core.Options{
 			Surrogate: core.SurrogateOneCenter,
 			Rule:      core.RuleOC,
 		})

@@ -9,15 +9,19 @@
 // In a finite metric space with candidates = all space points the discrete
 // optimum IS the true optimum and the checks are exact.
 //
+// Each oracle compiles its point set once (core.Compile validates it) and
+// evaluates every center set on the compiled instance, whose memoized EP
+// and OC surrogates the assignment rules share across subsets.
+//
 // Everything here is exponential; explicit limits guard against misuse.
 package bruteforce
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/metricspace"
 	"repro/internal/uncertain"
 )
@@ -85,21 +89,25 @@ func selectCenters[P any](candidates []P, idx []int) []P {
 }
 
 // RestrictedAssigned finds the candidate k-subset minimizing the exact
-// assigned expected cost under the given assignment rule (computing the
-// rule's surrogates once where possible is the caller's concern; the rule is
-// re-derived per center set as the problem definition requires).
+// assigned expected cost under the given assignment rule, re-deriving the
+// assignment per center set as the problem definition requires.
+// ruleCandidates is the surrogate search space of RuleOC outside Euclidean
+// space; Euclidean callers pass nil, which selects the continuous 1-center,
+// and may use all three rules.
 func RestrictedAssigned[P any](space metricspace.Space[P], pts []uncertain.Point[P], candidates []P, k int, rule core.Rule, ruleCandidates []P, maxSubsets int) (Solution[P], error) {
-	if err := uncertain.ValidateSet(pts); err != nil {
+	ctx := context.Background()
+	c, err := core.Compile(ctx, space, pts, ruleCandidates)
+	if err != nil {
 		return Solution[P]{}, err
 	}
 	best := Solution[P]{Cost: math.Inf(1)}
-	err := forEachSubset(len(candidates), k, maxSubsets, func(idx []int) error {
+	err = forEachSubset(len(candidates), k, maxSubsets, func(idx []int) error {
 		centers := selectCenters(candidates, idx)
-		assign, err := core.AssignMetric(space, pts, centers, rule, ruleCandidates)
+		assign, err := core.AssignCompiled(ctx, c, centers, rule, ruleCandidates, 1)
 		if err != nil {
 			return err
 		}
-		cost, err := core.EcostAssigned(space, pts, centers, assign)
+		cost, err := c.EcostAssigned(ctx, centers, assign, 1)
 		if err != nil {
 			return err
 		}
@@ -111,42 +119,18 @@ func RestrictedAssigned[P any](space metricspace.Space[P], pts []uncertain.Point
 	return best, err
 }
 
-// RestrictedAssignedEuclidean is RestrictedAssigned for Euclidean instances,
-// supporting all three rules (EP included).
-func RestrictedAssignedEuclidean(pts []uncertain.Point[geom.Vec], candidates []geom.Vec, k int, rule core.Rule, maxSubsets int) (Solution[geom.Vec], error) {
-	if err := uncertain.ValidateSet(pts); err != nil {
-		return Solution[geom.Vec]{}, err
-	}
-	space := metricspace.Euclidean{}
-	best := Solution[geom.Vec]{Cost: math.Inf(1)}
-	err := forEachSubset(len(candidates), k, maxSubsets, func(idx []int) error {
-		centers := selectCenters(candidates, idx)
-		assign, err := core.AssignEuclidean(pts, centers, rule)
-		if err != nil {
-			return err
-		}
-		cost, err := core.EcostAssigned[geom.Vec](space, pts, centers, assign)
-		if err != nil {
-			return err
-		}
-		if cost < best.Cost {
-			best = Solution[geom.Vec]{Centers: centers, Assign: assign, Cost: cost}
-		}
-		return nil
-	})
-	return best, err
-}
-
 // Unassigned finds the candidate k-subset minimizing the exact unassigned
 // expected cost.
 func Unassigned[P any](space metricspace.Space[P], pts []uncertain.Point[P], candidates []P, k, maxSubsets int) (Solution[P], error) {
-	if err := uncertain.ValidateSet(pts); err != nil {
+	ctx := context.Background()
+	c, err := core.Compile(ctx, space, pts, nil)
+	if err != nil {
 		return Solution[P]{}, err
 	}
 	best := Solution[P]{Cost: math.Inf(1)}
-	err := forEachSubset(len(candidates), k, maxSubsets, func(idx []int) error {
+	err = forEachSubset(len(candidates), k, maxSubsets, func(idx []int) error {
 		centers := selectCenters(candidates, idx)
-		cost, err := core.EcostUnassigned(space, pts, centers)
+		cost, err := c.EcostUnassigned(ctx, centers, 1)
 		if err != nil {
 			return err
 		}
@@ -162,7 +146,9 @@ func Unassigned[P any](space metricspace.Space[P], pts []uncertain.Point[P], can
 // exact assigned expected cost — the unrestricted assigned optimum over the
 // candidate set. The assignment search is k^n; maxAssign guards it.
 func Unrestricted[P any](space metricspace.Space[P], pts []uncertain.Point[P], candidates []P, k, maxSubsets, maxAssign int) (Solution[P], error) {
-	if err := uncertain.ValidateSet(pts); err != nil {
+	ctx := context.Background()
+	c, err := core.Compile(ctx, space, pts, nil)
+	if err != nil {
 		return Solution[P]{}, err
 	}
 	n := len(pts)
@@ -178,11 +164,11 @@ func Unrestricted[P any](space metricspace.Space[P], pts []uncertain.Point[P], c
 		}
 	}
 	best := Solution[P]{Cost: math.Inf(1)}
-	err := forEachSubset(len(candidates), k, maxSubsets, func(idx []int) error {
+	err = forEachSubset(len(candidates), k, maxSubsets, func(idx []int) error {
 		centers := selectCenters(candidates, idx)
 		assign := make([]int, n)
 		for {
-			cost, err := core.EcostAssigned(space, pts, centers, assign)
+			cost, err := c.EcostAssigned(ctx, centers, assign, 1)
 			if err != nil {
 				return err
 			}

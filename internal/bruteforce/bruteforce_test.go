@@ -1,6 +1,7 @@
 package bruteforce
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -74,12 +75,17 @@ func TestRestrictedAssignedEuclideanMatchesManual(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands := uncertain.AllLocations(pts)
-	sol, err := RestrictedAssignedEuclidean(pts, cands, 2, core.RuleED, 100000)
+	sol, err := RestrictedAssigned[geom.Vec](euclid, pts, cands, 2, core.RuleED, nil, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Manual check: the reported cost matches re-evaluating the solution.
-	cost, err := core.EcostAssigned[geom.Vec](euclid, pts, sol.Centers, sol.Assign)
+	ctx := context.Background()
+	c, err := core.Compile[geom.Vec](ctx, euclid, pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost, err := c.EcostAssigned(ctx, sol.Centers, sol.Assign, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,16 +100,16 @@ func TestRestrictedAssignedEuclideanMatchesManual(t *testing.T) {
 			continue
 		}
 		centers := []geom.Vec{cands[i], cands[j]}
-		assign, err := core.AssignEuclidean(pts, centers, core.RuleED)
+		assign, err := core.AssignCompiled(ctx, c, centers, core.RuleED, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := core.EcostAssigned[geom.Vec](euclid, pts, centers, assign)
+		cost, err := c.EcostAssigned(ctx, centers, assign, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c < sol.Cost-1e-9 {
-			t.Fatalf("random subset beats 'optimal': %g < %g", c, sol.Cost)
+		if cost < sol.Cost-1e-9 {
+			t.Fatalf("random subset beats 'optimal': %g < %g", cost, sol.Cost)
 		}
 	}
 }
@@ -122,7 +128,7 @@ func TestUnrestrictedBeatsRestricted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		re, err := RestrictedAssignedEuclidean(pts, cands, 2, core.RuleED, 100000)
+		re, err := RestrictedAssigned[geom.Vec](euclid, pts, cands, 2, core.RuleED, nil, 100000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,8 +163,8 @@ func TestValidationEverywhere(t *testing.T) {
 	if _, err := Unassigned[geom.Vec](euclid, nil, cands, 1, 10); err == nil {
 		t.Error("Unassigned accepted empty set")
 	}
-	if _, err := RestrictedAssignedEuclidean(nil, cands, 1, core.RuleED, 10); err == nil {
-		t.Error("RestrictedAssignedEuclidean accepted empty set")
+	if _, err := RestrictedAssigned[geom.Vec](euclid, nil, cands, 1, core.RuleED, nil, 10); err == nil {
+		t.Error("RestrictedAssigned accepted empty Euclidean set")
 	}
 	if _, err := Unrestricted[geom.Vec](euclid, nil, cands, 1, 10, 10); err == nil {
 		t.Error("Unrestricted accepted empty set")

@@ -1,10 +1,12 @@
 package clusterx
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/metricspace"
@@ -38,23 +40,23 @@ func TestMedianCostPanicsNoCenters(t *testing.T) {
 
 func TestLocalSearchKMedianValidation(t *testing.T) {
 	pts := []geom.Vec{{0}}
-	if _, _, err := LocalSearchKMedian[geom.Vec](euclid, nil, nil, pts, 1, 10); err == nil {
+	if _, _, err := LocalSearchKMedian[geom.Vec](context.Background(), euclid, nil, nil, pts, 1, 10); err == nil {
 		t.Error("empty points accepted")
 	}
-	if _, _, err := LocalSearchKMedian[geom.Vec](euclid, pts, nil, nil, 1, 10); err == nil {
+	if _, _, err := LocalSearchKMedian[geom.Vec](context.Background(), euclid, pts, nil, nil, 1, 10); err == nil {
 		t.Error("no candidates accepted")
 	}
-	if _, _, err := LocalSearchKMedian[geom.Vec](euclid, pts, nil, pts, 0, 10); err == nil {
+	if _, _, err := LocalSearchKMedian[geom.Vec](context.Background(), euclid, pts, nil, pts, 0, 10); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := LocalSearchKMedian[geom.Vec](euclid, pts, []float64{1, 2}, pts, 1, 10); err == nil {
+	if _, _, err := LocalSearchKMedian[geom.Vec](context.Background(), euclid, pts, []float64{1, 2}, pts, 1, 10); err == nil {
 		t.Error("weight length mismatch accepted")
 	}
 }
 
 func TestLocalSearchKMedianTwoClusters(t *testing.T) {
 	pts := []geom.Vec{{0}, {1}, {2}, {100}, {101}, {102}}
-	idx, cost, err := LocalSearchKMedian[geom.Vec](euclid, pts, nil, pts, 2, 100)
+	idx, cost, err := LocalSearchKMedian[geom.Vec](context.Background(), euclid, pts, nil, pts, 2, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestLocalSearchNearOptimal(t *testing.T) {
 			pts[i] = geom.Vec{rng.NormFloat64() * 5, rng.NormFloat64() * 5}
 		}
 		k := 1 + rng.Intn(2)
-		_, lsCost, err := LocalSearchKMedian[geom.Vec](euclid, pts, nil, pts, k, 100)
+		_, lsCost, err := LocalSearchKMedian[geom.Vec](context.Background(), euclid, pts, nil, pts, k, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,31 +141,6 @@ func TestEMedianCostsSeparability(t *testing.T) {
 		if math.Abs(fast-slow) > 1e-9*(1+slow) {
 			t.Fatalf("trial %d: separable %g vs enumeration %g", trial, fast, slow)
 		}
-		// Unassigned flavor.
-		fastU, err := EMedianCostUnassigned[geom.Vec](euclid, pts, centers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var slowU float64
-		err = uncertain.ForEachRealization(pts, 1<<20, func(locs []geom.Vec, prob float64) {
-			var sum float64
-			for _, loc := range locs {
-				best := math.Inf(1)
-				for _, c := range centers {
-					if d := geom.Dist(loc, c); d < best {
-						best = d
-					}
-				}
-				sum += best
-			}
-			slowU += prob * sum
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(fastU-slowU) > 1e-9*(1+slowU) {
-			t.Fatalf("trial %d: unassigned %g vs enumeration %g", trial, fastU, slowU)
-		}
 	}
 }
 
@@ -173,8 +150,12 @@ func TestSolveUncertainKMedian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := uncertain.AllLocations(pts)
-	centers, assign, cost, err := SolveUncertainKMedian[geom.Vec](euclid, pts, cands, 2)
+	ctx := context.Background()
+	c, err := core.Compile[geom.Vec](ctx, euclid, pts, uncertain.AllLocations(pts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	centers, assign, cost, err := SolveUncertainKMedian(ctx, c, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,15 +170,12 @@ func TestSolveUncertainKMedian(t *testing.T) {
 	if math.Abs(cost-c2) > 1e-9 {
 		t.Errorf("reported %g, recomputed %g", cost, c2)
 	}
-	if _, _, _, err := SolveUncertainKMedian[geom.Vec](euclid, pts, nil, 2); err == nil {
-		t.Error("no candidates accepted")
-	}
 }
 
 func TestKMeansBasic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := []geom.Vec{{0, 0}, {0.2, 0}, {10, 10}, {10.2, 10}}
-	res, err := KMeans(pts, nil, 2, rng, 50)
+	res, err := KMeans(context.Background(), pts, nil, 2, rng, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,16 +191,16 @@ func TestKMeansBasic(t *testing.T) {
 func TestKMeansValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := []geom.Vec{{0}}
-	if _, err := KMeans(nil, nil, 1, rng, 10); err == nil {
+	if _, err := KMeans(context.Background(), nil, nil, 1, rng, 10); err == nil {
 		t.Error("empty points accepted")
 	}
-	if _, err := KMeans(pts, nil, 0, rng, 10); err == nil {
+	if _, err := KMeans(context.Background(), pts, nil, 0, rng, 10); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := KMeans(pts, []float64{1, 2}, 1, rng, 10); err == nil {
+	if _, err := KMeans(context.Background(), pts, []float64{1, 2}, 1, rng, 10); err == nil {
 		t.Error("weight mismatch accepted")
 	}
-	if _, err := KMeans(pts, nil, 1, nil, 10); err == nil {
+	if _, err := KMeans(context.Background(), pts, nil, 1, nil, 10); err == nil {
 		t.Error("nil rng accepted")
 	}
 }
@@ -286,7 +264,7 @@ func TestSolveUncertainKMeans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	centers, assign, cost, floor, err := SolveUncertainKMeans(pts, 2, rng, 100)
+	centers, assign, cost, floor, err := SolveUncertainKMeans(context.Background(), pts, 2, rng, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

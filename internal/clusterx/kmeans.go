@@ -19,14 +19,9 @@ type KMeansResult struct {
 }
 
 // KMeans runs weighted k-means++ seeding followed by Lloyd iterations until
-// the assignment stabilizes or maxIter rounds pass. Weights may be nil.
-func KMeans(pts []geom.Vec, weights []float64, k int, rng *rand.Rand, maxIter int) (KMeansResult, error) {
-	return KMeansCtx(context.Background(), pts, weights, k, rng, maxIter)
-}
-
-// KMeansCtx is KMeans with cooperative cancellation: the seeding and every
-// Lloyd round check ctx and abort with ctx.Err().
-func KMeansCtx(ctx context.Context, pts []geom.Vec, weights []float64, k int, rng *rand.Rand, maxIter int) (KMeansResult, error) {
+// the assignment stabilizes or maxIter rounds pass. Weights may be nil. The
+// seeding and every Lloyd round check ctx and abort with ctx.Err().
+func KMeans(ctx context.Context, pts []geom.Vec, weights []float64, k int, rng *rand.Rand, maxIter int) (KMeansResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -176,19 +171,13 @@ func EMeansCostAssigned(pts []uncertain.Point[geom.Vec], centers []geom.Vec, ass
 // Lloyd's algorithm on the expected points P̄ optimizes the uncertain
 // objective up to the additive constant Σ Var_i (which no center choice can
 // affect). Returns centers, assignment, the exact uncertain cost, and the
-// irreducible variance floor.
-func SolveUncertainKMeans(pts []uncertain.Point[geom.Vec], k int, rng *rand.Rand, maxIter int) ([]geom.Vec, []int, float64, float64, error) {
-	return SolveUncertainKMeansCtx(context.Background(), pts, k, rng, maxIter)
-}
-
-// SolveUncertainKMeansCtx is SolveUncertainKMeans with cooperative
-// cancellation (see KMeansCtx).
-func SolveUncertainKMeansCtx(ctx context.Context, pts []uncertain.Point[geom.Vec], k int, rng *rand.Rand, maxIter int) ([]geom.Vec, []int, float64, float64, error) {
+// irreducible variance floor. Lloyd's rounds honor ctx (see KMeans).
+func SolveUncertainKMeans(ctx context.Context, pts []uncertain.Point[geom.Vec], k int, rng *rand.Rand, maxIter int) ([]geom.Vec, []int, float64, float64, error) {
 	if err := uncertain.ValidateSet(pts); err != nil {
 		return nil, nil, 0, 0, err
 	}
 	bars := uncertain.ExpectedPoints(pts)
-	res, err := KMeansCtx(ctx, bars, nil, k, rng, maxIter)
+	res, err := KMeans(ctx, bars, nil, k, rng, maxIter)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}

@@ -18,6 +18,10 @@
 // Substrates implemented here: weighted discrete k-median by local search
 // (single-swap, the Arya et al. 5-approximation scheme) and Euclidean
 // k-means by k-means++ seeding plus Lloyd iterations.
+//
+// SolveUncertainKMedian takes the *core.Compiled its caller compiled once
+// and reads the 1-center surrogates from the instance's memo; the k-means
+// reduction needs only the expected points. Every solver takes a context.
 package clusterx
 
 import (
@@ -28,7 +32,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metricspace"
-	"repro/internal/par"
 	"repro/internal/uncertain"
 )
 
@@ -61,13 +64,9 @@ func MedianCost[P any](space metricspace.Space[P], pts []P, weights []float64, c
 // improves the cost by more than (1 − 1/steps) — the classical scheme with
 // a 5-approximation guarantee for exact improving swaps. It returns the
 // chosen candidate indices and their cost. maxIter bounds the swap rounds.
-func LocalSearchKMedian[P any](space metricspace.Space[P], pts []P, weights []float64, candidates []P, k, maxIter int) ([]int, float64, error) {
-	return LocalSearchKMedianCtx(context.Background(), space, pts, weights, candidates, k, maxIter)
-}
-
-// LocalSearchKMedianCtx is LocalSearchKMedian with cooperative cancellation:
-// the greedy seeding and every swap round check ctx and abort with ctx.Err().
-func LocalSearchKMedianCtx[P any](ctx context.Context, space metricspace.Space[P], pts []P, weights []float64, candidates []P, k, maxIter int) ([]int, float64, error) {
+// The greedy seeding and every swap round check ctx and abort with
+// ctx.Err().
+func LocalSearchKMedian[P any](ctx context.Context, space metricspace.Space[P], pts []P, weights []float64, candidates []P, k, maxIter int) ([]int, float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -201,66 +200,37 @@ func EMedianCostAssigned[P any](space metricspace.Space[P], pts []uncertain.Poin
 	return total, nil
 }
 
-// EMedianCostUnassigned returns E[Σ_i min_c d(X_i, c)] exactly: linearity of
-// expectation makes it Σ_i E[min_c d(X_i, c)].
-func EMedianCostUnassigned[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P) (float64, error) {
-	if len(centers) == 0 {
-		return 0, fmt.Errorf("clusterx: no centers")
-	}
-	var total float64
-	for i, p := range pts {
-		if err := p.Validate(); err != nil {
-			return 0, fmt.Errorf("point %d: %w", i, err)
-		}
-		rv := uncertain.MinDistRV(space, p, centers)
-		total += rv.Mean()
-	}
-	return total, nil
-}
-
 // SolveUncertainKMedian runs the surrogate reduction for the uncertain
-// k-median: replace each point by its 1-center P̃ over the candidate set,
-// solve the deterministic k-median on the surrogates by local search, and
-// assign by expected distance. Returned cost is the exact assigned expected
-// k-median cost.
-func SolveUncertainKMedian[P any](space metricspace.Space[P], pts []uncertain.Point[P], candidates []P, k int) ([]P, []int, float64, error) {
-	return SolveUncertainKMedianCtx(context.Background(), space, pts, candidates, k, 1)
-}
-
-// SolveUncertainKMedianCtx is SolveUncertainKMedian with cooperative
-// cancellation and a worker pool for the per-point stages (surrogate
-// construction and the ED assignment), which fan out over disjoint point
-// indices and are therefore bit-identical to the sequential run.
-func SolveUncertainKMedianCtx[P any](ctx context.Context, space metricspace.Space[P], pts []uncertain.Point[P], candidates []P, k, workers int) ([]P, []int, float64, error) {
+// k-median on a compiled instance: replace each point by its 1-center P̃
+// over c.CandidatesOrLocations() (the instance's memoized 1-center
+// surrogates), solve the deterministic k-median on the surrogates by local
+// search, and assign by expected distance. Returned cost is the exact
+// assigned expected k-median cost. The per-point stages (surrogate
+// construction and the ED assignment) run on `workers` goroutines over
+// disjoint point indices, bit-identical to the sequential run, and every
+// stage honors ctx.
+func SolveUncertainKMedian[P any](ctx context.Context, c *core.Compiled[P], k, workers int) ([]P, []int, float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := uncertain.ValidateSet(pts); err != nil {
-		return nil, nil, 0, err
-	}
-	if len(candidates) == 0 {
-		return nil, nil, 0, fmt.Errorf("clusterx: no candidates")
-	}
-	surr, err := par.Map(ctx, make([]P, len(pts)), workers, func(i int) P {
-		c, _ := uncertain.OneCenterDiscrete(space, pts[i], candidates)
-		return c
-	})
+	candidates := c.CandidatesOrLocations()
+	surr, err := c.Surrogates(ctx, core.SurrogateOneCenter, candidates, workers)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	idx, _, err := LocalSearchKMedianCtx(ctx, space, surr, nil, candidates, k, 100)
+	idx, _, err := LocalSearchKMedian(ctx, c.Space(), surr, nil, candidates, k, 100)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	centers := make([]P, len(idx))
-	for i, c := range idx {
-		centers[i] = candidates[c]
+	for i, j := range idx {
+		centers[i] = candidates[j]
 	}
-	assign, err := core.AssignCtx(ctx, space, pts, centers, core.RuleED, nil, workers)
+	assign, err := core.AssignCompiled(ctx, c, centers, core.RuleED, nil, workers)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	cost, err := EMedianCostAssigned(space, pts, centers, assign)
+	cost, err := EMedianCostAssigned(c.Space(), c.Points(), centers, assign)
 	if err != nil {
 		return nil, nil, 0, err
 	}

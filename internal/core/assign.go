@@ -1,13 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/geom"
-	"repro/internal/metricspace"
-	"repro/internal/uncertain"
-)
+import "fmt"
 
 // Rule names the paper's three assignment rules for the restricted assigned
 // problem versions.
@@ -37,27 +30,4 @@ func (r Rule) String() string {
 	default:
 		return fmt.Sprintf("Rule(%d)", int(r))
 	}
-}
-
-// AssignED computes the expected distance assignment: for each uncertain
-// point, the index of the center with minimal expected distance. O(n·z·k).
-func AssignED[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P) ([]int, error) {
-	return AssignCtx(context.Background(), space, pts, centers, RuleED, nil, 1)
-}
-
-// AssignEuclidean dispatches the named rule for Euclidean instances,
-// computing the needed surrogates internally. It is a sequential
-// background-context wrapper over AssignCtx, the single rule
-// implementation.
-func AssignEuclidean(pts []uncertain.Point[geom.Vec], centers []geom.Vec, rule Rule) ([]int, error) {
-	return AssignCtx[geom.Vec](context.Background(), metricspace.Euclidean{}, pts, centers, rule, nil, 1)
-}
-
-// AssignMetric dispatches the named rule for general-metric instances.
-// RuleEP is rejected: expected points do not exist outside linear spaces.
-// candidates is the surrogate search space for RuleOC (typically all
-// locations or all space points). It is a sequential background-context
-// wrapper over AssignCtx, the single rule implementation.
-func AssignMetric[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P, rule Rule, candidates []P) ([]int, error) {
-	return AssignCtx(context.Background(), space, pts, centers, rule, candidates, 1)
 }

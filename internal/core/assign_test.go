@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -39,7 +40,8 @@ func TestAssignEDPicksMinExpectedDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	centers := []geom.Vec{{0}, {10}}
-	assign, err := AssignED[geom.Vec](euclid, []uncertain.Point[geom.Vec]{p}, centers)
+	c := mustCompile(t, euclid, []uncertain.Point[geom.Vec]{p})
+	assign, err := AssignCompiled(context.Background(), c, centers, RuleED, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,8 @@ func TestAssignEPUsesExpectedPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	centers := []geom.Vec{{0}, {10}}
-	assign, err := AssignEuclidean([]uncertain.Point[geom.Vec]{p}, centers, RuleEP)
+	c := mustCompile(t, euclid, []uncertain.Point[geom.Vec]{p})
+	assign, err := AssignCompiled(context.Background(), c, centers, RuleEP, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,8 @@ func TestAssignOCUsesOneCenter(t *testing.T) {
 		t.Fatal(err)
 	}
 	centers := []geom.Vec{{0}, {10}}
-	assign, err := AssignEuclidean([]uncertain.Point[geom.Vec]{p}, centers, RuleOC)
+	c := mustCompile(t, euclid, []uncertain.Point[geom.Vec]{p})
+	assign, err := AssignCompiled(context.Background(), c, centers, RuleOC, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,19 +96,20 @@ func TestAssignEDvsEPCanDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := []uncertain.Point[geom.Vec]{p}
-	ep, err := AssignEuclidean(pts, centers, RuleEP)
+	ctx := context.Background()
+	c := mustCompile(t, euclid, []uncertain.Point[geom.Vec]{p})
+	ep, err := AssignCompiled(ctx, c, centers, RuleEP, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ed, err := AssignEuclidean(pts, centers, RuleED)
+	ed, err := AssignCompiled(ctx, c, centers, RuleED, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// EP: expected point 5 → center 4.9. ED: E d(P, 4.9) = 0.5·4.9+0.5·5.1
 	// = 5.0; E d(P, 0) = 0.5·0+0.5·10 = 5.0 — still a tie; move center 1 to 1:
 	centers[1] = geom.Vec{1}
-	ed, err = AssignEuclidean(pts, centers, RuleED)
+	ed, err = AssignCompiled(ctx, c, centers, RuleED, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,22 +123,23 @@ func TestAssignEDvsEPCanDiffer(t *testing.T) {
 }
 
 func TestAssignValidation(t *testing.T) {
-	pts := []uncertain.Point[geom.Vec]{uncertain.NewDeterministic(geom.Vec{0})}
-	if _, err := AssignED[geom.Vec](euclid, pts, nil); err == nil {
+	ctx := context.Background()
+	c := mustCompile(t, euclid, []uncertain.Point[geom.Vec]{uncertain.NewDeterministic(geom.Vec{0})})
+	if _, err := AssignCompiled(ctx, c, nil, RuleED, nil, 1); err == nil {
 		t.Error("no centers accepted")
 	}
-	if _, err := AssignEuclidean(pts, []geom.Vec{{0}}, Rule(42)); err == nil {
+	if _, err := AssignCompiled(ctx, c, []geom.Vec{{0}}, Rule(42), nil, 1); err == nil {
 		t.Error("unknown rule accepted")
 	}
 	space, _ := metricspace.NewFinite([][]float64{{0}})
-	ipts := []uncertain.Point[int]{uncertain.NewDeterministic(0)}
-	if _, err := AssignMetric[int](space, ipts, []int{0}, RuleEP, []int{0}); err == nil {
+	ic := mustCompile(t, space, []uncertain.Point[int]{uncertain.NewDeterministic(0)})
+	if _, err := AssignCompiled(ctx, ic, []int{0}, RuleEP, []int{0}, 1); err == nil {
 		t.Error("RuleEP accepted in metric space")
 	}
-	if _, err := AssignMetric[int](space, ipts, []int{0}, RuleOC, nil); err == nil {
+	if _, err := AssignCompiled(ctx, ic, []int{0}, RuleOC, nil, 1); err == nil {
 		t.Error("RuleOC without candidates accepted")
 	}
-	if _, err := AssignMetric[int](space, ipts, []int{0}, Rule(42), []int{0}); err == nil {
+	if _, err := AssignCompiled(ctx, ic, []int{0}, Rule(42), []int{0}, 1); err == nil {
 		t.Error("unknown rule accepted in metric space")
 	}
 }
@@ -142,23 +148,25 @@ func TestAssignValidation(t *testing.T) {
 // instances: all three rules yield valid assignments whose exact cost is
 // finite and at least the unassigned cost.
 func TestAssignmentRulesProduceFiniteCosts(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(400))
 	for trial := 0; trial < 30; trial++ {
 		pts, err := gen.GaussianClusters(rng, 3+rng.Intn(5), 1+rng.Intn(3), 2, 2, 1, 0.4)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c := mustCompile(t, euclid, pts)
 		centers := randomCenters(rng, 1+rng.Intn(3), 2)
-		un, err := EcostUnassigned[geom.Vec](euclid, pts, centers)
+		un, err := c.EcostUnassigned(ctx, centers, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, rule := range []Rule{RuleED, RuleEP, RuleOC} {
-			assign, err := AssignEuclidean(pts, centers, rule)
+			assign, err := AssignCompiled(ctx, c, centers, rule, nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cost, err := EcostAssigned[geom.Vec](euclid, pts, centers, assign)
+			cost, err := c.EcostAssigned(ctx, centers, assign, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -323,7 +323,7 @@ func (c *Compiled[P]) CandidatesOrLocations() []P {
 	return c.allLocs
 }
 
-// PipelineCandidates returns the candidate set the Solve pipeline's
+// PipelineCandidates returns the candidate set the SolveCompiled pipeline's
 // discrete stages draw from: the explicit set in Euclidean space (may be
 // nil — continuous constructions exist there), the explicit-or-all-
 // locations default elsewhere. SolveCompiled and the public Assign use
@@ -644,8 +644,10 @@ func (c *Compiled[P]) SnapToCandidates(centers []P) []int {
 }
 
 // EcostAssigned returns the exact assigned expected cost
-// Σ_R prob(R)·max_i d(P̂_i, centers[assign[i]]) of the compiled instance:
-// the flat per-atom distances are filled on `workers` goroutines (disjoint
+// Σ_R prob(R)·max_i d(P̂_i, centers[assign[i]]) of the compiled instance.
+// For fixed centers and assignment the per-point distances are independent
+// discrete random variables, so no realization is enumerated: the flat
+// per-atom distances are filled on `workers` goroutines (disjoint
 // per-point ranges through distsTo, bit-identical to sequential), then one
 // threshold-split sweep (emax.Arena.ExpectedMaxFlat). No re-validation: the
 // instance was validated at compile time. The distance buffer and the sweep
@@ -671,7 +673,9 @@ func (c *Compiled[P]) EcostAssigned(ctx context.Context, centers []P, assign []i
 }
 
 // EcostUnassigned returns the exact unassigned expected cost
-// Σ_R prob(R)·max_i min_j d(P̂_i, c_j) of the compiled instance; the
+// Σ_R prob(R)·max_i min_j d(P̂_i, c_j) of the compiled instance. Each
+// realization of each point independently snaps to its nearest center, so
+// the per-point min-distances are again independent random variables; the
 // per-atom minima are filled per point through minDistsTo. See
 // EcostAssigned for the parallelism and validation contract.
 func (c *Compiled[P]) EcostUnassigned(ctx context.Context, centers []P, workers int) (float64, error) {

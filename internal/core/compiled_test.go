@@ -168,8 +168,9 @@ func TestZeroProbAtomCostConsistency(t *testing.T) {
 	pts := zeroAtomInstance()
 	centers := []geom.Vec{{0, 0}, {3, 5}}
 	assign := []int{0, 1, 0, 1}
+	c := compile(t, euclid, pts, nil)
 
-	gotA, err := core.EcostAssigned[geom.Vec](euclid, pts, centers, assign)
+	gotA, err := c.EcostAssigned(ctx, centers, assign, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestZeroProbAtomCostConsistency(t *testing.T) {
 		t.Fatalf("EcostAssigned with zero atoms = %g, oracle = %g", gotA, wantA)
 	}
 
-	gotU, err := core.EcostUnassigned[geom.Vec](euclid, pts, centers)
+	gotU, err := c.EcostUnassigned(ctx, centers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

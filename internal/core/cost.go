@@ -15,13 +15,22 @@
 //     point by its expected point P̄ (Euclidean) or 1-center P̃ (any metric),
 //     solve deterministic k-center on the surrogates, then assign by rule.
 //
+// The compiled instance is the only way into these kernels: Compile
+// validates, prunes and flattens a point set once, and the assignment
+// rules, both E-costs, the surrogate pipeline and the local search run on
+// the *Compiled it returns. No function here compiles on a caller's
+// behalf, so a caller that evaluates many center sets pays for one
+// compilation. Only the enumeration and Monte-Carlo oracles
+// (EcostAssignedNaive, EcostUnassignedNaive, EcostMonteCarlo) take raw
+// point sets, because tests hold the compiled kernels to them.
+//
 // The literature uses a second cost convention, max-of-expectations
-// (Wang & Zhang 2015); MaxExpCost* implement it, and the documented
-// inequality MaxExpCost ≤ Ecost is property-tested.
+// (Wang & Zhang 2015); Compiled.MaxExpCostAssigned and
+// MaxExpCostUnassigned implement it, and the documented inequality
+// MaxExpCost ≤ Ecost is property-tested.
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -46,43 +55,9 @@ func validateAssignment[P any](pts []uncertain.Point[P], centers []P, assign []i
 	return nil
 }
 
-// EcostAssigned returns the paper's assigned expected cost
-//
-//	Σ_R prob(R) · max_i d(P̂_i, centers[assign[i]])
-//
-// computed exactly in O(N) (see emax.Arena.ExpectedMaxFlat): for fixed centers
-// and assignment the per-point distances are independent discrete random
-// variables. The point set is compiled (validated, pruned, flattened) per
-// call; callers evaluating one instance repeatedly should Compile once and
-// use Compiled.EcostAssigned.
-func EcostAssigned[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P, assign []int) (float64, error) {
-	ctx := context.Background()
-	c, err := Compile(ctx, space, pts, nil)
-	if err != nil {
-		return 0, err
-	}
-	return c.EcostAssigned(ctx, centers, assign, 1)
-}
-
-// EcostUnassigned returns the paper's unassigned expected cost
-//
-//	Σ_R prob(R) · max_i min_j d(P̂_i, c_j)
-//
-// exactly: each realization of each point independently snaps to its nearest
-// center, so the per-point min-distances are again independent RVs. Like
-// EcostAssigned it compiles per call; see Compiled.EcostUnassigned.
-func EcostUnassigned[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P) (float64, error) {
-	ctx := context.Background()
-	c, err := Compile(ctx, space, pts, nil)
-	if err != nil {
-		return 0, err
-	}
-	return c.EcostUnassigned(ctx, centers, 1)
-}
-
-// EcostAssignedNaive is the exponential enumeration oracle for EcostAssigned,
-// used to validate the fast evaluator in tests. It refuses joint supports
-// above maxStates.
+// EcostAssignedNaive is the exponential enumeration oracle for
+// Compiled.EcostAssigned, used to validate the fast evaluator in tests. It
+// refuses joint supports above maxStates.
 func EcostAssignedNaive[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P, assign []int, maxStates int) (float64, error) {
 	if err := validateAssignment(pts, centers, assign); err != nil {
 		return 0, err
@@ -100,7 +75,8 @@ func EcostAssignedNaive[P any](space metricspace.Space[P], pts []uncertain.Point
 	return total, err
 }
 
-// EcostUnassignedNaive is the enumeration oracle for EcostUnassigned.
+// EcostUnassignedNaive is the enumeration oracle for
+// Compiled.EcostUnassigned.
 func EcostUnassignedNaive[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P, maxStates int) (float64, error) {
 	if len(centers) == 0 {
 		return 0, fmt.Errorf("core: no centers")
@@ -124,8 +100,9 @@ func EcostUnassignedNaive[P any](space metricspace.Space[P], pts []uncertain.Poi
 	return total, err
 }
 
-// EcostMonteCarlo estimates EcostAssigned (assign != nil) or EcostUnassigned
-// (assign == nil) from `samples` joint realizations.
+// EcostMonteCarlo estimates Compiled.EcostAssigned (assign != nil) or
+// Compiled.EcostUnassigned (assign == nil) from `samples` joint
+// realizations.
 func EcostMonteCarlo[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P, assign []int, samples int, rng *rand.Rand) (float64, error) {
 	if len(centers) == 0 {
 		return 0, fmt.Errorf("core: no centers")
@@ -166,18 +143,13 @@ func EcostMonteCarlo[P any](space metricspace.Space[P], pts []uncertain.Point[P]
 // MaxExpCostAssigned returns max_i E d(P_i, centers[assign[i]]), the
 // max-of-expectations cost used by Wang & Zhang's 1D work. It satisfies
 // MaxExpCostAssigned ≤ EcostAssigned (Jensen for max).
-func MaxExpCostAssigned[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P, assign []int) (float64, error) {
-	c, err := Compile(context.Background(), space, pts, nil)
-	if err != nil {
-		return 0, err
-	}
-	pts = c.Points()
-	if err := validateAssignment(pts, centers, assign); err != nil {
+func (c *Compiled[P]) MaxExpCostAssigned(centers []P, assign []int) (float64, error) {
+	if err := validateAssignment(c.pts, centers, assign); err != nil {
 		return 0, err
 	}
 	var m float64
-	for i, p := range pts {
-		if e := uncertain.ExpectedDist(space, p, centers[assign[i]]); e > m {
+	for i, p := range c.pts {
+		if e := uncertain.ExpectedDist(c.space, p, centers[assign[i]]); e > m {
 			m = e
 		}
 	}
@@ -187,19 +159,15 @@ func MaxExpCostAssigned[P any](space metricspace.Space[P], pts []uncertain.Point
 // MaxExpCostUnassigned returns max_i min_j E d(P_i, c_j): each point takes
 // the center minimizing its expected distance (which is exactly the ED
 // assignment), then the max of those expectations.
-func MaxExpCostUnassigned[P any](space metricspace.Space[P], pts []uncertain.Point[P], centers []P) (float64, error) {
-	c, err := Compile(context.Background(), space, pts, nil)
-	if err != nil {
-		return 0, err
-	}
+func (c *Compiled[P]) MaxExpCostUnassigned(centers []P) (float64, error) {
 	if len(centers) == 0 {
 		return 0, fmt.Errorf("core: no centers")
 	}
 	var m float64
-	for _, p := range c.Points() {
+	for _, p := range c.pts {
 		best := math.Inf(1)
-		for _, c := range centers {
-			if e := uncertain.ExpectedDist(space, p, c); e < best {
+		for _, ctr := range centers {
+			if e := uncertain.ExpectedDist(c.space, p, ctr); e < best {
 				best = e
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,6 +23,17 @@ func smallInstance(t testing.TB, rng *rand.Rand, n, z, dim int) []uncertain.Poin
 		t.Fatal(err)
 	}
 	return pts
+}
+
+// mustCompile compiles pts with no explicit candidates, failing the test on
+// error.
+func mustCompile[P any](t testing.TB, space metricspace.Space[P], pts []uncertain.Point[P]) *Compiled[P] {
+	t.Helper()
+	c, err := Compile(context.Background(), space, pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func randomCenters(rng *rand.Rand, k, dim int) []geom.Vec {
@@ -46,7 +58,7 @@ func TestEcostAssignedMatchesNaive(t *testing.T) {
 		for i := range assign {
 			assign[i] = rng.Intn(k)
 		}
-		fast, err := EcostAssigned[geom.Vec](euclid, pts, centers, assign)
+		fast, err := mustCompile(t, euclid, pts).EcostAssigned(context.Background(), centers, assign, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +78,7 @@ func TestEcostUnassignedMatchesNaive(t *testing.T) {
 		n, z := 1+rng.Intn(5), 1+rng.Intn(3)
 		pts := smallInstance(t, rng, n, z, 2)
 		centers := randomCenters(rng, 1+rng.Intn(3), 2)
-		fast, err := EcostUnassigned[geom.Vec](euclid, pts, centers)
+		fast, err := mustCompile(t, euclid, pts).EcostUnassigned(context.Background(), centers, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,14 +96,16 @@ func TestEcostMonteCarloAgrees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo cross-check skipped in -short")
 	}
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(103))
 	pts := smallInstance(t, rng, 20, 4, 2)
+	c := mustCompile(t, euclid, pts)
 	centers := randomCenters(rng, 3, 2)
-	assign, err := AssignED[geom.Vec](euclid, pts, centers)
+	assign, err := AssignCompiled(ctx, c, centers, RuleED, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := EcostAssigned[geom.Vec](euclid, pts, centers, assign)
+	exact, err := c.EcostAssigned(ctx, centers, assign, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +117,7 @@ func TestEcostMonteCarloAgrees(t *testing.T) {
 		t.Errorf("exact %g vs Monte-Carlo %g", exact, mc)
 	}
 	// Unassigned flavor.
-	exactU, err := EcostUnassigned[geom.Vec](euclid, pts, centers)
+	exactU, err := c.EcostUnassigned(ctx, centers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,21 +131,23 @@ func TestEcostMonteCarloAgrees(t *testing.T) {
 }
 
 func TestEcostValidation(t *testing.T) {
+	ctx := context.Background()
 	pts := []uncertain.Point[geom.Vec]{uncertain.NewDeterministic(geom.Vec{0, 0})}
+	c := mustCompile(t, euclid, pts)
 	centers := []geom.Vec{{1, 1}}
-	if _, err := EcostAssigned[geom.Vec](euclid, pts, centers, []int{5}); err == nil {
+	if _, err := c.EcostAssigned(ctx, centers, []int{5}, 1); err == nil {
 		t.Error("out-of-range assignment accepted")
 	}
-	if _, err := EcostAssigned[geom.Vec](euclid, pts, centers, []int{0, 0}); err == nil {
+	if _, err := c.EcostAssigned(ctx, centers, []int{0, 0}, 1); err == nil {
 		t.Error("wrong-length assignment accepted")
 	}
-	if _, err := EcostAssigned[geom.Vec](euclid, pts, nil, []int{0}); err == nil {
+	if _, err := c.EcostAssigned(ctx, nil, []int{0}, 1); err == nil {
 		t.Error("no centers accepted")
 	}
-	if _, err := EcostUnassigned[geom.Vec](euclid, nil, centers); err == nil {
+	if _, err := Compile[geom.Vec](ctx, euclid, nil, nil); err == nil {
 		t.Error("empty point set accepted")
 	}
-	if _, err := EcostUnassigned[geom.Vec](euclid, pts, nil); err == nil {
+	if _, err := c.EcostUnassigned(ctx, nil, 1); err == nil {
 		t.Error("no centers accepted (unassigned)")
 	}
 	if _, err := EcostMonteCarlo[geom.Vec](euclid, pts, centers, nil, 0, rand.New(rand.NewSource(1))); err == nil {
@@ -142,20 +158,22 @@ func TestEcostValidation(t *testing.T) {
 // TestUnassignedLeqAssigned: snapping every realization to its nearest
 // center can only beat any fixed assignment.
 func TestUnassignedLeqAssigned(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(104))
 	for trial := 0; trial < 100; trial++ {
 		pts := smallInstance(t, rng, 1+rng.Intn(6), 1+rng.Intn(4), 2)
+		c := mustCompile(t, euclid, pts)
 		k := 1 + rng.Intn(3)
 		centers := randomCenters(rng, k, 2)
 		assign := make([]int, len(pts))
 		for i := range assign {
 			assign[i] = rng.Intn(k)
 		}
-		a, err := EcostAssigned[geom.Vec](euclid, pts, centers, assign)
+		a, err := c.EcostAssigned(ctx, centers, assign, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		u, err := EcostUnassigned[geom.Vec](euclid, pts, centers)
+		u, err := c.EcostUnassigned(ctx, centers, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,20 +186,22 @@ func TestUnassignedLeqAssigned(t *testing.T) {
 // TestMaxExpLeqEcost verifies the documented objective inequality
 // max_i E[d_i] ≤ E[max_i d_i] for both assigned and unassigned versions.
 func TestMaxExpLeqEcost(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(105))
 	for trial := 0; trial < 100; trial++ {
 		pts := smallInstance(t, rng, 1+rng.Intn(6), 1+rng.Intn(4), 2)
+		c := mustCompile(t, euclid, pts)
 		k := 1 + rng.Intn(3)
 		centers := randomCenters(rng, k, 2)
 		assign := make([]int, len(pts))
 		for i := range assign {
 			assign[i] = rng.Intn(k)
 		}
-		me, err := MaxExpCostAssigned[geom.Vec](euclid, pts, centers, assign)
+		me, err := c.MaxExpCostAssigned(centers, assign)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ec, err := EcostAssigned[geom.Vec](euclid, pts, centers, assign)
+		ec, err := c.EcostAssigned(ctx, centers, assign, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,22 +213,22 @@ func TestMaxExpLeqEcost(t *testing.T) {
 		// is NOT below EcostUnassigned in general. It is, however, exactly
 		// MaxExpCostAssigned under the ED assignment, which Jensen bounds by
 		// the ED-assigned Ecost.
-		edAssign, err := AssignED[geom.Vec](euclid, pts, centers)
+		edAssign, err := AssignCompiled(ctx, c, centers, RuleED, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		meu, err := MaxExpCostUnassigned[geom.Vec](euclid, pts, centers)
+		meu, err := c.MaxExpCostUnassigned(centers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		meED, err := MaxExpCostAssigned[geom.Vec](euclid, pts, centers, edAssign)
+		meED, err := c.MaxExpCostAssigned(centers, edAssign)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(meu-meED) > 1e-9 {
 			t.Fatalf("trial %d: MaxExpCostUnassigned %g != ED-assigned %g", trial, meu, meED)
 		}
-		ecED, err := EcostAssigned[geom.Vec](euclid, pts, centers, edAssign)
+		ecED, err := c.EcostAssigned(ctx, centers, edAssign, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +250,7 @@ func TestLemma32(t *testing.T) {
 		for i := range assign {
 			assign[i] = rng.Intn(k)
 		}
-		ec, err := EcostAssigned[geom.Vec](euclid, pts, centers, assign)
+		ec, err := mustCompile(t, euclid, pts).EcostAssigned(context.Background(), centers, assign, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +275,8 @@ func TestLemma33(t *testing.T) {
 		for i := range assign {
 			assign[i] = rng.Intn(k)
 		}
-		ec, err := EcostAssigned[geom.Vec](euclid, pts, centers, assign)
+		c := mustCompile(t, euclid, pts)
+		ec, err := c.EcostAssigned(context.Background(), centers, assign, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +287,7 @@ func TestLemma33(t *testing.T) {
 		for i := range ident {
 			ident[i] = i
 		}
-		lhs, err := EcostAssigned[geom.Vec](euclid, pts, surr, ident)
+		lhs, err := c.EcostAssigned(context.Background(), surr, ident, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +309,7 @@ func TestLemma34(t *testing.T) {
 		for i := range assign {
 			assign[i] = rng.Intn(k)
 		}
-		ec, err := EcostAssigned[geom.Vec](euclid, pts, centers, assign)
+		ec, err := mustCompile(t, euclid, pts).EcostAssigned(context.Background(), centers, assign, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +359,8 @@ func TestLemma35And36(t *testing.T) {
 		for i := range assign {
 			assign[i] = rng.Intn(k)
 		}
-		ec, err := EcostAssigned[int](space, pts, centers, assign)
+		c := mustCompile(t, space, pts)
+		ec, err := c.EcostAssigned(context.Background(), centers, assign, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +369,7 @@ func TestLemma35And36(t *testing.T) {
 		for i := range ident {
 			ident[i] = i
 		}
-		lhs, err := EcostAssigned[int](space, pts, surr, ident)
+		lhs, err := c.EcostAssigned(context.Background(), surr, ident, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

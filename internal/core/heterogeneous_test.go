@@ -34,7 +34,7 @@ func TestTheorem22HeterogeneousZ(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := bruteforce.RestrictedAssignedEuclidean(pts, euclideanCandidates(pts), k, tc.rule, 2_000_000)
+			opt, err := bruteforce.RestrictedAssigned(euclid, pts, euclideanCandidates(pts), k, tc.rule, nil, 2_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,15 +6,14 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/kcenter"
-	"repro/internal/metricspace"
 	"repro/internal/par"
 	"repro/internal/uncertain"
 	"repro/obs"
 )
 
-// Options configures the unified Solve pipeline. The zero value is the
-// paper's fast Euclidean pipeline (expected-point surrogates, Gonzalez, ED
-// assignment); non-Euclidean spaces must set Surrogate to
+// Options configures the unified SolveCompiled pipeline. The zero value is
+// the paper's fast Euclidean pipeline (expected-point surrogates, Gonzalez,
+// ED assignment); non-Euclidean spaces must set Surrogate to
 // SurrogateOneCenter explicitly (the public ukc.Solver does this per-space
 // defaulting for its callers).
 type Options struct {
@@ -74,53 +73,33 @@ func vecsAsP[P any](v []geom.Vec) []P { return any(v).([]P) }
 // vecAsP converts one geom.Vec to P under the same proof.
 func vecAsP[P any](v geom.Vec) P { return any(v).(P) }
 
-// Solve is the unified uncertain k-center pipeline (Theorems 2.1–2.7): one
-// generic code path over any metric space, with Euclidean space as a
-// specialization detected from the space's concrete type rather than a
-// separate entry point.
+// SolveCompiled is the unified uncertain k-center pipeline (Theorems
+// 2.1–2.7) on a compiled instance: one generic code path over any metric
+// space, with Euclidean space as a specialization detected from the
+// space's concrete type rather than a separate entry point.
 //
 //  1. replace each uncertain point by its surrogate — expected point P̄
 //     (Euclidean only, O(z) each) or 1-center P̃ (Weiszfeld in Euclidean
-//     space, candidate scan elsewhere);
+//     space, candidate scan elsewhere), served from the instance's memoized
+//     cache when a previous call built it;
 //  2. optionally shrink the surrogate set with a k-center coreset;
 //  3. run the chosen deterministic k-center solver on the surrogates;
 //  4. assign points to centers by the chosen rule;
-//  5. report the exact expected costs (assigned and unassigned).
+//  5. report the exact expected costs (assigned and unassigned) on the flat
+//     atom layout.
 //
-// candidates is the center/surrogate search space. It is required outside
-// Euclidean space (typically space.Points() or all locations); in Euclidean
-// space it may be nil, in which case discrete solvers search the surrogate
-// set itself.
+// The center/surrogate search space is c.PipelineCandidates(): the
+// explicit candidate set in Euclidean space (when it is nil, discrete
+// solvers search the surrogate set itself), the explicit set or all
+// locations elsewhere. Validation, pruning and flattening happened once,
+// at Compile time, so repeated solves of one Compiled with different k or
+// options pay only the k-dependent stages.
 //
-// Solve honors ctx: the surrogate, assignment, and cost loops check for
-// cancellation between chunks and return ctx.Err() mid-solve; the certain
-// solver stages check between stages. Parallelism > 1 runs the hot loops on
-// a worker pool with bit-identical results (see Options.Parallelism).
-//
-// Solve compiles the point set per call. Callers that solve one instance
-// repeatedly should Compile once and call SolveCompiled (which is what the
-// public Instance/Solver API does) to share the validated flat model and the
-// memoized surrogate caches across solves.
-func Solve[P any](ctx context.Context, space metricspace.Space[P], pts []uncertain.Point[P], candidates []P, k int, opts Options) (Result[P], error) {
-	if space == nil {
-		return Result[P]{}, fmt.Errorf("core: nil space")
-	}
-	c, err := Compile(ctx, space, pts, candidates)
-	if err != nil {
-		return Result[P]{}, err
-	}
-	if !c.IsEuclidean() && len(candidates) == 0 {
-		return Result[P]{}, fmt.Errorf("core: a non-Euclidean space needs a candidate set")
-	}
-	return SolveCompiled(ctx, c, k, opts)
-}
-
-// SolveCompiled is Solve on a pre-compiled instance: validation, pruning and
-// flattening already happened (once, at Compile time), the surrogate slice
-// is served from the instance's memoized cache when a previous solve built
-// it, and the exact cost evaluators consume the flat atom layout directly.
-// Repeated solves of one Compiled with different k or options therefore pay
-// only the k-dependent stages.
+// SolveCompiled honors ctx: the surrogate, assignment, and cost loops check
+// for cancellation between chunks and return ctx.Err() mid-solve; the
+// certain solver stages check between stages. Parallelism > 1 runs the hot
+// loops on a worker pool with bit-identical results (see
+// Options.Parallelism).
 func SolveCompiled[P any](ctx context.Context, c *Compiled[P], k int, opts Options) (Result[P], error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -260,18 +239,6 @@ func SolveCompiled[P any](ctx context.Context, c *Compiled[P], k int, opts Optio
 		CertainRadius:   radius,
 		EffectiveEps:    effEps,
 	}, nil
-}
-
-// AssignCtx dispatches the assignment rule over a raw point set, compiling
-// it per call; candidates is the surrogate search space for RuleOC in
-// non-Euclidean spaces. Callers with a compiled instance should use
-// AssignCompiled, which serves the EP/OC surrogates from the instance cache.
-func AssignCtx[P any](ctx context.Context, space metricspace.Space[P], pts []uncertain.Point[P], centers []P, rule Rule, candidates []P, workers int) ([]int, error) {
-	c, err := Compile(ctx, space, pts, candidates)
-	if err != nil {
-		return nil, err
-	}
-	return AssignCompiled(ctx, c, centers, rule, candidates, workers)
 }
 
 // AssignCompiled dispatches the assignment rule on a compiled instance,

@@ -5,6 +5,7 @@ package core
 // from quick's primitive generators.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,17 +53,19 @@ func decodeInstance(seed int64) ([]uncertain.Point[geom.Vec], []geom.Vec, []int)
 func TestQuickEcostNonNegativeAndMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		pts, centers, assign := decodeInstance(seed)
-		a, err := EcostAssigned[geom.Vec](euclid, pts, centers, assign)
+		ctx := context.Background()
+		c := mustCompile(t, euclid, pts)
+		a, err := c.EcostAssigned(ctx, centers, assign, 1)
 		if err != nil || a < 0 {
 			return false
 		}
-		u, err := EcostUnassigned[geom.Vec](euclid, pts, centers)
+		u, err := c.EcostUnassigned(ctx, centers, 1)
 		if err != nil || u < 0 || u > a+1e-9 {
 			return false
 		}
 		// Add one more center: unassigned cost cannot increase.
 		more := append(append([]geom.Vec(nil), centers...), geom.Vec{0, 0})
-		u2, err := EcostUnassigned[geom.Vec](euclid, pts, more)
+		u2, err := c.EcostUnassigned(ctx, more, 1)
 		return err == nil && u2 <= u+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -75,15 +78,16 @@ func TestQuickEcostNonNegativeAndMonotone(t *testing.T) {
 func TestQuickEDAssignmentIsBestPerPoint(t *testing.T) {
 	f := func(seed int64) bool {
 		pts, centers, assign := decodeInstance(seed)
-		ed, err := AssignED[geom.Vec](euclid, pts, centers)
+		c := mustCompile(t, euclid, pts)
+		ed, err := AssignCompiled(context.Background(), c, centers, RuleED, nil, 1)
 		if err != nil {
 			return false
 		}
-		edCost, err := MaxExpCostAssigned[geom.Vec](euclid, pts, centers, ed)
+		edCost, err := c.MaxExpCostAssigned(centers, ed)
 		if err != nil {
 			return false
 		}
-		other, err := MaxExpCostAssigned[geom.Vec](euclid, pts, centers, assign)
+		other, err := c.MaxExpCostAssigned(centers, assign)
 		if err != nil {
 			return false
 		}
@@ -100,7 +104,7 @@ func TestQuickScaleInvariance(t *testing.T) {
 	f := func(seed int64, sRaw uint8) bool {
 		s := 0.1 + float64(sRaw)/32 // s in [0.1, 8.07]
 		pts, centers, assign := decodeInstance(seed)
-		base, err := EcostAssigned[geom.Vec](euclid, pts, centers, assign)
+		base, err := mustCompile(t, euclid, pts).EcostAssigned(context.Background(), centers, assign, 1)
 		if err != nil {
 			return false
 		}
@@ -116,7 +120,7 @@ func TestQuickScaleInvariance(t *testing.T) {
 		for i, c := range centers {
 			sCenters[i] = c.Scale(s)
 		}
-		got, err := EcostAssigned[geom.Vec](euclid, scaled, sCenters, assign)
+		got, err := mustCompile(t, euclid, scaled).EcostAssigned(context.Background(), sCenters, assign, 1)
 		if err != nil {
 			return false
 		}
@@ -133,7 +137,7 @@ func TestQuickTranslationInvariance(t *testing.T) {
 	f := func(seed int64, txRaw, tyRaw int16) bool {
 		tx, ty := float64(txRaw)/100, float64(tyRaw)/100
 		pts, centers, assign := decodeInstance(seed)
-		base, err := EcostAssigned[geom.Vec](euclid, pts, centers, assign)
+		base, err := mustCompile(t, euclid, pts).EcostAssigned(context.Background(), centers, assign, 1)
 		if err != nil {
 			return false
 		}
@@ -150,7 +154,7 @@ func TestQuickTranslationInvariance(t *testing.T) {
 		for i, c := range centers {
 			mCenters[i] = c.Add(shift)
 		}
-		got, err := EcostAssigned[geom.Vec](euclid, moved, mCenters, assign)
+		got, err := mustCompile(t, euclid, moved).EcostAssigned(context.Background(), mCenters, assign, 1)
 		if err != nil {
 			return false
 		}
@@ -178,7 +182,7 @@ func TestQuickDeterministicPointsReduceToCertainKCenter(t *testing.T) {
 		for i := range centers {
 			centers[i] = geom.Vec{rng.NormFloat64() * 5, rng.NormFloat64() * 5}
 		}
-		u, err := EcostUnassigned[geom.Vec](euclid, pts, centers)
+		u, err := mustCompile(t, euclid, pts).EcostUnassigned(context.Background(), centers, 1)
 		if err != nil {
 			return false
 		}

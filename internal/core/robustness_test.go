@@ -11,9 +11,15 @@ import (
 	"repro/internal/uncertain"
 )
 
-// solveEuclidean runs the unified pipeline on a Euclidean point set.
+// solveEuclidean compiles a Euclidean point set and runs the unified
+// pipeline on it.
 func solveEuclidean(pts []uncertain.Point[geom.Vec], k int, opts Options) (Result[geom.Vec], error) {
-	return Solve[geom.Vec](context.Background(), euclid, pts, nil, k, opts)
+	ctx := context.Background()
+	c, err := Compile[geom.Vec](ctx, euclid, pts, nil)
+	if err != nil {
+		return Result[geom.Vec]{}, err
+	}
+	return SolveCompiled(ctx, c, k, opts)
 }
 
 func mixedDimSet() []uncertain.Point[geom.Vec] {

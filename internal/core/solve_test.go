@@ -26,16 +26,28 @@ var euclid = metricspace.Euclidean{}
 
 const slack = 1e-9
 
-// solveEuclidean runs the unified pipeline on a Euclidean point set.
+// solveEuclidean compiles a Euclidean point set and runs the unified
+// pipeline on it.
 func solveEuclidean(pts []uncertain.Point[geom.Vec], k int, opts core.Options) (core.Result[geom.Vec], error) {
-	return core.Solve[geom.Vec](context.Background(), euclid, pts, nil, k, opts)
+	ctx := context.Background()
+	c, err := core.Compile[geom.Vec](ctx, euclid, pts, nil)
+	if err != nil {
+		return core.Result[geom.Vec]{}, err
+	}
+	return core.SolveCompiled(ctx, c, k, opts)
 }
 
-// solveMetric runs the unified pipeline on a finite metric with 1-center
-// surrogates, the only kind that exists outside Euclidean space.
+// solveMetric compiles a finite-metric point set over cands and runs the
+// unified pipeline on it with 1-center surrogates, the only kind that
+// exists outside Euclidean space.
 func solveMetric(space *metricspace.Finite, pts []uncertain.Point[int], cands []int, k int, opts core.Options) (core.Result[int], error) {
+	ctx := context.Background()
+	c, err := core.Compile[int](ctx, space, pts, cands)
+	if err != nil {
+		return core.Result[int]{}, err
+	}
 	opts.Surrogate = core.SurrogateOneCenter
-	return core.Solve[int](context.Background(), space, pts, cands, k, opts)
+	return core.SolveCompiled(ctx, c, k, opts)
 }
 
 // compile is core.Compile with a background context, failing the test on
@@ -106,7 +118,7 @@ func TestTheorem22(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := bruteforce.RestrictedAssignedEuclidean(pts, cands, k, tc.rule, 2_000_000)
+			opt, err := bruteforce.RestrictedAssigned[geom.Vec](euclid, pts, cands, k, tc.rule, nil, 2_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,9 +301,6 @@ func TestSolveMetricValidation(t *testing.T) {
 	if _, err := solveMetric(space, nil, cands, 1, core.Options{}); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, err := solveMetric(space, pts, nil, 1, core.Options{}); err == nil {
-		t.Error("no candidates accepted")
-	}
 	if _, err := solveMetric(space, pts, cands, 0, core.Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
@@ -319,7 +328,7 @@ func TestSolveEuclideanResultConsistency(t *testing.T) {
 		t.Fatalf("malformed result: %d centers, %d assigns", len(res.Centers), len(res.Assign))
 	}
 	// Reported Ecost must match an independent evaluation.
-	ec, err := core.EcostAssigned[geom.Vec](euclid, pts, res.Centers, res.Assign)
+	ec, err := compile(t, euclid, pts, nil).EcostAssigned(context.Background(), res.Centers, res.Assign, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

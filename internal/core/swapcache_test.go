@@ -56,17 +56,18 @@ func TestSwapEvaluatorMatchesRaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 40; trial++ {
 		pts, cands, chosen := randomSwapInstance(t, rng)
-		ev, err := compile(t, euclid, pts, cands).Evaluator(ctx, 1)
+		c := compile(t, euclid, pts, cands)
+		ev, err := c.Evaluator(ctx, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		base, s := new(core.SwapBase), new(core.SwapScratch)
 
 		centers := make([]geom.Vec, len(chosen))
-		for i, c := range chosen {
-			centers[i] = cands[c]
+		for i, cd := range chosen {
+			centers[i] = cands[cd]
 		}
-		want, err := core.EcostUnassigned[geom.Vec](euclid, pts, centers)
+		want, err := c.EcostUnassigned(ctx, centers, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,16 +77,16 @@ func TestSwapEvaluatorMatchesRaw(t *testing.T) {
 
 		for pos := range chosen {
 			ev.PrepareBase(base, chosen, pos)
-			for c := range cands {
-				got := ev.EvalSwap(base, s, c)
-				centers[pos] = cands[c]
-				want, err := core.EcostUnassigned[geom.Vec](euclid, pts, centers)
+			for cd := range cands {
+				got := ev.EvalSwap(base, s, cd)
+				centers[pos] = cands[cd]
+				want, err := c.EcostUnassigned(ctx, centers, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
 					t.Fatalf("trial %d pos %d cand %d: EvalSwap = %.17g, raw = %.17g",
-						trial, pos, c, got, want)
+						trial, pos, cd, got, want)
 				}
 			}
 			centers[pos] = cands[chosen[pos]]
@@ -103,7 +104,8 @@ func TestSwapEvaluatorFiniteMetric(t *testing.T) {
 		space, pts, k := finiteInstance(t, rng)
 		cands := space.Points()
 		chosen := rng.Perm(len(cands))[:k]
-		ev, err := compile(t, space, pts, cands).Evaluator(ctx, 1)
+		fc := compile(t, space, pts, cands)
+		ev, err := fc.Evaluator(ctx, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +119,7 @@ func TestSwapEvaluatorFiniteMetric(t *testing.T) {
 			for c := range cands {
 				got := ev.EvalSwap(base, s, c)
 				centers[pos] = cands[c]
-				want, err := core.EcostUnassigned[int](space, pts, centers)
+				want, err := fc.EcostUnassigned(ctx, centers, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,6 +139,7 @@ func TestEcostSweepMatchesRaw(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(93))
 	pts, cands, chosen := randomSwapInstance(t, rng)
+	raw := compile(t, euclid, pts, nil)
 	var first [][]float64
 	for _, workers := range []int{1, 4, 8} {
 		sweep, err := core.EcostSweepCompiled(ctx, compile(t, euclid, pts, cands), chosen, workers, false)
@@ -152,7 +155,7 @@ func TestEcostSweepMatchesRaw(t *testing.T) {
 			for pos := range chosen {
 				for c := range cands {
 					centers[pos] = cands[c]
-					want, err := core.EcostUnassigned[geom.Vec](euclid, pts, centers)
+					want, err := raw.EcostUnassigned(ctx, centers, 1)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -535,53 +535,3 @@ func MonteCarloMax(rvs []RV, samples int, rng *rand.Rand) float64 {
 	}
 	return sum / float64(samples)
 }
-
-// MaxCDF returns P(max_i X_i ≤ t) for each query threshold, exploiting the
-// same independence factorization as ExpectedMax: P(max ≤ t) = Π_i F_i(t).
-// The queries need not be sorted. Returns an error on invalid RVs.
-func MaxCDF(rvs []RV, ts []float64) ([]float64, error) {
-	out := make([]float64, len(ts))
-	for i := range out {
-		out[i] = 1
-	}
-	for i, r := range rvs {
-		if err := r.Validate(); err != nil {
-			return nil, fmt.Errorf("rv %d: %w", i, err)
-		}
-		for q, t := range ts {
-			var f float64
-			for j, v := range r.Vals {
-				if v <= t {
-					f += r.Probs[j]
-				}
-			}
-			if f > 1 {
-				f = 1
-			}
-			out[q] *= f
-		}
-	}
-	return out, nil
-}
-
-// ExpectedMaxUpperTail returns P(max_i X_i > t) — useful for tail diagnostics
-// in the harness. Returns an error on invalid RVs.
-func ExpectedMaxUpperTail(rvs []RV, t float64) (float64, error) {
-	prod := 1.0
-	for i, r := range rvs {
-		if err := r.Validate(); err != nil {
-			return 0, fmt.Errorf("rv %d: %w", i, err)
-		}
-		var f float64
-		for j, v := range r.Vals {
-			if v <= t {
-				f += r.Probs[j]
-			}
-		}
-		if f > 1 {
-			f = 1
-		}
-		prod *= f
-	}
-	return 1 - prod, nil
-}

@@ -263,61 +263,6 @@ func TestExpectedMaxNaiveGuards(t *testing.T) {
 	}
 }
 
-func TestUpperTail(t *testing.T) {
-	coin := RV{Vals: []float64{0, 1}, Probs: []float64{0.5, 0.5}}
-	p, err := ExpectedMaxUpperTail([]RV{coin, coin}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEq(p, 0.75, 1e-12) {
-		t.Errorf("P(max > 0.5) = %g, want 0.75", p)
-	}
-	p, err = ExpectedMaxUpperTail([]RV{coin}, 1)
-	if err != nil || p != 0 {
-		t.Errorf("P(max > 1) = %g, %v, want 0", p, err)
-	}
-	if _, err := ExpectedMaxUpperTail([]RV{{}}, 0); err == nil {
-		t.Error("invalid RV accepted")
-	}
-}
-
-func TestMaxCDF(t *testing.T) {
-	coin := RV{Vals: []float64{0, 1}, Probs: []float64{0.5, 0.5}}
-	cdf, err := MaxCDF([]RV{coin, coin}, []float64{-1, 0, 0.5, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 0.25, 0.25, 1, 1}
-	for i := range want {
-		if !approxEq(cdf[i], want[i], 1e-12) {
-			t.Errorf("cdf[%d] = %g, want %g", i, cdf[i], want[i])
-		}
-	}
-	if _, err := MaxCDF([]RV{{}}, []float64{0}); err == nil {
-		t.Error("invalid RV accepted")
-	}
-	// Consistency with the tail helper: P(max ≤ t) = 1 − P(max > t).
-	rng := rand.New(rand.NewSource(123))
-	for trial := 0; trial < 50; trial++ {
-		rvs := []RV{
-			{Vals: []float64{rng.Float64(), rng.Float64() * 2}, Probs: []float64{0.3, 0.7}},
-			{Vals: []float64{rng.Float64() * 3}, Probs: []float64{1}},
-		}
-		tq := rng.Float64() * 3
-		cdf, err := MaxCDF(rvs, []float64{tq})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tail, err := ExpectedMaxUpperTail(rvs, tq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !approxEq(cdf[0]+tail, 1, 1e-12) {
-			t.Fatalf("trial %d: CDF %g + tail %g != 1", trial, cdf[0], tail)
-		}
-	}
-}
-
 func TestSampleDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	r := RV{Vals: []float64{1, 2, 3}, Probs: []float64{0.2, 0.3, 0.5}}

@@ -52,20 +52,27 @@ func (c Config) context() context.Context {
 	return c.Ctx
 }
 
-// solveEuclidean runs the unified context-aware core.Solve over a
-// Euclidean point set with the config's parallelism.
+// solveEuclidean compiles a Euclidean point set and runs the unified
+// context-aware pipeline on it with the config's parallelism.
 func (c Config) solveEuclidean(pts []uncertain.Point[geom.Vec], k int, opts core.Options) (core.Result[geom.Vec], error) {
-	opts.Parallelism = c.Parallelism
-	return core.Solve[geom.Vec](c.context(), metricspace.Euclidean{}, pts, nil, k, opts)
+	cc, err := core.Compile[geom.Vec](c.context(), metricspace.Euclidean{}, pts, nil)
+	if err != nil {
+		return core.Result[geom.Vec]{}, err
+	}
+	return c.solveCompiled(cc, k, opts)
 }
 
-// solveMetric runs core.Solve over a finite metric with 1-center
-// surrogates (the only kind that exists outside Euclidean space) and the
-// config's parallelism.
+// solveMetric compiles a finite-metric point set over candidates and runs
+// the pipeline on it with 1-center surrogates (the only kind that exists
+// outside Euclidean space) and the config's parallelism.
 func (c Config) solveMetric(space metricspace.Space[int], pts []uncertain.Point[int], candidates []int, k int, opts core.Options) (core.Result[int], error) {
+	cc, err := core.Compile(c.context(), space, pts, candidates)
+	if err != nil {
+		return core.Result[int]{}, err
+	}
 	opts.Surrogate = core.SurrogateOneCenter
 	opts.Parallelism = c.Parallelism
-	return core.Solve[int](c.context(), space, pts, candidates, k, opts)
+	return core.SolveCompiled(c.context(), cc, k, opts)
 }
 
 // solveCompiled is the repeated-solve path: it runs the pipeline on an
@@ -203,7 +210,7 @@ func RunEuclideanRows(cfg Config) (*Report, error) {
 			cands := euclideanCandidates(pts)
 			var opt float64
 			if spec.restricted {
-				sol, err := bruteforce.RestrictedAssignedEuclidean(pts, cands, k, spec.rule, 2_000_000)
+				sol, err := bruteforce.RestrictedAssigned[geom.Vec](metricspace.Euclidean{}, pts, cands, k, spec.rule, nil, 2_000_000)
 				if err != nil {
 					return nil, err
 				}
@@ -594,20 +601,23 @@ func RunA2(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := cfg.solveEuclidean(pts, k, core.Options{Rule: core.RuleEP})
+			c, err := core.Compile[geom.Vec](cfg.context(), metricspace.Euclidean{}, pts, nil)
 			if err != nil {
 				return nil, err
 			}
-			space := metricspace.Euclidean{}
+			res, err := cfg.solveCompiled(c, k, core.Options{Rule: core.RuleEP})
+			if err != nil {
+				return nil, err
+			}
 			for _, rc := range []struct {
 				name string
 				rule core.Rule
 			}{{"ED", core.RuleED}, {"EP", core.RuleEP}, {"OC", core.RuleOC}} {
-				assign, err := core.AssignEuclidean(pts, res.Centers, rc.rule)
+				assign, err := core.AssignCompiled(cfg.context(), c, res.Centers, rc.rule, nil, 1)
 				if err != nil {
 					return nil, err
 				}
-				cost, err := core.EcostAssigned[geom.Vec](space, pts, res.Centers, assign)
+				cost, err := c.EcostAssigned(cfg.context(), res.Centers, assign, 1)
 				if err != nil {
 					return nil, err
 				}
@@ -643,8 +653,14 @@ func RunA3(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The exact column times compilation as well as the evaluation, as
+		// a one-shot evaluation of a raw point set pays both.
 		t0 := time.Now()
-		exact, err := core.EcostAssigned[geom.Vec](space, pts, res.Centers, res.Assign)
+		c, err := core.Compile(cfg.context(), space, pts, nil)
+		if err != nil {
+			return nil, err
+		}
+		exact, err := c.EcostAssigned(cfg.context(), res.Centers, res.Assign, 1)
 		if err != nil {
 			return nil, err
 		}

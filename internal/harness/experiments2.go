@@ -44,7 +44,7 @@ func RunA4(cfg Config) (*Report, error) {
 		}
 		k := 1 + rng.Intn(2)
 		cands := euclideanCandidates(pts)
-		sol, err := bruteforce.RestrictedAssignedEuclidean(pts, cands, k, core.RuleEP, 2_000_000)
+		sol, err := bruteforce.RestrictedAssigned[geom.Vec](metricspace.Euclidean{}, pts, cands, k, core.RuleEP, nil, 2_000_000)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +112,11 @@ func RunX1(cfg Config) (*Report, error) {
 			}
 			k := 1 + rng.Intn(2)
 			cands := uncertain.AllLocations(pts)
-			_, _, cost, err := clusterx.SolveUncertainKMedian[geom.Vec](space, pts, cands, k)
+			c, err := core.Compile(cfg.context(), space, pts, cands)
+			if err != nil {
+				return nil, err
+			}
+			_, _, cost, err := clusterx.SolveUncertainKMedian(cfg.context(), c, k, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -175,7 +179,7 @@ func RunX1(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			centers, assign, cost, floor, err := clusterx.SolveUncertainKMeans(pts, 3, rng, 100)
+			centers, assign, cost, floor, err := clusterx.SolveUncertainKMeans(cfg.context(), pts, 3, rng, 100)
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -76,9 +78,20 @@ func TestReportRender(t *testing.T) {
 	}
 }
 
+// valueReports are the quick experiments whose tables hold only computed
+// values, no timing column: their rendering at a fixed seed is pinned in
+// testdata/quick_tables.golden. A3, A4, R2 and R3 time their solves and
+// stay out.
+var valueReports = map[string]bool{
+	"E1": true, "E2-E7": true, "E8": true, "E9": true,
+	"C1": true, "A1": true, "A2": true, "X1": true,
+}
+
 // TestQuickExperimentsPass runs every experiment in Quick mode and requires
-// all invariants (theorem bounds) to hold. This is the end-to-end
-// reproduction check at CI scale.
+// all invariants (theorem bounds) to hold, and the value tables to match
+// the golden rendering, so a change to any oracle or pipeline behind them
+// that moves an answer shows here. This is the end-to-end reproduction
+// check at CI scale.
 func TestQuickExperimentsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments skipped in -short")
@@ -90,6 +103,7 @@ func TestQuickExperimentsPass(t *testing.T) {
 	if len(reports) != 12 {
 		t.Fatalf("expected 12 reports, got %d", len(reports))
 	}
+	var got bytes.Buffer
 	for _, rep := range reports {
 		if !rep.Pass {
 			var buf bytes.Buffer
@@ -99,5 +113,16 @@ func TestQuickExperimentsPass(t *testing.T) {
 		if len(rep.Tables) == 0 {
 			t.Errorf("experiment %s produced no tables", rep.ID)
 		}
+		if valueReports[rep.ID] {
+			rep.Render(&got)
+		}
+	}
+	golden := filepath.Join("testdata", "quick_tables.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("value tables differ from %s; rendered:\n%s", golden, got.String())
 	}
 }

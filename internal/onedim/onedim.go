@@ -9,14 +9,16 @@
 //     {x : f_i(x) ≤ t} is an interval and the decision problem "k centers
 //     with cost ≤ t" is classical interval stabbing. Solve is exact up to a
 //     certified bisection gap (Certificate reports it).
-//   - the paper's expected-max: E[max_i d(P_i, c(P_i))]. SolveEmax runs
-//     alternating minimization (ED re-assignment + convex pattern search on
-//     the centers, the cost being jointly convex in the centers for a fixed
-//     assignment) and certifies the result against the max-of-expectations
-//     optimum, which lower-bounds it pointwise.
+//   - the paper's expected-max: E[max_i d(P_i, c(P_i))]. SolveEmax compiles
+//     the instance once (core.Compile) and runs alternating minimization on
+//     it (ED re-assignment + convex pattern search on the centers, the cost
+//     being jointly convex in the centers for a fixed assignment), then
+//     certifies the result against the max-of-expectations optimum, which
+//     lower-bounds it pointwise.
 package onedim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -260,7 +262,11 @@ func SolveEmax(pts []uncertain.Point[geom.Vec], k int, tol float64) (Result, err
 	if tol <= 0 {
 		tol = 1e-9
 	}
-	space := metricspace.Euclidean{}
+	ctx := context.Background()
+	c, err := core.Compile[geom.Vec](ctx, metricspace.Euclidean{}, pts, nil)
+	if err != nil {
+		return Result{}, err
+	}
 	centers := toVecs(seed.Centers)
 	for len(centers) < k {
 		centers = append(centers, centers[len(centers)-1].Clone())
@@ -270,7 +276,7 @@ func SolveEmax(pts []uncertain.Point[geom.Vec], k int, tol float64) (Result, err
 	bbox := geom.BoundingBox(all)
 	span := bbox.Diameter()
 	if span == 0 {
-		cost, err := core.EcostUnassigned[geom.Vec](space, pts, centers)
+		cost, err := c.EcostUnassigned(ctx, centers, 1)
 		if err != nil {
 			return Result{}, err
 		}
@@ -280,11 +286,11 @@ func SolveEmax(pts []uncertain.Point[geom.Vec], k int, tol float64) (Result, err
 
 	cost := math.Inf(1)
 	for round := 0; round < 60; round++ {
-		assign, err := core.AssignED[geom.Vec](space, pts, centers)
+		assign, err := core.AssignCompiled(ctx, c, centers, core.RuleED, nil, 1)
 		if err != nil {
 			return Result{}, err
 		}
-		newCenters, newCost, err := optimizeCenters1D(space, pts, centers, assign, span, tol)
+		newCenters, newCost, err := optimizeCenters1D(ctx, c, centers, assign, span, tol)
 		if err != nil {
 			return Result{}, err
 		}
@@ -294,11 +300,11 @@ func SolveEmax(pts []uncertain.Point[geom.Vec], k int, tol float64) (Result, err
 		centers, cost = newCenters, newCost
 	}
 	if math.IsInf(cost, 1) {
-		assign, err := core.AssignED[geom.Vec](space, pts, centers)
+		assign, err := core.AssignCompiled(ctx, c, centers, core.RuleED, nil, 1)
 		if err != nil {
 			return Result{}, err
 		}
-		cost, err = core.EcostAssigned[geom.Vec](space, pts, centers, assign)
+		cost, err = c.EcostAssigned(ctx, centers, assign, 1)
 		if err != nil {
 			return Result{}, err
 		}
@@ -311,13 +317,14 @@ func SolveEmax(pts []uncertain.Point[geom.Vec], k int, tol float64) (Result, err
 }
 
 // optimizeCenters1D pattern-searches the k center coordinates jointly for a
-// fixed assignment (the objective is convex in the centers).
-func optimizeCenters1D(space metricspace.Space[geom.Vec], pts []uncertain.Point[geom.Vec], centers []geom.Vec, assign []int, span, tol float64) ([]geom.Vec, float64, error) {
+// fixed assignment (the objective is convex in the centers), evaluating
+// every move on the compiled instance.
+func optimizeCenters1D(ctx context.Context, c *core.Compiled[geom.Vec], centers []geom.Vec, assign []int, span, tol float64) ([]geom.Vec, float64, error) {
 	cur := make([]geom.Vec, len(centers))
-	for i, c := range centers {
-		cur[i] = c.Clone()
+	for i, ctr := range centers {
+		cur[i] = ctr.Clone()
 	}
-	curCost, err := core.EcostAssigned(space, pts, cur, assign)
+	curCost, err := c.EcostAssigned(ctx, cur, assign, 1)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -327,16 +334,16 @@ func optimizeCenters1D(space metricspace.Space[geom.Vec], pts []uncertain.Point[
 		for ci := range cur {
 			for _, s := range []float64{step, -step} {
 				cand := make([]geom.Vec, len(cur))
-				for i, c := range cur {
-					cand[i] = c.Clone()
+				for i, ctr := range cur {
+					cand[i] = ctr.Clone()
 				}
 				cand[ci][0] += s
-				c, err := core.EcostAssigned(space, pts, cand, assign)
+				cost, err := c.EcostAssigned(ctx, cand, assign, 1)
 				if err != nil {
 					return nil, 0, err
 				}
-				if c < curCost-1e-15*(1+curCost) {
-					cur, curCost = cand, c
+				if cost < curCost-1e-15*(1+curCost) {
+					cur, curCost = cand, cost
 					improved = true
 				}
 			}
@@ -362,28 +369,4 @@ func fromVecs(vs []geom.Vec) []float64 {
 		out[i] = v[0]
 	}
 	return out
-}
-
-// MaxExpCost evaluates the max-of-expectations objective of a 1D center set
-// (each point takes its best center).
-func MaxExpCost(pts []uncertain.Point[geom.Vec], centers []float64) (float64, error) {
-	if len(centers) == 0 {
-		return 0, fmt.Errorf("onedim: no centers")
-	}
-	return core.MaxExpCostUnassigned[geom.Vec](metricspace.Euclidean{}, pts, toVecs(centers))
-}
-
-// Ecost evaluates the paper's E[max] objective of a 1D center set under the
-// ED assignment.
-func Ecost(pts []uncertain.Point[geom.Vec], centers []float64) (float64, error) {
-	if len(centers) == 0 {
-		return 0, fmt.Errorf("onedim: no centers")
-	}
-	space := metricspace.Euclidean{}
-	vecs := toVecs(centers)
-	assign, err := core.AssignED[geom.Vec](space, pts, vecs)
-	if err != nil {
-		return 0, err
-	}
-	return core.EcostAssigned[geom.Vec](space, pts, vecs, assign)
 }

@@ -1,12 +1,15 @@
 package onedim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/geom"
+	"repro/internal/metricspace"
 	"repro/internal/uncertain"
 )
 
@@ -21,6 +24,16 @@ func mk1D(t *testing.T, locs []float64, probs []float64) uncertain.Point[geom.Ve
 		t.Fatal(err)
 	}
 	return p
+}
+
+// compile1D compiles a 1D point set, failing the test on error.
+func compile1D(t *testing.T, pts []uncertain.Point[geom.Vec]) *core.Compiled[geom.Vec] {
+	t.Helper()
+	c, err := core.Compile[geom.Vec](context.Background(), metricspace.Euclidean{}, pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestExpDistEval(t *testing.T) {
@@ -247,21 +260,22 @@ func denseGridOpt(t *testing.T, pts []uncertain.Point[geom.Vec], k, steps int) f
 	for i := range grid {
 		grid[i] = lo + (hi-lo)*float64(i)/float64(steps)
 	}
+	c := compile1D(t, pts)
 	best := math.Inf(1)
 	idx := make([]int, k)
 	var rec func(pos, from int)
 	rec = func(pos, from int) {
 		if pos == k {
-			centers := make([]float64, k)
+			centers := make([]geom.Vec, k)
 			for i, g := range idx {
-				centers[i] = grid[g]
+				centers[i] = geom.Vec{grid[g]}
 			}
-			c, err := MaxExpCost(pts, centers)
+			cost, err := c.MaxExpCostUnassigned(centers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c < best {
-				best = c
+			if cost < best {
+				best = cost
 			}
 			return
 		}
@@ -272,12 +286,12 @@ func denseGridOpt(t *testing.T, pts []uncertain.Point[geom.Vec], k, steps int) f
 	}
 	if k == 1 {
 		for g := range grid {
-			c, err := MaxExpCost(pts, []float64{grid[g]})
+			cost, err := c.MaxExpCostUnassigned([]geom.Vec{{grid[g]}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c < best {
-				best = c
+			if cost < best {
+				best = cost
 			}
 		}
 		return best
@@ -306,7 +320,14 @@ func TestSolveEmaxCertificate(t *testing.T) {
 				trial, res.Cost, res.Cert.Lower)
 		}
 		// Reported cost must match an independent ED-assignment evaluation.
-		ec, err := Ecost(pts, res.Centers)
+		ctx := context.Background()
+		c := compile1D(t, pts)
+		centers := toVecs(res.Centers)
+		assign, err := core.AssignCompiled(ctx, c, centers, core.RuleED, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ec, err := c.EcostAssigned(ctx, centers, assign, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,12 +348,14 @@ func TestSolveEmaxDegenerate(t *testing.T) {
 	}
 }
 
+// TestEvaluatorsValidate pins the "no centers" errors of the two
+// objectives the tests above evaluate on a compiled 1D instance.
 func TestEvaluatorsValidate(t *testing.T) {
-	pts := []uncertain.Point[geom.Vec]{uncertain.NewDeterministic(geom.Vec{0})}
-	if _, err := MaxExpCost(pts, nil); err == nil {
+	c := compile1D(t, []uncertain.Point[geom.Vec]{uncertain.NewDeterministic(geom.Vec{0})})
+	if _, err := c.MaxExpCostUnassigned(nil); err == nil {
 		t.Error("no centers accepted")
 	}
-	if _, err := Ecost(pts, nil); err == nil {
+	if _, err := c.EcostAssigned(context.Background(), nil, []int{0}, 1); err == nil {
 		t.Error("no centers accepted")
 	}
 }

@@ -179,8 +179,11 @@ func TestUncertain1CenterMatchesTheorem21Flavor(t *testing.T) {
 	if u.N() != 30 {
 		t.Errorf("N = %d", u.N())
 	}
-	c := u.Center()
-	cost, err := core.EcostUnassigned[geom.Vec](euclid, pts, []geom.Vec{c})
+	comp, err := core.Compile[geom.Vec](context.Background(), euclid, pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost, err := comp.EcostUnassigned(context.Background(), []geom.Vec{u.Center()}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +230,16 @@ func TestUncertainKCenterStream(t *testing.T) {
 	// The streaming result must be within a constant factor of the batch
 	// pipeline on the same stream; assert a loose 10x (8 from doubling with
 	// slack for the surrogate step).
-	streamCost, err := core.EcostUnassigned[geom.Vec](euclid, pts, centers)
+	ctx := context.Background()
+	comp, err := core.Compile[geom.Vec](ctx, euclid, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := core.Solve[geom.Vec](context.Background(), euclid, pts, nil, 3, core.Options{Rule: core.RuleEP})
+	streamCost, err := comp.EcostUnassigned(ctx, centers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := core.SolveCompiled(ctx, comp, 3, core.Options{Rule: core.RuleEP})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/emax"
 	"repro/internal/geom"
 	"repro/internal/metricspace"
 	"repro/internal/sebo"
@@ -138,37 +137,6 @@ func ExpectedDist[P any](space metricspace.Space[P], p Point[P], q P) float64 {
 		s += p.Probs[j] * space.Dist(loc, q)
 	}
 	return s
-}
-
-// DistRV returns the distance-to-q random variable d(X, q), where X is the
-// point's random location — the building block the exact Ecost evaluator
-// consumes.
-func DistRV[P any](space metricspace.Space[P], p Point[P], q P) emax.RV {
-	vals := make([]float64, p.Z())
-	for j, loc := range p.Locs {
-		vals[j] = space.Dist(loc, q)
-	}
-	return emax.RV{Vals: vals, Probs: p.Probs}
-}
-
-// MinDistRV returns the random variable min_c d(X, c) over a nonempty center
-// set — the per-point distance in the unassigned objective. It panics if
-// centers is empty.
-func MinDistRV[P any](space metricspace.Space[P], p Point[P], centers []P) emax.RV {
-	if len(centers) == 0 {
-		panic("uncertain: MinDistRV with no centers")
-	}
-	vals := make([]float64, p.Z())
-	for j, loc := range p.Locs {
-		best := math.Inf(1)
-		for _, c := range centers {
-			if d := space.Dist(loc, c); d < best {
-				best = d
-			}
-		}
-		vals[j] = best
-	}
-	return emax.RV{Vals: vals, Probs: p.Probs}
 }
 
 // ExpectedPoint returns P̄ = Σ_j p_j·P_j, the Euclidean expected point

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/emax"
 	"repro/internal/geom"
 	"repro/internal/metricspace"
 )
@@ -114,39 +113,6 @@ func TestExpectedDist(t *testing.T) {
 	if math.Abs(got-5) > 1e-12 {
 		t.Errorf("ExpectedDist = %g, want 5", got)
 	}
-}
-
-func TestDistRV(t *testing.T) {
-	p := mustPoint(t, []geom.Vec{{0, 0}, {3, 4}}, []float64{0.25, 0.75})
-	rv := DistRV[geom.Vec](euclid, p, geom.Vec{0, 0})
-	if err := rv.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if rv.Vals[0] != 0 || math.Abs(rv.Vals[1]-5) > 1e-12 {
-		t.Errorf("DistRV vals = %v", rv.Vals)
-	}
-	if math.Abs(rv.Mean()-3.75) > 1e-12 {
-		t.Errorf("mean = %g, want 3.75", rv.Mean())
-	}
-}
-
-func TestMinDistRV(t *testing.T) {
-	p := mustPoint(t, []geom.Vec{{0, 0}, {10, 0}}, []float64{0.5, 0.5})
-	centers := []geom.Vec{{1, 0}, {9, 0}}
-	rv := MinDistRV[geom.Vec](euclid, p, centers)
-	if rv.Vals[0] != 1 || rv.Vals[1] != 1 {
-		t.Errorf("MinDistRV vals = %v, want [1 1]", rv.Vals)
-	}
-}
-
-func TestMinDistRVPanicsOnEmptyCenters(t *testing.T) {
-	p := NewDeterministic(geom.Vec{0})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	MinDistRV[geom.Vec](euclid, p, nil)
 }
 
 func TestExpectedPoint(t *testing.T) {
@@ -298,59 +264,5 @@ func TestBatchSurrogates(t *testing.T) {
 	iocs := OneCentersDiscrete[int](f, ipts, f.Points())
 	if iocs[0] != 0 || iocs[1] != 1 {
 		t.Errorf("OneCentersDiscrete = %v", iocs)
-	}
-}
-
-// TestDistRVFeedsEmax is an integration check: E[max] of DistRVs equals the
-// exhaustive Ecost over realizations.
-func TestDistRVFeedsEmax(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(4)
-		pts := make([]Point[geom.Vec], n)
-		for i := range pts {
-			z := 1 + rng.Intn(3)
-			locs := make([]geom.Vec, z)
-			probs := make([]float64, z)
-			var sum float64
-			for j := range locs {
-				locs[j] = geom.Vec{rng.NormFloat64(), rng.NormFloat64()}
-				probs[j] = rng.Float64() + 0.1
-				sum += probs[j]
-			}
-			for j := range probs {
-				probs[j] /= sum
-			}
-			var err error
-			pts[i], err = New(locs, probs)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		q := geom.Vec{rng.NormFloat64(), rng.NormFloat64()}
-		rvs := make([]emax.RV, n)
-		for i, p := range pts {
-			rvs[i] = DistRV[geom.Vec](euclid, p, q)
-		}
-		fast, err := emax.ExpectedMax(rvs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var slow float64
-		err = ForEachRealization(pts, 1<<20, func(locs []geom.Vec, prob float64) {
-			maxD := 0.0
-			for _, loc := range locs {
-				if d := geom.Dist(loc, q); d > maxD {
-					maxD = d
-				}
-			}
-			slow += prob * maxD
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(fast-slow) > 1e-9*(1+slow) {
-			t.Fatalf("trial %d: emax %g vs enumeration %g", trial, fast, slow)
-		}
 	}
 }

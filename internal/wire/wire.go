@@ -64,7 +64,8 @@ type Stats struct {
 	CacheHit bool    `json:"cache_hit"`
 }
 
-// SolveResponse answers POST /v1/solve.
+// SolveResponse answers POST /v1/solve. Centers holds min(k, n) centers
+// for an instance of n points: a k above n is clamped, not rejected.
 type SolveResponse[C any] struct {
 	Assign          []int   `json:"assign"`
 	Centers         C       `json:"centers"`
@@ -94,7 +95,9 @@ type SweepResponse[C any] struct {
 	Sweep   [][]float64 `json:"sweep"`
 }
 
-// UnassignedResponse answers POST /v1/unassigned.
+// UnassignedResponse answers POST /v1/unassigned. Centers holds at most
+// min(k, m) of the instance's m candidates: a k above m is clamped, and
+// duplicate candidates can end the farthest-first seed with fewer.
 type UnassignedResponse[C any] struct {
 	Centers C       `json:"centers"`
 	Ecost   float64 `json:"ecost"`

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -378,6 +379,35 @@ func TestServeAdmissionOverload(t *testing.T) {
 	if _, err := srv.Ecost(ctx, serve.EcostRequest[ukc.Vec]{Instance: "gated", Centers: []ukc.Vec{{1, 1}}, Assign: []int{0}}); err != nil {
 		t.Fatalf("request after overload: %v", err)
 	}
+}
+
+// TestServeNonFiniteCenterKeepsShard pins that a request with a NaN center
+// fails fast without wedging its shard: the server's only worker answers
+// the next request on the same instance. Such a center used to spin the
+// exact E[max] sweep forever on that worker. The server is closed only
+// after the checks pass, since Close waits for a wedged worker forever.
+func TestServeNonFiniteCenterKeepsShard(t *testing.T) {
+	ctx := context.Background()
+	srv, err := serve.New(ukc.NewSolver[ukc.Vec](), serve.WithQueueDepth(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := testInstances(t, 1)[0]
+	if err := srv.Register(ctx, "eu", inst); err != nil {
+		t.Fatal(err)
+	}
+	_, err = srv.Ecost(ctx, serve.EcostRequest[ukc.Vec]{
+		Instance: "eu", Centers: []ukc.Vec{{math.NaN(), 0}}, Assign: make([]int, inst.N()), Deadline: time.Second,
+	})
+	if err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("NaN-center Ecost: err = %v, want a prompt rejection", err)
+	}
+	if _, err := srv.Ecost(ctx, serve.EcostRequest[ukc.Vec]{
+		Instance: "eu", Centers: []ukc.Vec{{0, 0}}, Deadline: 5 * time.Second,
+	}); err != nil {
+		t.Fatalf("request after a NaN-center Ecost: %v", err)
+	}
+	srv.Close()
 }
 
 // TestServeDeadlines pins the deadline contract: an already-expired or

@@ -73,15 +73,20 @@ func (s *Solver[P]) resolve(eu bool) core.Options {
 }
 
 // checkCenters rejects centers the instance's space cannot measure — a
-// Euclidean center of the wrong dimension, or a finite-space vertex outside
-// [0, N) — so a malformed request fails with an error instead of panicking
-// inside a distance loop.
+// Euclidean center of the wrong dimension or with a NaN or ±Inf
+// coordinate, or a finite-space vertex outside [0, N) — so a malformed
+// request fails with an error instead of panicking inside a distance loop.
+// The exact kernels require finite distances: a NaN one never settles the
+// E[max] sweep's tie groups, so the call would never return.
 func checkCenters[P any](c *Compiled[P], centers []P) error {
 	switch sp := any(c.Space()).(type) {
 	case Euclidean:
 		for i, ctr := range any(centers).([]Vec) {
 			if len(ctr) != c.Dim() {
 				return fmt.Errorf("ukc: center %d has dimension %d, instance has %d", i, len(ctr), c.Dim())
+			}
+			if !ctr.IsFinite() {
+				return fmt.Errorf("ukc: center %d has a non-finite coordinate", i)
 			}
 		}
 	case *FiniteSpace:
@@ -115,7 +120,9 @@ func (s *Solver[P]) obsCtx(ctx context.Context) context.Context {
 // Solve runs the uncertain k-center pipeline (Theorems 2.1–2.7) on one
 // instance: surrogate construction (memoized per instance), optional
 // coreset, deterministic k-center on the surrogates, rule-based assignment,
-// and exact expected costs on the compiled flat model.
+// and exact expected costs on the compiled flat model. It returns min(k, n)
+// centers for an instance of n points: every certain solver clamps a k
+// above n, as kcenter.Gonzalez does, rather than rejecting it.
 func (s *Solver[P]) Solve(ctx context.Context, inst Instance[P], k int) (ResultOf[P], error) {
 	ctx = s.obsCtx(ctx)
 	c, err := inst.Compile(ctx)
@@ -135,7 +142,9 @@ func (s *Solver[P]) Solve(ctx context.Context, inst Instance[P], k int) (ResultO
 // are computed on demand, so a solve holds O(N + n) scan state and no
 // distance table, and each scan skips the candidates its certificates
 // (DESIGN §11) show cannot improve, with the trajectory bit-identical to
-// scanning every candidate.
+// scanning every candidate. It returns at most min(k, m) centers for m
+// candidates: a k above m is clamped, and duplicate candidates can end the
+// farthest-first seed with fewer.
 func (s *Solver[P]) SolveUnassigned(ctx context.Context, inst Instance[P], k int) ([]P, float64, error) {
 	ctx = s.obsCtx(ctx)
 	c, err := inst.Compile(ctx)
@@ -189,7 +198,7 @@ func (s *Solver[P]) SolveKMedian(ctx context.Context, inst Instance[P], k int) (
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return clusterx.SolveUncertainKMedianCtx(ctx, c.Space(), c.Points(), c.CandidatesOrLocations(), k, core.Options{Parallelism: s.cfg.opts.Parallelism}.Workers())
+	return clusterx.SolveUncertainKMedian(ctx, c, k, core.Options{Parallelism: s.cfg.opts.Parallelism}.Workers())
 }
 
 // SolveKMeans solves the uncertain k-means by the exact reduction (Lloyd on
@@ -204,7 +213,7 @@ func (s *Solver[P]) SolveKMeans(ctx context.Context, inst Instance[P], k int) (c
 		return nil, nil, 0, 0, fmt.Errorf("ukc: SolveKMeans requires a Euclidean instance")
 	}
 	rng := rand.New(rand.NewSource(s.cfg.seed))
-	c, a, cost, floor, err := clusterx.SolveUncertainKMeansCtx(ctx, eu, k, rng, s.cfg.maxIter)
+	c, a, cost, floor, err := clusterx.SolveUncertainKMeans(ctx, eu, k, rng, s.cfg.maxIter)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
